@@ -561,22 +561,31 @@ def write_triplets(match: MatchMatrix, path: str | Path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_triplets(path: str | Path) -> MatchMatrix:
-    text = Path(path).read_bytes().decode("utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}:1: empty triplet file")
-    def parse(lineno: int, line: str) -> tuple[int, int]:
+def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
+    """(line number, a, b) for every non-blank line of a two-integer text file;
+    the first row is the header."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {kind} file is not UTF-8: {exc}") from None
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected two integers, got {line!r}")
+        if not parts:
+            continue
         try:
-            return int(parts[0]), int(parts[1])
+            a, b = map(int, parts)
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
-    n, m = parse(1, lines[0])
-    pairs = [parse(k + 2, ln) for k, ln in enumerate(lines[1:])]
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        rows.append((lineno, a, b))
+    if not rows:
+        raise DataError(f"{path}:1: empty {kind} file")
+    return rows
+
+
+def read_triplets(path: str | Path) -> MatchMatrix:
+    (_, n, m), *rows = _read_int_pairs(path, "triplet")
+    arr = np.asarray([(i, j) for _, i, j in rows], dtype=np.int64).reshape(-1, 2)
     return MatchMatrix(n=n, m=m, pairs=arr)
 
 
@@ -588,22 +597,17 @@ def write_mapping(mapping: MappingMatrix, path: str | Path) -> None:
 
 
 def read_mapping(path: str | Path) -> MappingMatrix:
-    text = Path(path).read_bytes().decode("utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}:1: empty mapping file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise DataError(f"{path}:1: expected 'm c' header")
-    m, c = int(head[0]), int(head[1])
+    (head_line, m, c), *rows = _read_int_pairs(path, "mapping")
+    if m < 0 or c < 1:
+        raise DataError(f"{path}:{head_line}: need m >= 0 and c >= 1, got m={m}, c={c}")
     class_of = np.full(m, -1, dtype=np.int64)
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{k + 2}: expected 'column class' pair")
-        j, cls = int(parts[0]), int(parts[1])
+    for lineno, j, cls in rows:
         if not (0 <= j < m):
-            raise DataError(f"{path}:{k + 2}: column index out of range: {j}")
+            raise DataError(f"{path}:{lineno}: column index out of range: {j}")
+        if not (0 <= cls < c):
+            raise DataError(f"{path}:{lineno}: class index out of range: {cls}")
+        if class_of[j] >= 0:
+            raise DataError(f"{path}:{lineno}: column {j} listed twice")
         class_of[j] = cls
     if (class_of < 0).any():
         raise DataError(f"{path}: missing class for some columns")

@@ -286,25 +286,36 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
                 raise DataError(f"{path}: missing array {exc} in checkpoint") from exc
         return out
 
-    mapping = MappingMatrix(
-        c=int(header["n_classes"]),
-        class_of=np.asarray(header["class_of"], dtype=np.int64),
-    )
-    params = SepLLParams(
-        encoder=EncoderParams(
-            layers=layers_for("encoder", int(header["encoder_layers"])),
-            nonlinearity=header["encoder_nonlinearity"],
-        ),
-        task_head=layers_for("task", int(header["task_layers"])),
-        lf_head=layers_for("lf", int(header["lf_layers"])),
-        mapping=mapping,
-        head_nonlinearity=header["head_nonlinearity"],
-    )
-    v = header["vocab"]
-    vocab = Vocabulary(
-        tokens=tuple(v["tokens"]),
-        df=np.asarray(v["df"], dtype=np.int64),
-        n_docs=int(v["n_docs"]),
-        lowercase=bool(v["lowercase"]),
-    )
+    try:
+        mapping = MappingMatrix(
+            c=int(header["n_classes"]),
+            class_of=np.asarray(header["class_of"], dtype=np.int64),
+        )
+        params = SepLLParams(
+            encoder=EncoderParams(
+                layers=layers_for("encoder", int(header["encoder_layers"])),
+                nonlinearity=header["encoder_nonlinearity"],
+            ),
+            task_head=layers_for("task", int(header["task_layers"])),
+            lf_head=layers_for("lf", int(header["lf_layers"])),
+            mapping=mapping,
+            head_nonlinearity=header["head_nonlinearity"],
+        )
+        v = header["vocab"]
+        vocab = Vocabulary(
+            tokens=tuple(v["tokens"]),
+            df=np.asarray(v["df"], dtype=np.int64),
+            n_docs=int(v["n_docs"]),
+            lowercase=bool(v["lowercase"]),
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
+    if len(vocab) != params.encoder.input_dim:
+        raise DataError(
+            f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is "
+            f"{params.encoder.input_dim}"
+        )
+    lf_width = params.lf_head[-1].W.shape[1]
+    if mapping.m != lf_width:
+        raise DataError(f"{path}: class_of has {mapping.m} entries but the LF head has width {lf_width}")
     return params, vocab, header.get("config", {})

@@ -351,6 +351,29 @@ def test_mapping_file_round_trip(tmp_path):
     assert read_mapping(f) == mapping
 
 
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ("x 2\n0 0\n", r"T\.classof:1: expected two integers"),
+        ("1 2\n0 x\n", r"T\.classof:2: expected two integers"),
+        ("2 2\n0 0\n1 1\n0 1\n", r"T\.classof:4: column 0 listed twice"),
+        ("-1 2\n", r"T\.classof:1: need m >= 0"),
+        ("2 2\n0 0\n1 2\n", r"T\.classof:3: class index out of range"),
+        ("2 2\n\n0 0\n1 x\n", r"T\.classof:4: expected two integers"),
+        (b"2 2\n0 \xff\n", r"T\.classof: mapping file is not UTF-8"),
+    ],
+    ids=[
+        "non-integer-header", "non-integer-pair", "duplicate-column", "negative-m",
+        "class-range", "blank-line-counted", "not-utf8",
+    ],
+)
+def test_mapping_bad_file_names_line(tmp_path, content, where):
+    f = tmp_path / "T.classof"
+    f.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    with pytest.raises(DataError, match=where):
+        read_mapping(f)
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 

@@ -369,6 +369,41 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
         load_checkpoint(path)
 
 
+def edited_checkpoint(tmp_path, edit):
+    """Save a valid checkpoint, then rewrite it with ``edit`` applied to its header."""
+    from sepll.serialize import read_container, write_container
+
+    vocab = Vocabulary(tokens=("a", "b", "c", "d", "e"), df=np.ones(5, dtype=np.int64), n_docs=6)
+    path = tmp_path / "model.sepll"
+    save_checkpoint(path, tiny_params(), vocab)
+    header, arrays = read_container(path)
+    edit(header)
+    write_container(path, header, arrays)
+    return path
+
+
+def test_checkpoint_missing_header_key_is_data_error(tmp_path):
+    path = edited_checkpoint(tmp_path, lambda h: h.pop("n_classes"))
+    with pytest.raises(DataError, match=r"model\.sepll: .*'n_classes'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_vocab_encoder_mismatch(tmp_path):
+    def drop_token(header):
+        header["vocab"]["tokens"] = header["vocab"]["tokens"][:-1]
+        header["vocab"]["df"] = header["vocab"]["df"][:-1]
+
+    path = edited_checkpoint(tmp_path, drop_token)
+    with pytest.raises(DataError, match=r"model\.sepll: vocabulary has 4 tokens .* 5"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
+    path = edited_checkpoint(tmp_path, lambda h: h.update(class_of=[0, 1]))
+    with pytest.raises(DataError, match=r"model\.sepll: class_of has 2 entries .* width 3"):
+        load_checkpoint(path)
+
+
 def test_clone_params_is_deep():
     params = tiny_params()
     copy = clone_params(params)

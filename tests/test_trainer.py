@@ -18,6 +18,7 @@ from sepll.evaluation import task_metrics
 from sepll.lf_engine import majority_vote
 from sepll.model import backward, init_params, param_items, predict_batch
 from sepll.trainer import (
+    BLOCK,
     VARIANT_ORDER,
     TrainConfig,
     TrainHistory,
@@ -159,6 +160,64 @@ def test_adamw_descends_on_fixed_batch(rng):
         adamw_step(params, grads, state, cfg, current_lr=1e-2)
     final, _ = backward(params, X, targets)
     assert final < first
+
+
+def multi_block_params():
+    # encoder.0.W holds 2.5 * BLOCK elements: two full blocks and a half tail
+    dim = 32
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
+    params = init_params(
+        BLOCK * 5 // 2 // dim, mapping, EncoderConfig(max_features=10, hidden=(), dim=dim),
+        rng=np.random.default_rng(4),
+    )
+    assert params.encoder.layers[0].W.size == BLOCK * 5 // 2
+    return params
+
+
+def reference_adamw_step(params, grads, m_ref, v_ref, t, cfg, lr):
+    # the whole-array AdamW update that the blocked step must reproduce bit for bit
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, theta in param_items(params):
+        g, m, v = grads[name], m_ref[name], v_ref[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if cfg.weight_decay:
+            update = update + lr * cfg.weight_decay * theta
+        theta -= update
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_blocked_step_is_bitwise_reference(weight_decay):
+    params = multi_block_params()
+    ref = multi_block_params()
+    state = init_optimizer(params)
+    m_ref = {name: np.zeros_like(arr) for name, arr in param_items(ref)}
+    v_ref = {name: np.zeros_like(arr) for name, arr in param_items(ref)}
+    cfg = TrainConfig(weight_decay=weight_decay)
+    rng = np.random.default_rng(11)
+    for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+        grads = {name: rng.normal(size=arr.shape) for name, arr in param_items(params)}
+        adamw_step(params, grads, state, cfg, current_lr=lr)
+        reference_adamw_step(ref, grads, m_ref, v_ref, t, cfg, lr)
+    for (name, got), (_, want) in zip(param_items(params), param_items(ref)):
+        assert np.array_equal(got, want), name
+        assert np.array_equal(state.m[name], m_ref[name]), name
+        assert np.array_equal(state.v[name], v_ref[name]), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adamw_rejects_non_finite_update_in_last_block():
+    params = multi_block_params()
+    grads = zero_grads(params)
+    grads["encoder.0.W"].reshape(-1)[-1] = np.inf
+    state = init_optimizer(params)
+    with pytest.raises(NumericalError, match="encoder.0.W"):
+        adamw_step(params, grads, state, TrainConfig(), current_lr=0.1)
 
 
 # ---------------------------------------------------------------------------
