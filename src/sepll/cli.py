@@ -272,6 +272,12 @@ def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None):
         raise DataError(
             f"class count mismatch: checkpoint has c={params.mapping.c}, data yields c={mapping.c}"
         )
+    if not np.array_equal(mapping.class_of, params.mapping.class_of):
+        j = int(np.argmax(mapping.class_of != params.mapping.class_of))
+        raise DataError(
+            f"LF class mismatch: checkpoint maps LF {j} to class {params.mapping.class_of[j]}, "
+            f"data yields class {mapping.class_of[j]}"
+        )
     return run_cfg, params, vocab, echo, splits, match, data_files, root_seed
 
 

@@ -7,9 +7,7 @@ an any-position search with the raw pattern.
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +17,6 @@ from .data import MatchMatrix, MappingMatrix, Sample
 from .errors import ConfigError, DataError
 from .seeds import stream
 from .text import tokenize
-
-THREADS_ENV = "SEPLL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -79,65 +75,43 @@ def parse_lf_entries(
     return tuple(lfs)
 
 
-def _contains_run(tokens: list[str], run: list[str]) -> bool:
-    if len(run) == 1:
-        return run[0] in tokens
-    span = len(run)
-    return any(tokens[i : i + span] == run for i in range(len(tokens) - span + 1))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, cap)
-
-
 def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> MatchMatrix:
     """Evaluate every rule against every sample.
 
-    Parallel workers (capped by the SEPLL_THREADS environment variable) split
-    the samples into contiguous chunks; results merge by sample index so the
-    outcome is order-deterministic regardless of worker count.
+    Keyword terms are tokenized once per call into runs, indexed by their first
+    token. Each sample is tokenized once; every token position looks up the
+    runs starting with that token, and a run of length > 1 must also equal the
+    tokens that follow. Regexes then search the raw text in LF order. A sample's
+    hits are emitted in ascending LF order, so ``pairs`` is sorted by (i, j).
     """
-    compiled = [re.compile(lf.pattern) if lf.kind == "regex" else None for lf in lfs]
-    term_runs = [
-        [tokenize(t) for t in lf.terms] if lf.kind == "keyword" else None for lf in lfs
-    ]
+    regexes = [(j, re.compile(lf.pattern)) for j, lf in enumerate(lfs) if lf.kind == "regex"]
+    by_first: dict[str, list[tuple[int, list[str]]]] = {}
+    for j, lf in enumerate(lfs):
+        if lf.kind == "keyword":
+            for term in lf.terms:
+                run = tokenize(term)
+                if run:
+                    by_first.setdefault(run[0], []).append((j, run))
 
-    def match_row(i: int) -> list[int]:
-        sample = samples[i]
-        tokens = None
-        hits = []
-        for j, lf in enumerate(lfs):
-            if lf.kind == "keyword":
-                if tokens is None:
-                    tokens = tokenize(sample.text)
-                if any(run and _contains_run(tokens, run) for run in term_runs[j]):
-                    hits.append(j)
-            else:
-                try:
-                    found = compiled[j].search(sample.text)
-                except Exception as exc:
-                    raise DataError(
-                        f"labeling function {lf.id} failed on sample {sample.id}: {exc}"
-                    ) from exc
-                if found:
-                    hits.append(j)
-        return hits
-
-    workers = _worker_count()
-    indices = range(len(samples))
-    if workers <= 1 or len(samples) < 2 * workers:
-        rows = [match_row(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(match_row, indices))
-    pairs = [(i, j) for i, hits in enumerate(rows) for j in hits]
+    pairs = []
+    for i, sample in enumerate(samples):
+        hits = set()
+        if by_first:
+            tokens = tokenize(sample.text)
+            for pos, token in enumerate(tokens):
+                for j, run in by_first.get(token, ()):
+                    if len(run) == 1 or tokens[pos : pos + len(run)] == run:
+                        hits.add(j)
+        for j, pattern in regexes:
+            try:
+                found = pattern.search(sample.text)
+            except Exception as exc:
+                raise DataError(
+                    f"labeling function {lfs[j].id} failed on sample {sample.id}: {exc}"
+                ) from exc
+            if found:
+                hits.add(j)
+        pairs.extend((i, j) for j in sorted(hits))
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return MatchMatrix(n=len(samples), m=len(lfs), pairs=arr)
 

@@ -277,7 +277,10 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     if header.get("kind") != "sepll-model":
         raise DataError(f"{path}: not a model checkpoint")
 
-    def layers_for(prefix: str, count: int) -> list[Layer]:
+    def layers_for(prefix: str) -> list[Layer]:
+        count = int(header[f"{prefix}_layers"])
+        if count < 1:
+            raise DataError(f"{path}: {prefix}_layers must be at least 1, got {count}")
         out = []
         for i in range(count):
             try:
@@ -293,11 +296,11 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         )
         params = SepLLParams(
             encoder=EncoderParams(
-                layers=layers_for("encoder", int(header["encoder_layers"])),
+                layers=layers_for("encoder"),
                 nonlinearity=header["encoder_nonlinearity"],
             ),
-            task_head=layers_for("task", int(header["task_layers"])),
-            lf_head=layers_for("lf", int(header["lf_layers"])),
+            task_head=layers_for("task"),
+            lf_head=layers_for("lf"),
             mapping=mapping,
             head_nonlinearity=header["head_nonlinearity"],
         )
@@ -310,6 +313,8 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         )
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     if len(vocab) != params.encoder.input_dim:
         raise DataError(
             f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is "

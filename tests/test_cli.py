@@ -199,6 +199,21 @@ def test_eval_dimension_mismatch_exits_2(trained, tmp_path, capsys):
     assert "LF dimension mismatch" in capsys.readouterr().err
 
 
+def test_eval_malformed_checkpoint_exits_2_naming_file(trained, capsys):
+    from sepll.serialize import read_container, write_container
+
+    cfg, run_dir = trained
+    ckpt = run_dir / "checkpoint.sepll"
+    header, arrays = read_container(ckpt)
+    header["lf_layers"] = 0
+    write_container(ckpt, header, arrays)
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.sepll" in err
+    assert "Traceback" not in err
+
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -335,6 +350,24 @@ rule_a = keyword class_0 topic0word0, topic0word1
 rule_b = keyword class_1 topic1word0
 rule_c = regex class_1 topic1word[23]
 """
+
+
+def test_eval_lf_class_mismatch_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, LF_CONFIG)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run_dir)]) == 0
+    # same m and c, but the first two LFs (classes 0 and 1) swap columns
+    swapped = LF_CONFIG.replace(
+        "rule_a = keyword class_0 topic0word0, topic0word1\nrule_b = keyword class_1 topic1word0",
+        "rule_b = keyword class_1 topic1word0\nrule_a = keyword class_0 topic0word0, topic0word1",
+    )
+    assert swapped != LF_CONFIG
+    other = write_config(tmp_path, swapped, name="swapped.cfg")
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.sepll"), "--config", other])
+    assert code == 2
+    assert "LF class mismatch: checkpoint maps LF 0 to class 0, data yields class 1" in (
+        capsys.readouterr().err
+    )
 
 
 def test_apply_lfs_writes_match_matrices(tmp_path):

@@ -17,6 +17,7 @@ from sepll.lf_engine import (
     mapping_from_lfs,
     parse_lf_entries,
 )
+from sepll.text import tokenize
 
 
 def samples(*texts):
@@ -91,25 +92,79 @@ def test_regex_runs_on_raw_text():
     assert match.to_dense()[:, 0].tolist() == [1, 1, 0]
 
 
-def test_apply_lfs_threaded_matches_serial(monkeypatch):
+def test_lfs_sharing_a_first_token_both_fire_and_pairs_are_sorted():
     lfs = parse_lf_entries(
-        entries("keyword spam free, win", "regex ham \\bthanks\\b", "keyword spam money back"),
+        entries("keyword ham win big", "regex spam money", "keyword spam win money, cash"),
         class_names=("ham", "spam"),
     )
-    texts = [f"sample {i} free money back thanks win" if i % 3 else f"plain {i}" for i in range(64)]
-    sams = samples(*texts)
-    monkeypatch.delenv("SEPLL_THREADS", raising=False)
-    serial = apply_lfs(lfs, sams)
-    monkeypatch.setenv("SEPLL_THREADS", "4")
-    threaded = apply_lfs(lfs, sams)
-    assert serial == threaded
+    # "win" starts a term of LF 0 and of LF 2; in row 3 LF 2 is found first, at "cash"
+    match = apply_lfs(
+        lfs, samples("win money now", "win big money", "nothing", "cash, win big", "win big win money")
+    )
+    assert match.pairs.tolist() == [
+        [0, 1], [0, 2], [1, 0], [1, 1], [3, 0], [3, 2], [4, 0], [4, 1], [4, 2]
+    ]  # fmt: skip
 
 
-def test_bad_thread_env_is_config_error(monkeypatch):
-    lfs = parse_lf_entries(entries("keyword spam free"), class_names=("ham", "spam"))
-    monkeypatch.setenv("SEPLL_THREADS", "lots")
-    with pytest.raises(ConfigError, match="SEPLL_THREADS"):
-        apply_lfs(lfs, samples("a"))
+def reference_apply_lfs(lfs, sams):
+    """Per-LF scan: every keyword term is searched for as a contiguous token run."""
+
+    def contains_run(tokens, run):
+        if len(run) == 1:
+            return run[0] in tokens
+        span = len(run)
+        return any(tokens[i : i + span] == run for i in range(len(tokens) - span + 1))
+
+    pairs = []
+    for i, sample in enumerate(sams):
+        tokens = tokenize(sample.text)
+        for j, lf in enumerate(lfs):
+            if lf.kind == "keyword":
+                runs = [tokenize(t) for t in lf.terms]
+                hit = any(run and contains_run(tokens, run) for run in runs)
+            else:
+                hit = re.search(lf.pattern, sample.text) is not None
+            if hit:
+                pairs.append((i, j))
+    return MatchMatrix(
+        n=len(sams), m=len(lfs), pairs=np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    )
+
+
+WORDS = st.sampled_from(["a", "A", "b", "B", "ab", "c"])
+SEPARATORS = st.sampled_from([" ", ", ", "-", "! ", "_", " -- "])
+TERMS = st.one_of(
+    st.lists(WORDS, min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["a a", "a b", "b a", "--", "a -- b"]),
+)
+REGEXES = st.sampled_from([r"\bab\b", r"^a", r"b!", r"[A-Z]{2}", r"-"])
+
+
+@st.composite
+def labeling_functions(draw):
+    lfs = []
+    for lf_id in range(draw(st.integers(1, 6))):
+        label = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            lfs.append(LabelingFunction(id=lf_id, kind="regex", label=label, pattern=draw(REGEXES)))
+        else:
+            # a term made only of separators ("--") passes validation but tokenizes to []
+            terms = tuple(draw(st.lists(TERMS, min_size=1, max_size=3)))
+            lfs.append(LabelingFunction(id=lf_id, kind="keyword", label=label, terms=terms))
+    return tuple(lfs)
+
+
+@st.composite
+def texts(draw):
+    words = draw(st.lists(WORDS, max_size=8))
+    seps = draw(st.lists(SEPARATORS, min_size=len(words), max_size=len(words)))
+    return "".join(w + s for w, s in zip(words, seps))
+
+
+@given(labeling_functions(), st.lists(texts(), max_size=6))
+def test_apply_lfs_matches_per_lf_reference(lfs, text_list):
+    sams = samples(*text_list)
+    assert apply_lfs(lfs, sams) == reference_apply_lfs(lfs, sams)
 
 
 def test_regex_runtime_failure_names_lf_and_sample(monkeypatch):

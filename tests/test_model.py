@@ -404,6 +404,24 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_classes", "x", "malformed checkpoint header"),
+        ("class_of", "ab", "malformed checkpoint header"),
+        ("vocab", 5, "malformed checkpoint header"),
+        ("lf_layers", 0, "lf_layers must be at least 1, got 0"),
+        ("encoder_layers", 0, "encoder_layers must be at least 1, got 0"),
+        ("task_layers", -1, "task_layers must be at least 1, got -1"),
+    ],
+    ids=["n_classes", "class_of", "vocab", "lf_layers", "encoder_layers", "task_layers"],
+)
+def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
+    path = edited_checkpoint(tmp_path, lambda h: h.update({key: value}))
+    with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
+        load_checkpoint(path)
+
+
 def test_clone_params_is_deep():
     params = tiny_params()
     copy = clone_params(params)
