@@ -70,12 +70,16 @@ def _load_splits(run_cfg: RunConfig, seed: int) -> tuple[SplitSet, dict[str, Pat
 
 
 def _build_matrices(
-    splits: SplitSet, run_cfg: RunConfig
+    splits: SplitSet, run_cfg: RunConfig, names: tuple[str, ...] = ("train", "dev", "test")
 ) -> tuple[dict[str, MatchMatrix], MappingMatrix, ConversionProvenance | None]:
-    """Matches either from rule LFs in the config or from the dataset weak labels."""
+    """Matches either from rule LFs in the config or from the dataset weak labels.
+
+    Rule LFs are applied only to the splits in ``names``; weak labels are
+    converted for every split, since the derived columns depend on all of them.
+    """
     if run_cfg.lf_entries:
         lfs = parse_lf_entries(run_cfg.lf_entries, splits.class_names)
-        match = {name: apply_lfs(lfs, splits.split(name)) for name in ("train", "dev", "test")}
+        match = {name: apply_lfs(lfs, splits.split(name)) for name in names}
         return match, mapping_from_lfs(lfs, splits.n_classes), None
     conv = to_one_class_lfs(splits)
     return dict(conv.match), conv.mapping, conv.provenance
@@ -238,7 +242,7 @@ def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     root_seed = seed if seed is not None else run_cfg.train.seed
     train_cfg = dataclasses.replace(run_cfg.train, seed=root_seed)
     splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg)
+    match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
     params, history, vocab = train(
         splits, match["train"], mapping, train_cfg, run_cfg.encoder, run_cfg.model
     )
@@ -258,12 +262,14 @@ def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     )
 
 
-def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None):
+def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None, names: tuple[str, ...]):
+    """Checkpoint, data and the matches of the splits in ``names``, after checking
+    that the checkpoint's LF-to-class map is the one the data yields."""
     run_cfg = parse_config(config_path)
     params, vocab, echo = load_checkpoint(checkpoint)
     root_seed = seed if seed is not None else run_cfg.train.seed
     splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg)
+    match, mapping, _ = _build_matrices(splits, run_cfg, names)
     if mapping.m != params.mapping.m:
         raise DataError(
             f"LF dimension mismatch: checkpoint has m={params.mapping.m}, data yields m={mapping.m}"
@@ -301,8 +307,8 @@ def eval_cmd(
     checkpoint: str, config_path: str, split: str, metric: str | None, out: str | None, seed: int | None
 ) -> None:
     """Score task predictions from the class head against gold labels."""
-    run_cfg, params, vocab, echo, splits, match, data_files, root_seed = _load_eval_inputs(
-        checkpoint, config_path, seed
+    run_cfg, params, vocab, echo, splits, _, data_files, root_seed = _load_eval_inputs(
+        checkpoint, config_path, seed, ()
     )
     _, X, gold = _split_features_gold(splits, vocab, split)
     if any(g is None for g in gold):
@@ -353,7 +359,7 @@ def analyze(
 ) -> None:
     """Memorization report, match-count breakdown, or train-test gap."""
     run_cfg, params, vocab, echo, splits, match, data_files, root_seed = _load_eval_inputs(
-        checkpoint, config_path, seed
+        checkpoint, config_path, seed, ("train", "test") if which == "gap" else (split,)
     )
     k = int(threshold_k)
     out_dir = None
@@ -470,13 +476,13 @@ def ablate(config_path: str, datasets: str | None, out: str | None, seed: int | 
         fmt = run_cfg.data.format if run_cfg.data and run_cfg.data.format != "synth" else "wrench-json"
         for name in names:
             splits = load_dataset(name, fmt)
-            match, mapping, _ = _build_matrices(splits, run_cfg)
+            match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
             jobs.append((Path(name).name, splits, match, mapping))
             for f in dataset_files(name, fmt):
                 data_files[f"{Path(name).name}/{f.name}"] = f
     else:
         splits, files = _load_splits(run_cfg, root_seed)
-        match, mapping, _ = _build_matrices(splits, run_cfg)
+        match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
         label = Path(run_cfg.data.path).name if run_cfg.data and run_cfg.data.path else "synth"
         jobs.append((label, splits, match, mapping))
         data_files.update(files)

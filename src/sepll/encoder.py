@@ -13,10 +13,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .nnet import ACTIVATIONS, Layer, check_finite, init_mlp, mlp_forward
+from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_forward
 from .serialize import read_container, write_container
 from .text import tokenize
 
@@ -125,7 +124,7 @@ def featurize(text: str, vocab: Vocabulary) -> FeatureVector:
     return FeatureVector(dim=len(vocab), indices=indices, weights=weights)
 
 
-def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_array:
+def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> CSRMatrix:
     """CSR feature matrix for a whole split, one row per text."""
     indptr = [0]
     indices: list[int] = []
@@ -135,29 +134,7 @@ def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_array:
         indices.extend(int(i) for i in fv.indices)
         data.extend(float(w) for w in fv.weights)
         indptr.append(len(indices))
-    return sp.csr_array(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(texts), len(vocab)),
-    )
-
-
-def feature_matrix(features: Sequence[FeatureVector]) -> sp.csr_array:
-    if not features:
-        raise DataError("cannot stack an empty feature list")
-    dim = features[0].dim
-    if any(fv.dim != dim for fv in features):
-        raise DataError("inconsistent feature dimensions")
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for fv in features:
-        indices.extend(int(i) for i in fv.indices)
-        data.extend(float(w) for w in fv.weights)
-        indptr.append(len(indices))
-    return sp.csr_array(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(features), dim),
-    )
+    return CSRMatrix(data, indices, indptr, shape=(len(texts), len(vocab)))
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .data import MatchMatrix
 from .errors import ConfigError, DataError
 from .model import LOG_CLAMP, SepLLParams, forward_batch
 from .nnet import softmax
+from .serialize import atomic_open
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +328,9 @@ def breakdown_to_csv(table: Mapping[int, MatchGroup], metric: str, path) -> None
 
 
 def write_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 _PALETTE = ("#4878a8", "#e49444", "#5ba053", "#b65d60", "#8a7bb0", "#77706a")

@@ -10,6 +10,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError
 from .seeds import STREAM_IDS
+from .serialize import atomic_open
 
 
 def file_digest(path) -> str:
@@ -43,7 +44,9 @@ def build_manifest(
 
 
 def write_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def load_manifest(path) -> dict:

@@ -280,13 +280,13 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     def layers_for(prefix: str) -> list[Layer]:
         count = int(header[f"{prefix}_layers"])
         if count < 1:
-            raise DataError(f"{path}: {prefix}_layers must be at least 1, got {count}")
+            raise DataError(f"{prefix}_layers must be at least 1, got {count}")
         out = []
         for i in range(count):
             try:
                 out.append(Layer(W=arrays[f"{prefix}.{i}.W"].copy(), b=arrays[f"{prefix}.{i}.b"].copy()))
             except KeyError as exc:
-                raise DataError(f"{path}: missing array {exc} in checkpoint") from exc
+                raise DataError(f"missing array {exc} in checkpoint") from exc
         return out
 
     try:
@@ -315,6 +315,8 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
+    except DataError as exc:  # layer counts and MappingMatrix's own checks
+        raise DataError(f"{path}: {exc}") from exc
     if len(vocab) != params.encoder.input_dim:
         raise DataError(
             f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is "

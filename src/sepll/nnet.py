@@ -1,7 +1,7 @@
-"""Dense feed-forward building blocks: affine layers, activations, forward/backward.
+"""Feed-forward building blocks: affine layers, activations, forward/backward.
 
-The first layer of a stack may receive a scipy CSR matrix; everything after it
-is dense float64.
+The first layer of a stack may receive a :class:`CSRMatrix`; everything after
+it is dense float64.
 """
 
 from __future__ import annotations
@@ -13,6 +13,100 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
+
+# float64 elements in one row block of a sparse product's output (512 KiB)
+ROW_BLOCK = 65536
+
+
+class CSRMatrix:
+    """Row-compressed sparse float64 matrix, the first-layer input of a stack.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which are distinct within a row.
+    Supports row selection (``X[rows]``), ``X @ W`` and ``X.T @ D``. Each
+    product element adds its terms left to right, starting from 0.0: ``X @ W``
+    over a row's nonzeros in storage order, ``X.T @ D`` over a column's
+    nonzeros in row order. That is the summation order of scipy's CSR
+    products, so results are bitwise equal to ``scipy.sparse.csr_array``'s.
+    """
+
+    def __init__(self, data, indices, indptr, shape: tuple[int, int]):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    def __getitem__(self, rows) -> CSRMatrix:
+        rows = np.arange(self.shape[0])[rows]  # bounds-checked; accepts slices and masks
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[pos], self.indices[pos], indptr, (rows.size, self.shape[1]))
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        if W.ndim != 2 or W.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
+        return _row_sums(self.data, self.indices, self.indptr, W)
+
+    @property
+    def T(self) -> _TransposedCSR:
+        return _TransposedCSR(self)
+
+
+class _TransposedCSR:
+    """``X.T`` for the one product backprop needs, ``X.T @ D``."""
+
+    def __init__(self, X: CSRMatrix):
+        self.X = X
+        self.shape = (X.shape[1], X.shape[0])
+
+    def __matmul__(self, D: np.ndarray) -> np.ndarray:
+        X = self.X
+        if D.ndim != 2 or D.shape[0] != X.shape[0]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {D.shape}")
+        # Regroup the nonzeros by column, keeping row order within a column: the
+        # touched columns become the rows of a CSR matrix over X's rows.
+        order = np.argsort(X.indices, kind="stable")
+        cols = X.indices[order]
+        row_of = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[order]
+        new_col = np.ones(cols.size, dtype=bool)
+        new_col[1:] = cols[1:] != cols[:-1]
+        indptr = np.append(np.flatnonzero(new_col), cols.size)
+        out = np.zeros((X.shape[1], D.shape[1]))
+        out[cols[new_col]] = _row_sums(X.data[order], row_of, indptr, D)
+        return out
+
+
+def _row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_k data[k] * V[indices[k]]`` over row ``i``'s nonzeros ``k``,
+    added left to right from 0.0.
+
+    Works through blocks of rows small enough to stay cache-resident. Within a
+    block, step ``j`` adds the ``j``-th term of every row that has one; rows go
+    longest first, so the rows still active at step ``j`` are a prefix.
+    """
+    n = indptr.size - 1
+    out = np.empty((n, V.shape[1]))
+    block = max(1, ROW_BLOCK // max(V.shape[1], 1))
+    for lo in range(0, n, block):
+        ptr = indptr[lo : lo + block + 1]
+        lengths = np.diff(ptr)
+        order = np.argsort(-lengths, kind="stable")
+        active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # active[j] = #rows longer than j
+        # The block's terms in step order: step j holds term j of rows order[:active[j]].
+        step = np.repeat(np.arange(active.size), active)
+        first = np.cumsum(active) - active  # where each step's terms start
+        pos = ptr[:-1][order][np.arange(step.size) - first[step]] + step
+        cols, coef = indices[pos], data[pos, None]
+        sums = np.zeros((lengths.size, V.shape[1]))
+        for f, k in zip(first.tolist(), active.tolist()):
+            terms = V[cols[f : f + k]]
+            terms *= coef[f : f + k]
+            sums[:k] += terms
+        out[lo + order] = sums
+    return out
 
 
 @dataclass

@@ -3,13 +3,19 @@
 The header carries an ``arrays`` index of (name, shape) in write order; the
 payload is the concatenation of those arrays as row-major little-endian
 float64. Everything non-numeric lives in the header.
+
+Containers, JSON reports and manifests are written through :func:`atomic_open`,
+so a reader sees either the previous file or the complete new one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -18,11 +24,26 @@ from .errors import DataError
 MAGIC = b"SEPLL-BIN1\n"
 
 
+@contextmanager
+def atomic_open(path) -> Iterator[BinaryIO]:
+    """Binary handle on a temporary file next to ``path``. It replaces ``path``
+    when the block completes and is deleted when the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     meta = dict(header)
     meta["arrays"] = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(blob + b"\n")
         for arr in arrays.values():

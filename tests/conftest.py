@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sepll.nnet import CSRMatrix
+
 settings.register_profile(
     "sepll",
     max_examples=100,
@@ -27,3 +29,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def to_csr():
+    """Converter from a dense 2-d array to a CSRMatrix with the same nonzeros."""
+
+    def convert(dense: np.ndarray) -> CSRMatrix:
+        rows, cols = np.nonzero(dense)
+        indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
+        return CSRMatrix(dense[rows, cols], cols, indptr, dense.shape)
+
+    return convert

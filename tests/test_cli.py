@@ -370,6 +370,30 @@ def test_eval_lf_class_mismatch_exits_2(tmp_path, capsys):
     )
 
 
+def test_commands_label_only_the_splits_they_read(tmp_path, monkeypatch):
+    import sepll.cli
+
+    cfg = write_config(tmp_path, LF_CONFIG)
+    run_dir = tmp_path / "run"
+    labeled = []
+    apply = sepll.cli.apply_lfs
+    monkeypatch.setattr(
+        sepll.cli, "apply_lfs", lambda lfs, samples: labeled.append(len(samples)) or apply(lfs, samples)
+    )
+    assert main(["train", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert labeled == [120]
+    ckpt = ["--checkpoint", str(run_dir / "checkpoint.sepll"), "--config", cfg]
+    for argv, sizes in [
+        (["eval", *ckpt], []),
+        (["analyze", *ckpt, "--which", "memorization", "--split", "dev"], [30]),
+        (["analyze", *ckpt, "--which", "matches", "--split", "train"], [120]),
+        (["analyze", *ckpt, "--which", "gap"], [120, 30]),
+    ]:
+        labeled.clear()
+        assert main(argv) == 0
+        assert labeled == sizes, argv
+
+
 def test_apply_lfs_writes_match_matrices(tmp_path):
     cfg = write_config(tmp_path, LF_CONFIG)
     out = tmp_path / "lfs"
@@ -423,6 +447,18 @@ def test_help_exits_0(capsys):
         assert cmd in out
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the same sepll as this
+    process, from any cwd."""
+    pkg_root = str(Path(sepll.__file__).resolve().parents[1])
+    inherited = [
+        os.path.abspath(entry)
+        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        if entry
+    ]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
+
+
 def test_console_script_entry_point():
     # Resolve the console script declared in pyproject.toml and run it in a
     # fresh interpreter the way pip's generated `sepll` wrapper does, so the
@@ -440,17 +476,18 @@ def test_console_script_entry_point():
         "sys.argv[0] = ep.name\n"
         "sys.exit(ep.load()())\n"
     )
-    # The child must import the same sepll as this process, from any cwd.
-    pkg_root = str(Path(sepll.__file__).resolve().parents[1])
-    inherited = [
-        os.path.abspath(entry)
-        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        if entry
-    ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
     proc = subprocess.run(
         [sys.executable, "-c", runner, "--help"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "Weak-supervision" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # Every command starts a fresh interpreter, so import time is paid per command.
+    code = "import sys, sepll.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert proc.stdout.strip() == "[]"

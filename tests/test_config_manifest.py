@@ -15,7 +15,7 @@ from sepll.manifest import (
     verify_manifest,
     write_manifest,
 )
-from sepll.serialize import read_container, write_container
+from sepll.serialize import atomic_open, read_container, write_container
 from sepll.trainer import TrainConfig
 
 FULL_CONFIG = """\
@@ -195,6 +195,41 @@ def test_container_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(DataError, match="trailing"):
         read_container(path)
+
+
+class FailsOnWrite:
+    """Array stand-in whose payload cannot be produced: the write fails after the
+    magic line, the header and the arrays before it are already written."""
+
+    shape = (2,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("No space left on device")
+
+
+def test_failed_container_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "x.bin"
+    write_container(path, {"kind": "demo"}, {"a": np.arange(4, dtype=np.float64)})
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="No space left"):
+        write_container(path, {"kind": "demo"}, {"a": np.zeros(100), "b": FailsOnWrite()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
+
+def test_atomic_open_replaces_the_file_only_on_success(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write(b"half of the new")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    with atomic_open(path) as fh:
+        fh.write(b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 def test_container_header_is_one_sorted_json_line(tmp_path):

@@ -11,7 +11,6 @@ from sepll.encoder import (
     Vocabulary,
     encode,
     encode_batch,
-    feature_matrix,
     featurize,
     featurize_split,
     fit_vocabulary,
@@ -149,15 +148,12 @@ def test_feature_matrix_matches_featurize_rows():
     texts = ["a c", "zzz", "b b c"]
     X = featurize_split(texts, vocab)
     assert X.shape == (3, len(vocab))
-    dense = X.toarray()
+    assert X.indptr.tolist() == [0, 2, 2, 4]
     for i, t in enumerate(texts):
         vec = featurize(t, vocab)
-        row = np.zeros(len(vocab))
-        row[vec.indices] = vec.weights
-        assert np.allclose(dense[i], row, atol=1e-15)
-    # feature_matrix over FeatureVectors agrees
-    X2 = feature_matrix([featurize(t, vocab) for t in texts])
-    assert np.allclose(X2.toarray(), dense, atol=0)
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        assert X.indices[lo:hi].tolist() == vec.indices.tolist()
+        assert X.data[lo:hi].tolist() == vec.weights.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +206,13 @@ def test_encode_batch_matches_naive_loop(rng):
         assert np.allclose(Z[i], h, atol=1e-12)
 
 
-def test_encode_batch_accepts_sparse(rng):
-    import scipy.sparse as sp
-
+def test_encode_batch_accepts_sparse(rng, to_csr):
     cfg = small_config()
     params = init_encoder(4, cfg, rng)
     X = rng.normal(size=(6, 4))
     X[X < 0.5] = 0.0
     dense_out = encode_batch(params, X)
-    sparse_out = encode_batch(params, sp.csr_array(X))
+    sparse_out = encode_batch(params, to_csr(X))
     assert np.allclose(dense_out, sparse_out, atol=1e-12)
 
 

@@ -308,16 +308,14 @@ def test_backward_permutation_equivariance(seed):
     assert np.allclose(grads_p["encoder.0.W"], grads["encoder.0.W"], atol=1e-12)
 
 
-def test_backward_accepts_sparse_input(rng):
-    import scipy.sparse as sp
-
+def test_backward_accepts_sparse_input(rng, to_csr):
     params = tiny_params(d=4, hidden=(6,))
     X = rng.normal(size=(5, 5))
     X[np.abs(X) < 0.7] = 0.0
     raw = rng.random((5, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
     loss_d, grads_d = backward(params, X, targets)
-    loss_s, grads_s = backward(params, sp.csr_array(X), targets)
+    loss_s, grads_s = backward(params, to_csr(X), targets)
     assert loss_s == pytest.approx(loss_d, abs=1e-12)
     for name in grads_d:
         assert np.allclose(grads_d[name], grads_s[name], atol=1e-12), name
@@ -413,8 +411,19 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         ("lf_layers", 0, "lf_layers must be at least 1, got 0"),
         ("encoder_layers", 0, "encoder_layers must be at least 1, got 0"),
         ("task_layers", -1, "task_layers must be at least 1, got -1"),
+        ("n_classes", 0, "mapping needs at least one class"),
+        ("class_of", [0, 1, 7], "mapping class index out of range"),
     ],
-    ids=["n_classes", "class_of", "vocab", "lf_layers", "encoder_layers", "task_layers"],
+    ids=[
+        "n_classes",
+        "class_of",
+        "vocab",
+        "lf_layers",
+        "encoder_layers",
+        "task_layers",
+        "n_classes_zero",
+        "class_of_out_of_range",
+    ],
 )
 def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
     path = edited_checkpoint(tmp_path, lambda h: h.update({key: value}))
