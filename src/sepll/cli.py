@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical failur
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import sys
@@ -45,6 +44,7 @@ from .evaluation import (
 from .lf_engine import apply_lfs, compute_stats, mapping_from_lfs, parse_lf_entries
 from .manifest import build_manifest, write_manifest
 from .model import load_checkpoint, predict_batch, save_checkpoint
+from .serialize import write_csv
 from .trainer import VARIANT_ORDER, run_ablation, train
 
 
@@ -88,13 +88,10 @@ def _build_matrices(
 def _write_provenance(
     prov: ConversionProvenance, class_names: tuple[str, ...], path: Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["derived_index", "original_lf", "class_index", "class_name", "status"])
-        for j, (orig, cls) in enumerate(prov.columns):
-            writer.writerow([j, orig, cls, class_names[cls], "kept"])
-        for orig in prov.dropped:
-            writer.writerow(["", orig, "", "", "dropped"])
+    rows = [["derived_index", "original_lf", "class_index", "class_name", "status"]]
+    rows += [[j, orig, cls, class_names[cls], "kept"] for j, (orig, cls) in enumerate(prov.columns)]
+    rows += [["", orig, "", "", "dropped"] for orig in prov.dropped]
+    write_csv(path, rows)
 
 
 def _echo_with_names(run_cfg: RunConfig, seed: int, splits: SplitSet) -> dict:
@@ -495,12 +492,11 @@ def ablate(config_path: str, datasets: str | None, out: str | None, seed: int | 
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [label for label, *_ in jobs]
     csv_file = out_dir / "ablation.csv"
-    with open(csv_file, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", *labels, "avg"])
-        for variant in VARIANT_ORDER:
-            row = [results[label][variant]["test"] for label in labels]
-            writer.writerow([variant, *(repr(v) for v in row), repr(float(np.mean(row)))])
+    rows = [["variant", *labels, "avg"]]
+    for variant in VARIANT_ORDER:
+        row = [results[label][variant]["test"] for label in labels]
+        rows.append([variant, *(repr(v) for v in row), repr(float(np.mean(row)))])
+    write_csv(csv_file, rows)
     json_file = out_dir / "ablation.json"
     write_json(results, json_file)
     inputs = {"config": Path(config_path), **data_files}

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .seeds import stream
+from .serialize import write_text
 
 SPLIT_NAMES = ("train", "dev", "test")
 ABSTAIN = -1
@@ -513,7 +514,7 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
     written = []
     label_file = root / "label.json"
     names = {str(i): name for i, name in enumerate(splits.class_names)}
-    label_file.write_text(json.dumps(names, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(label_file, json.dumps(names, sort_keys=True) + "\n")
     written.append(label_file)
     file_names = {"train": "train", "dev": "valid", "test": "test"}
     for split in SPLIT_NAMES:
@@ -529,7 +530,7 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
                 for i, s in enumerate(samples)
             }
             f = root / f"{file_names[split]}.json"
-            f.write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
+            write_text(f, json.dumps(obj, sort_keys=True) + "\n")
         elif fmt == "jsonl":
             lines = [
                 json.dumps(
@@ -543,7 +544,7 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
                 for i, s in enumerate(samples)
             ]
             f = root / f"{file_names[split]}.jsonl"
-            f.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+            write_text(f, "\n".join(lines) + ("\n" if lines else ""))
         else:
             raise DataError(f"unknown dataset format {fmt!r}")
         written.append(f)
@@ -558,7 +559,7 @@ def write_triplets(match: MatchMatrix, path: str | Path) -> None:
     """UTF-8, LF line endings: a "n m" header then one "i j" line per match."""
     lines = [f"{match.n} {match.m}"]
     lines += [f"{i} {j}" for i, j in match.pairs]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
@@ -593,7 +594,7 @@ def write_mapping(mapping: MappingMatrix, path: str | Path) -> None:
     """UTF-8, LF line endings: a "m c" header then one "j class" line per column."""
     lines = [f"{mapping.m} {mapping.c}"]
     lines += [f"{j} {int(cls)}" for j, cls in enumerate(mapping.class_of)]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_mapping(path: str | Path) -> MappingMatrix:

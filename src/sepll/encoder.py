@@ -1,8 +1,9 @@
-"""TF-IDF featurization and the small feed-forward text encoder.
+"""TF-IDF featurization of texts and the encoder's configuration.
 
 The vocabulary is fitted on the training split only. Feature weights are
 raw term counts times idf = ln((1 + N) / (1 + df)) + 1, L2-normalized per
-sample; samples with no in-vocabulary token become zero vectors.
+sample; samples with no in-vocabulary token become zero vectors. The
+encoder's parameters live in :mod:`sepll.model` with the rest of the model's.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_forward
-from .serialize import read_container, write_container
+from .nnet import ACTIVATIONS, CSRMatrix
+# perfbench/test_perfbench.py::test_tracer_wraps_every_by_name_import reads sepll.encoder.mlp_forward
+from .nnet import mlp_forward  # noqa: F401
 from .text import tokenize
 
 
@@ -135,63 +137,3 @@ def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> CSRMatrix:
         data.extend(float(w) for w in fv.weights)
         indptr.append(len(indices))
     return CSRMatrix(data, indices, indptr, shape=(len(texts), len(vocab)))
-
-
-@dataclass
-class EncoderParams:
-    layers: list[Layer]
-    nonlinearity: str = "tanh"
-
-    @property
-    def input_dim(self) -> int:
-        return int(self.layers[0].W.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.layers[-1].W.shape[1])
-
-
-def init_encoder(input_dim: int, config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    dims = [input_dim, *config.hidden, config.dim]
-    return EncoderParams(layers=init_mlp(dims, rng), nonlinearity=config.nonlinearity)
-
-
-def encode_batch(params: EncoderParams, X) -> np.ndarray:
-    out, _ = mlp_forward(params.layers, X, params.nonlinearity)
-    check_finite("encoder output", out)
-    return out
-
-
-def encode(params: EncoderParams, features: FeatureVector) -> np.ndarray:
-    x = np.zeros((1, features.dim))
-    if features.indices.size:
-        x[0, features.indices] = features.weights
-    return encode_batch(params, x)[0]
-
-
-def save_encoder(params: EncoderParams, path) -> None:
-    header = {
-        "kind": "sepll-encoder",
-        "version": 1,
-        "nonlinearity": params.nonlinearity,
-        "dim": params.dim,
-    }
-    arrays = {}
-    for i, layer in enumerate(params.layers):
-        arrays[f"encoder.{i}.W"] = layer.W
-        arrays[f"encoder.{i}.b"] = layer.b
-    write_container(path, header, arrays)
-
-
-def load_encoder(path) -> EncoderParams:
-    header, arrays = read_container(path)
-    if header.get("kind") != "sepll-encoder":
-        raise DataError(f"{path}: not an encoder checkpoint")
-    layers = []
-    i = 0
-    while f"encoder.{i}.W" in arrays:
-        layers.append(Layer(W=arrays[f"encoder.{i}.W"], b=arrays[f"encoder.{i}.b"]))
-        i += 1
-    if not layers:
-        raise DataError(f"{path}: encoder checkpoint has no layers")
-    return EncoderParams(layers=layers, nonlinearity=header["nonlinearity"])

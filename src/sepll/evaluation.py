@@ -10,11 +10,9 @@ predicted match (k small, default 4).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +21,7 @@ from .data import MatchMatrix
 from .errors import ConfigError, DataError
 from .model import LOG_CLAMP, SepLLParams, forward_batch
 from .nnet import softmax
-from .serialize import atomic_open
+from .serialize import write_csv, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,26 +309,16 @@ def train_test_gap(report_train, report_test) -> dict[str, float]:
 
 
 def report_to_csv(cells: Mapping[str, float], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "value"])
-        for key, value in cells.items():
-            writer.writerow([key, repr(float(value))])
+    write_csv(path, [["cell", "value"], *([key, repr(float(value))] for key, value in cells.items())])
 
 
 def breakdown_to_csv(table: Mapping[int, MatchGroup], metric: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["match_count", metric, "support"])
-        for count in sorted(table):
-            group = table[count]
-            writer.writerow([count, repr(float(group.value)), group.support])
+    rows = [[count, repr(float(table[count].value)), table[count].support] for count in sorted(table)]
+    write_csv(path, [["match_count", metric, "support"], *rows])
 
 
 def write_json(obj: dict, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text.encode("utf-8"))
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 _PALETTE = ("#4878a8", "#e49444", "#5ba053", "#b65d60", "#8a7bb0", "#77706a")
@@ -393,4 +381,4 @@ def write_bar_chart_svg(
             f'<text x="{x + 16}" y="{y}" font-family="sans-serif" font-size="11">{name}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(parts) + "\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError
 from .seeds import STREAM_IDS
-from .serialize import atomic_open
+from .serialize import write_text
 
 
 def file_digest(path) -> str:
@@ -44,9 +44,7 @@ def build_manifest(
 
 
 def write_manifest(path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text.encode("utf-8"))
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> dict:

@@ -8,18 +8,22 @@ Task predictions read the class head alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .data import MappingMatrix
-from .encoder import EncoderConfig, EncoderParams, FeatureVector, Vocabulary, init_encoder
+from .encoder import EncoderConfig, Vocabulary
 from .errors import ConfigError, DataError, NumericalError
 from .nnet import ACTIVATIONS, Layer, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
+
+# parameter-name prefixes of the encoder, class and LF paths, in theta order
+PATHS = ("encoder", "task", "lf")
 
 
 @dataclass(frozen=True)
@@ -37,21 +41,54 @@ class ModelConfig:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
+def _views(flat: np.ndarray, dims) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, view) of every parameter in ``flat``, which has theta's layout:
+    the paths in :data:`PATHS` order, each layer's W (row-major) then its b."""
+    lo = 0
+    for prefix, widths in zip(PATHS, dims):
+        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            for kind, shape in (("W", (n_in, n_out)), ("b", (n_out,))):
+                size = math.prod(shape)
+                yield f"{prefix}.{i}.{kind}", flat[lo : lo + size].reshape(shape)
+                lo += size
+
+
+def _layers(flat: np.ndarray, dims) -> tuple[list[Layer], ...]:
+    """One list of :class:`Layer` views into ``flat`` per path."""
+    views = (view for _, view in _views(flat, dims))
+    return tuple([Layer(W=next(views), b=next(views)) for _ in widths[1:]] for widths in dims)
+
+
+def _size(dims) -> int:
+    return sum(n_in * n_out + n_out for widths in dims for n_in, n_out in zip(widths[:-1], widths[1:]))
+
+
 @dataclass
 class SepLLParams:
-    encoder: EncoderParams
-    task_head: list[Layer]
-    lf_head: list[Layer]
+    """Every trainable parameter in one C-contiguous float64 vector ``theta``.
+
+    ``dims`` holds the layer widths of the encoder, class and LF paths, e.g.
+    ``((vocab, 256, 64), (64, c), (64, m))``. ``encoder``, ``task_head`` and
+    ``lf_head`` are :class:`Layer` views into ``theta``, so writing a layer
+    writes ``theta`` and the optimizer's writes to ``theta`` show in the layers.
+    """
+
+    theta: np.ndarray
+    dims: tuple[tuple[int, ...], ...]
     mapping: MappingMatrix
+    encoder_nonlinearity: str = "tanh"
     head_nonlinearity: str = "tanh"
+    encoder: list[Layer] = field(init=False, repr=False)
+    task_head: list[Layer] = field(init=False, repr=False)
+    lf_head: list[Layer] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.encoder, self.task_head, self.lf_head = _layers(self.theta, self.dims)
 
     @property
-    def n_classes(self) -> int:
-        return self.mapping.c
-
-    @property
-    def n_lfs(self) -> int:
-        return self.mapping.m
+    def lf_slice(self) -> slice:
+        """The LF path's part of ``theta``, its tail."""
+        return slice(_size(self.dims[:2]), self.theta.size)
 
 
 @dataclass(frozen=True)
@@ -79,50 +116,54 @@ def init_params(
         rng = np.random.default_rng(0)
     if mapping.m < 1:
         raise DataError("model needs at least one LF column")
-    encoder = init_encoder(input_dim, encoder_config, rng)
     d = encoder_config.dim
-    if model_config.head_depth == 1:
-        task_dims = [d, mapping.c]
-        lf_dims = [d, mapping.m]
-    else:
-        task_dims = [d, model_config.head_hidden, mapping.c]
-        lf_dims = [d, model_config.head_hidden, mapping.m]
-    return SepLLParams(
-        encoder=encoder,
-        task_head=init_mlp(task_dims, rng),
-        lf_head=init_mlp(lf_dims, rng),
+    heads = (d, model_config.head_hidden) if model_config.head_depth == 2 else (d,)
+    dims = ((input_dim, *encoder_config.hidden, d), (*heads, mapping.c), (*heads, mapping.m))
+    params = SepLLParams(
+        theta=np.zeros(_size(dims)),
+        dims=dims,
         mapping=mapping,
+        encoder_nonlinearity=encoder_config.nonlinearity,
         head_nonlinearity=model_config.nonlinearity,
     )
+    # draws in path order, one W per layer; biases stay zero
+    for layers, widths in zip((params.encoder, params.task_head, params.lf_head), dims):
+        for layer, fresh in zip(layers, init_mlp(widths, rng)):
+            layer.W[...] = fresh.W
+    return params
 
 
-def param_items(params: SepLLParams) -> Iterator[tuple[str, np.ndarray]]:
-    """Stable (name, array) walk over every trainable tensor."""
-    for prefix, layers in (
-        ("encoder", params.encoder.layers),
-        ("task", params.task_head),
-        ("lf", params.lf_head),
-    ):
-        for i, layer in enumerate(layers):
-            yield f"{prefix}.{i}.W", layer.W
-            yield f"{prefix}.{i}.b", layer.b
+def param_items(params: SepLLParams, flat: np.ndarray | None = None) -> Iterator[tuple[str, np.ndarray]]:
+    """Stable (name, view) walk over every trainable tensor.
+
+    The views are into ``params.theta``, or into ``flat`` when given: any
+    vector with theta's layout, such as a gradient from :func:`backward`.
+    """
+    return _views(params.theta if flat is None else flat, params.dims)
+
+
+def param_name_at(params: SepLLParams, index: int) -> str:
+    """Name of the parameter that holds element ``index`` of ``theta``."""
+    end = 0
+    for name, view in param_items(params):
+        end += view.size
+        if index < end:
+            return name
+    raise IndexError(f"theta has {end} elements, no index {index}")
 
 
 def clone_params(params: SepLLParams) -> SepLLParams:
     return SepLLParams(
-        encoder=EncoderParams(
-            layers=[Layer(W=l.W.copy(), b=l.b.copy()) for l in params.encoder.layers],
-            nonlinearity=params.encoder.nonlinearity,
-        ),
-        task_head=[Layer(W=l.W.copy(), b=l.b.copy()) for l in params.task_head],
-        lf_head=[Layer(W=l.W.copy(), b=l.b.copy()) for l in params.lf_head],
+        theta=params.theta.copy(),
+        dims=params.dims,
         mapping=params.mapping,
+        encoder_nonlinearity=params.encoder_nonlinearity,
         head_nonlinearity=params.head_nonlinearity,
     )
 
 
 def _forward_with_caches(params: SepLLParams, X):
-    z, enc_cache = mlp_forward(params.encoder.layers, X, params.encoder.nonlinearity)
+    z, enc_cache = mlp_forward(params.encoder, X, params.encoder_nonlinearity)
     task_logits, task_cache = mlp_forward(params.task_head, z, params.head_nonlinearity)
     lf_logits, lf_cache = mlp_forward(params.lf_head, z, params.head_nonlinearity)
     check_finite("model logits", task_logits, lf_logits)
@@ -142,29 +183,6 @@ def forward_batch(params: SepLLParams, X) -> ForwardTrace:
     )
 
 
-def _as_row(features) -> np.ndarray:
-    if isinstance(features, FeatureVector):
-        row = np.zeros((1, features.dim))
-        if features.indices.size:
-            row[0, features.indices] = features.weights
-        return row
-    arr = np.asarray(features, dtype=np.float64)
-    return arr.reshape(1, -1)
-
-
-def forward(params: SepLLParams, features) -> ForwardTrace:
-    """Single-sample forward; fields come back squeezed to 1-d."""
-    t = forward_batch(params, _as_row(features))
-    return ForwardTrace(
-        z=t.z[0],
-        task_logits=t.task_logits[0],
-        lf_logits=t.lf_logits[0],
-        combined_logits=t.combined_logits[0],
-        q=t.q[0],
-        task_probs=t.task_probs[0],
-    )
-
-
 def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
     """Mean over the batch of -sum_j P_ij log Q_ij, with log clamped at 1e-12."""
     q = np.asarray(q, dtype=np.float64)
@@ -180,12 +198,8 @@ def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
     return float(-(targets * logs).sum(axis=1).mean())
 
 
-def task_predict(params: SepLLParams, features) -> int:
-    """Argmax class from the task head alone; ties go to the lowest index."""
-    return int(np.argmax(forward(params, features).task_logits))
-
-
 def predict_batch(params: SepLLParams, X) -> np.ndarray:
+    """Argmax class per row from the task head alone; ties go to the lowest index."""
     trace = forward_batch(params, X)
     return np.argmax(trace.task_logits, axis=1)
 
@@ -195,7 +209,8 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
 
     With ``lf_activation_penalty`` > 0 the loss gains
     penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
-    Returns ``(loss, grads)`` with grads keyed like :func:`param_items`.
+    Returns ``(loss, grad)``: ``grad`` has theta's layout, so
+    ``param_items(params, grad)`` names its parts.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -219,24 +234,22 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
         d_lf += (2.0 * lf_activation_penalty / n) * lf_logits
     d_task = d_combined @ params.mapping.to_dense()
 
-    lf_grads, dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, params.head_nonlinearity)
-    task_grads, dz_task = mlp_backward(params.task_head, task_cache, d_task, params.head_nonlinearity)
-    enc_grads, _ = mlp_backward(
-        params.encoder.layers,
+    grad = np.empty_like(params.theta)
+    enc_grads, task_grads, lf_grads = _layers(grad, params.dims)
+    dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, lf_grads, params.head_nonlinearity)
+    dz_task = mlp_backward(params.task_head, task_cache, d_task, task_grads, params.head_nonlinearity)
+    mlp_backward(
+        params.encoder,
         enc_cache,
         dz_lf + dz_task,
-        params.encoder.nonlinearity,
+        enc_grads,
+        params.encoder_nonlinearity,
         need_input_grad=False,
     )
-    grads: dict[str, np.ndarray] = {}
-    for prefix, layer_grads in (("encoder", enc_grads), ("task", task_grads), ("lf", lf_grads)):
-        for i, g in enumerate(layer_grads):
-            grads[f"{prefix}.{i}.W"] = g.W
-            grads[f"{prefix}.{i}.b"] = g.b
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in {name}")
-    return loss, grads
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NumericalError(f"non-finite gradient in {param_name_at(params, int(np.argmin(finite)))}")
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +265,9 @@ def save_checkpoint(
     header = {
         "kind": "sepll-model",
         "version": 1,
-        "encoder_nonlinearity": params.encoder.nonlinearity,
+        "encoder_nonlinearity": params.encoder_nonlinearity,
         "head_nonlinearity": params.head_nonlinearity,
-        "dim": params.encoder.dim,
+        "dim": params.dims[0][-1],
         "n_classes": params.mapping.c,
         "class_of": [int(v) for v in params.mapping.class_of],
         "vocab": {
@@ -266,7 +279,7 @@ def save_checkpoint(
         "config": config_echo or {},
         "task_layers": len(params.task_head),
         "lf_layers": len(params.lf_head),
-        "encoder_layers": len(params.encoder.layers),
+        "encoder_layers": len(params.encoder),
     }
     arrays = dict(param_items(params))
     write_container(path, header, arrays)
@@ -277,33 +290,39 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     if header.get("kind") != "sepll-model":
         raise DataError(f"{path}: not a model checkpoint")
 
-    def layers_for(prefix: str) -> list[Layer]:
+    def widths_of(prefix: str, n_in: int | None) -> tuple[int, ...]:
+        """Layer widths of one path, after checking that its shapes chain from
+        an input ``n_in`` wide (any width when None)."""
         count = int(header[f"{prefix}_layers"])
         if count < 1:
             raise DataError(f"{prefix}_layers must be at least 1, got {count}")
-        out = []
+        widths = [n_in]
         for i in range(count):
+            name = f"{prefix}.{i}"
             try:
-                out.append(Layer(W=arrays[f"{prefix}.{i}.W"].copy(), b=arrays[f"{prefix}.{i}.b"].copy()))
+                W, b = arrays[f"{name}.W"], arrays[f"{name}.b"]
             except KeyError as exc:
                 raise DataError(f"missing array {exc} in checkpoint") from exc
-        return out
+            if W.ndim != 2:
+                raise DataError(f"array {name}.W has shape {W.shape}, not a matrix")
+            if widths[-1] not in (None, W.shape[0]):
+                raise DataError(f"array {name}.W has {W.shape[0]} rows but its input is {widths[-1]} wide")
+            if b.shape != W.shape[1:]:
+                raise DataError(f"array {name}.b has shape {b.shape} but {name}.W has {W.shape[1]} columns")
+            widths[-1:] = W.shape  # the input width, now known, then the output width
+        return tuple(widths)
 
     try:
         mapping = MappingMatrix(
             c=int(header["n_classes"]),
             class_of=np.asarray(header["class_of"], dtype=np.int64),
         )
-        params = SepLLParams(
-            encoder=EncoderParams(
-                layers=layers_for("encoder"),
-                nonlinearity=header["encoder_nonlinearity"],
-            ),
-            task_head=layers_for("task"),
-            lf_head=layers_for("lf"),
-            mapping=mapping,
-            head_nonlinearity=header["head_nonlinearity"],
-        )
+        encoder = widths_of("encoder", None)
+        dims = (encoder, widths_of("task", encoder[-1]), widths_of("lf", encoder[-1]))
+        nonlinearities = header["encoder_nonlinearity"], header["head_nonlinearity"]
+        for name in nonlinearities:
+            if name not in ACTIVATIONS:
+                raise DataError(f"unknown nonlinearity {name!r}")
         v = header["vocab"]
         vocab = Vocabulary(
             tokens=tuple(v["tokens"]),
@@ -315,14 +334,19 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    except DataError as exc:  # layer counts and MappingMatrix's own checks
+    except DataError as exc:  # layer counts and shapes, and MappingMatrix's own checks
         raise DataError(f"{path}: {exc}") from exc
-    if len(vocab) != params.encoder.input_dim:
+    if len(vocab) != dims[0][0]:
         raise DataError(
-            f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is "
-            f"{params.encoder.input_dim}"
+            f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is {dims[0][0]}"
         )
-    lf_width = params.lf_head[-1].W.shape[1]
-    if mapping.m != lf_width:
-        raise DataError(f"{path}: class_of has {mapping.m} entries but the LF head has width {lf_width}")
+    if mapping.c != dims[1][-1]:
+        raise DataError(f"{path}: n_classes is {mapping.c} but the task head has width {dims[1][-1]}")
+    if mapping.m != dims[2][-1]:
+        raise DataError(
+            f"{path}: class_of has {mapping.m} entries but the LF head has width {dims[2][-1]}"
+        )
+    params = SepLLParams(np.empty(_size(dims)), dims, mapping, *nonlinearities)
+    for name, view in param_items(params):
+        view[...] = arrays[name]
     return params, vocab, header.get("config", {})

@@ -63,6 +63,10 @@ class _TransposedCSR:
         self.shape = (X.shape[1], X.shape[0])
 
     def __matmul__(self, D: np.ndarray) -> np.ndarray:
+        return self.matmul(D)
+
+    def matmul(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``X.T @ D``, written into ``out`` when given."""
         X = self.X
         if D.ndim != 2 or D.shape[0] != X.shape[0]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {D.shape}")
@@ -74,7 +78,8 @@ class _TransposedCSR:
         new_col = np.ones(cols.size, dtype=bool)
         new_col[1:] = cols[1:] != cols[:-1]
         indptr = np.append(np.flatnonzero(new_col), cols.size)
-        out = np.zeros((X.shape[1], D.shape[1]))
+        out = np.empty((X.shape[1], D.shape[1])) if out is None else out
+        out.fill(0.0)
         out[cols[new_col]] = _row_sums(X.data[order], row_of, indptr, D)
         return out
 
@@ -179,26 +184,28 @@ def mlp_backward(
     layers: Sequence[Layer],
     cache: ForwardCache,
     d_out: np.ndarray,
+    grads: Sequence[Layer],
     nonlinearity: str = "tanh",
     need_input_grad: bool = True,
 ):
-    """Backpropagate ``d_out``; returns (per-layer grads, gradient w.r.t. the input).
+    """Backpropagate ``d_out``, writing each layer's gradient into the same-shaped
+    arrays of ``grads``; returns the gradient w.r.t. the input.
 
     The input gradient is skipped (None) when ``need_input_grad`` is false, which
     avoids densifying sparse first-layer inputs.
     """
     _, dact = ACTIVATIONS[nonlinearity]
-    grads: list[Layer] = [None] * len(layers)  # type: ignore[list-item]
     delta = d_out
-    d_input = None
     for i in range(len(layers) - 1, -1, -1):
         x = cache.inputs[i]
-        grads[i] = Layer(W=np.asarray(x.T @ delta), b=np.asarray(delta.sum(axis=0)))
+        if isinstance(x, CSRMatrix):
+            x.T.matmul(delta, out=grads[i].W)
+        else:
+            np.matmul(x.T, delta, out=grads[i].W)
+        np.sum(delta, axis=0, out=grads[i].b)
         if i > 0:
             delta = (delta @ layers[i].W.T) * dact(cache.activations[i - 1])
-        elif need_input_grad:
-            d_input = delta @ layers[0].W.T
-    return grads, d_input
+    return delta @ layers[0].W.T if need_input_grad else None
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

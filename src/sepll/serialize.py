@@ -4,18 +4,20 @@ The header carries an ``arrays`` index of (name, shape) in write order; the
 payload is the concatenation of those arrays as row-major little-endian
 float64. Everything non-numeric lives in the header.
 
-Containers, JSON reports and manifests are written through :func:`atomic_open`,
-so a reader sees either the previous file or the complete new one.
+Every artifact the package writes goes through :func:`atomic_open`, so a
+reader sees either the previous file or the complete new one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,19 @@ def atomic_open(path) -> Iterator[BinaryIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """``text`` as UTF-8, through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """CSV with LF line endings, through :func:`atomic_open`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -27,10 +26,11 @@ from .model import (
     backward,
     clone_params,
     init_params,
-    param_items,
+    param_name_at,
     predict_batch,
 )
 from .seeds import stream
+from .serialize import write_text
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ BLOCK = 32768
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first and second moments, with theta's layout
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -103,24 +103,22 @@ class OptimizerState:
 
 
 def init_optimizer(params: SepLLParams) -> OptimizerState:
-    return OptimizerState(
-        m={name: np.zeros_like(arr) for name, arr in param_items(params)},
-        v={name: np.zeros_like(arr) for name, arr in param_items(params)},
-    )
+    return OptimizerState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
 def adamw_step(
     params: SepLLParams,
-    grads: Mapping[str, np.ndarray],
+    grad: np.ndarray,
     state: OptimizerState,
     config: TrainConfig,
     current_lr: float,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place on every parameter.
+    """One decoupled-weight-decay Adam update, in place on ``params.theta``.
 
-    Each parameter is walked in blocks of ``BLOCK`` elements with ``out=`` and
-    in-place ufuncs into the state's scratch buffers, so a step allocates no
-    arrays. Every element sees the same operations in the same order as
+    ``grad`` has theta's layout. The step walks theta, ``grad`` and the moments
+    together in blocks of ``BLOCK`` elements with ``out=`` and in-place ufuncs
+    into the state's scratch buffers, so it allocates no arrays. Every element
+    sees the same operations in the same order as
     ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * theta``,
     so results are bitwise equal to that whole-array formula. A non-finite
     update raises ``NumericalError`` naming the parameter; blocks before the
@@ -132,44 +130,33 @@ def adamw_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     decay = current_lr * config.weight_decay
-    for name, theta in param_items(params):
-        flat_theta = _flat_view(theta)
-        flat_g = grads[name].reshape(-1)
-        flat_m = _flat_view(state.m[name])
-        flat_v = _flat_view(state.v[name])
-        for lo in range(0, flat_theta.size, BLOCK):
-            th = flat_theta[lo : lo + BLOCK]
-            g = flat_g[lo : lo + BLOCK]
-            m = flat_m[lo : lo + BLOCK]
-            v = flat_v[lo : lo + BLOCK]
-            k = th.size
-            u, w, finite = state.u[:k], state.w[:k], state.finite[:k]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=u)
-            m += u
-            v *= b2
-            np.multiply(g, g, out=u)
-            u *= 1.0 - b2
-            v += u
-            np.divide(m, bc1, out=u)
-            u *= current_lr
-            np.divide(v, bc2, out=w)
-            np.sqrt(w, out=w)
-            w += state.eps
-            u /= w
-            if config.weight_decay:
-                np.multiply(th, decay, out=w)
-                u += w
-            if not np.isfinite(u, out=finite).all():
-                raise NumericalError(f"non-finite optimizer update for {name}")
-            th -= u
-
-
-def _flat_view(arr: np.ndarray) -> np.ndarray:
-    """1-d view of ``arr``; the step writes through it, so it must not be a copy."""
-    if not arr.flags.c_contiguous:
-        raise ValueError("optimizer arrays must be C-contiguous")
-    return arr.reshape(-1)
+    for lo in range(0, params.theta.size, BLOCK):
+        th = params.theta[lo : lo + BLOCK]
+        g = grad[lo : lo + BLOCK]
+        m = state.m[lo : lo + BLOCK]
+        v = state.v[lo : lo + BLOCK]
+        k = th.size
+        u, w, finite = state.u[:k], state.w[:k], state.finite[:k]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=u)
+        m += u
+        v *= b2
+        np.multiply(g, g, out=u)
+        u *= 1.0 - b2
+        v += u
+        np.divide(m, bc1, out=u)
+        u *= current_lr
+        np.divide(v, bc2, out=w)
+        np.sqrt(w, out=w)
+        w += state.eps
+        u /= w
+        if config.weight_decay:
+            np.multiply(th, decay, out=w)
+            u += w
+        if not np.isfinite(u, out=finite).all():
+            name = param_name_at(params, lo + int(np.argmin(finite)))
+            raise NumericalError(f"non-finite optimizer update for {name}")
+        th -= u
 
 
 def inject_noise(
@@ -218,7 +205,7 @@ class TrainHistory:
         lines += [
             f"{r.epoch},{r.train_loss!r},{r.dev_metric!r},{r.lr!r}" for r in self.epochs
         ]
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def _dev_metric(params, X, gold, config: TrainConfig, n_classes: int) -> float:
@@ -276,6 +263,7 @@ def train(
     epochs_flat = 0
     global_step = 0
     activation_penalty = config.l2_lf if config.l2_lf_target == "activations" else 0.0
+    lf = params.lf_slice
 
     try:
         for epoch in range(config.max_epochs):
@@ -291,16 +279,14 @@ def train(
                 batch = order[start : start + config.batch_size]
                 global_step += 1
                 lr = lr_schedule(global_step, config.warmup_steps, config.learning_rate)
-                loss, grads = backward(
+                loss, grad = backward(
                     params, X_train[batch], targets.rows[batch], lf_activation_penalty=activation_penalty
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")
                 if config.l2_lf > 0 and config.l2_lf_target == "parameters":
-                    for name, value in param_items(params):
-                        if name.startswith("lf."):
-                            grads[name] += 2.0 * config.l2_lf * value
-                adamw_step(params, grads, state, config, lr)
+                    grad[lf] += 2.0 * config.l2_lf * params.theta[lf]
+                adamw_step(params, grad, state, config, lr)
                 losses.append(loss)
             dev_metric = _dev_metric(params, X_dev, dev_gold, config, mapping.c)
             history.epochs.append(

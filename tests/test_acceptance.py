@@ -119,12 +119,11 @@ def test_criterion_1_gradient_check():
     targets = raw / raw.sum(axis=1, keepdims=True)
 
     t0 = time.perf_counter()
-    _, grads = backward(params, X, targets)
+    _, grad = backward(params, X, targets)
     eps = 1e-6
     worst = 0.0
     checked = 0
-    for name, arr in param_items(params):
-        g = grads[name]
+    for (name, arr), (_, g) in zip(param_items(params), param_items(params, grad)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

@@ -88,7 +88,8 @@ def test_convert_writes_matrices_and_provenance(tmp_path, capsys):
     assert int(n) == 60
     first = (out / "T.classof").read_text().splitlines()[0]
     assert first.split()[0] == m
-    rows = list(csv.DictReader(open(out / "provenance.csv")))
+    with open(out / "provenance.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     kept = [r for r in rows if r["status"] == "kept"]
     assert len(kept) == int(m)
     assert kept[0]["class_name"].startswith("class_")
@@ -210,6 +211,23 @@ def test_eval_malformed_checkpoint_exits_2_naming_file(trained, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "checkpoint.sepll" in err
+    assert "Traceback" not in err
+
+
+def test_eval_checkpoint_shapes_that_do_not_chain_exit_2(trained, capsys):
+    import numpy as np
+
+    from sepll.serialize import read_container, write_container
+
+    cfg, run_dir = trained
+    ckpt = run_dir / "checkpoint.sepll"
+    header, arrays = read_container(ckpt)
+    rows, cols = arrays["task.0.W"].shape
+    arrays["task.0.W"] = np.zeros((rows + 1, cols))
+    write_container(ckpt, header, arrays)
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.sepll" in err and "task.0.W" in err
     assert "Traceback" not in err
 
 

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import sepll.serialize
 from sepll.config import _TRAIN_KEYS, parse_config
+from sepll.data import MatchMatrix, write_triplets
 from sepll.errors import ConfigError, DataError
 from sepll.manifest import (
     build_manifest,
@@ -16,7 +18,7 @@ from sepll.manifest import (
     write_manifest,
 )
 from sepll.serialize import atomic_open, read_container, write_container
-from sepll.trainer import TrainConfig
+from sepll.trainer import EpochRecord, TrainConfig, TrainHistory
 
 FULL_CONFIG = """\
 [data]
@@ -207,7 +209,25 @@ class FailsOnWrite:
         raise OSError("No space left on device")
 
 
-def test_failed_container_write_keeps_previous_file(tmp_path):
+class DiskFull:
+    """Stand-in for ``open`` on a full disk: each write stores half its bytes,
+    then fails."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+
+def test_failed_container_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "x.bin"
     write_container(path, {"kind": "demo"}, {"a": np.arange(4, dtype=np.float64)})
     before = path.read_bytes()
@@ -215,6 +235,27 @@ def test_failed_container_write_keeps_previous_file(tmp_path):
         write_container(path, {"kind": "demo"}, {"a": np.zeros(100), "b": FailsOnWrite()})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
+    # text artifacts: the second write of each hits a full disk half way
+    def history(n_epochs):
+        return TrainHistory(epochs=[EpochRecord(k, 0.5, 0.75, 1e-3) for k in range(n_epochs)])
+
+    def triplets(n_rows):
+        return MatchMatrix.from_dense(np.eye(n_rows, 3, dtype=np.int64))
+
+    writers = {
+        "history.csv": lambda size: history(size).to_csv(tmp_path / "history.csv"),
+        "L_train.triplets": lambda size: write_triplets(triplets(size), tmp_path / "L_train.triplets"),
+    }
+    for name, write in writers.items():
+        write(2)
+        before = (tmp_path / name).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(sepll.serialize, "open", DiskFull, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                write(40)
+        assert (tmp_path / name).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["L_train.triplets", "history.csv", "x.bin"]
 
 
 def test_atomic_open_replaces_the_file_only_on_success(tmp_path):

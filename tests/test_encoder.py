@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sepll.data import MappingMatrix
 from sepll.encoder import (
     EncoderConfig,
     Vocabulary,
-    encode,
-    encode_batch,
     featurize,
     featurize_split,
     fit_vocabulary,
-    init_encoder,
-    load_encoder,
-    save_encoder,
 )
 from sepll.errors import ConfigError, DataError
+from sepll.model import forward_batch, init_params, load_checkpoint, save_checkpoint
+from sepll.nnet import Layer, init_mlp, mlp_backward, mlp_forward
 from sepll.text import tokenize
 
 INV_SQRT2 = 0.7071067811865476
@@ -157,7 +155,7 @@ def test_feature_matrix_matches_featurize_rows():
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# the model's encoder path: params.encoder, whose output is trace.z
 
 
 def small_config(**kw):
@@ -166,91 +164,97 @@ def small_config(**kw):
     return EncoderConfig(**base)
 
 
+def encoder_params(input_dim, cfg, rng):
+    """Model parameters whose encoder path is built from ``cfg``."""
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
+    return init_params(input_dim, mapping, cfg, rng=rng)
+
+
 def test_encode_zero_vector_uses_biases_only():
     cfg = small_config()
-    rng = np.random.default_rng(0)
-    params = init_encoder(4, cfg, rng)
+    params = encoder_params(4, cfg, np.random.default_rng(0))
     # force nonzero biases so the check is meaningful
-    params.layers[0].b[:] = 0.3
-    params.layers[1].b[:] = -0.2
+    params.encoder[0].b[:] = 0.3
+    params.encoder[1].b[:] = -0.2
     vocab = Vocabulary(tokens=("a", "b", "c", "d"), df=np.ones(4, dtype=np.int64), n_docs=2, lowercase=True)
-    z = encode(params, featurize("zzz", vocab))
-    h = np.tanh(params.layers[0].b)
-    expected = h @ params.layers[1].W + params.layers[1].b
+    z = forward_batch(params, featurize_split(["zzz"], vocab)).z[0]
+    h = np.tanh(params.encoder[0].b)
+    expected = h @ params.encoder[1].W + params.encoder[1].b
     assert np.allclose(z, expected, atol=1e-15)
 
 
 def test_encode_identity_single_layer():
     cfg = EncoderConfig(hidden=(), dim=2, nonlinearity="identity")
-    rng = np.random.default_rng(1)
-    params = init_encoder(3, cfg, rng)
-    params.layers[0].W[:] = np.eye(3)[:, :2]
-    params.layers[0].b[:] = 0.0
+    params = encoder_params(3, cfg, np.random.default_rng(1))
+    params.encoder[0].W[:] = np.eye(3)[:, :2]
+    params.encoder[0].b[:] = 0.0
     x = np.array([[0.5, -0.25, 9.0]])
-    z = encode_batch(params, x)
+    z = forward_batch(params, x).z
     assert np.allclose(z, [[0.5, -0.25]], atol=1e-15)
 
 
 def test_encode_batch_matches_naive_loop(rng):
     cfg = small_config(hidden=(7, 5), dim=4)
-    params = init_encoder(6, cfg, rng)
+    params = encoder_params(6, cfg, rng)
     X = rng.normal(size=(10, 6))
-    Z = encode_batch(params, X)
+    Z = forward_batch(params, X).z
     assert Z.shape == (10, 4)
     for i in range(10):
         h = X[i]
-        for li, layer in enumerate(params.layers):
+        for li, layer in enumerate(params.encoder):
             h = h @ layer.W + layer.b
-            if li < len(params.layers) - 1:
+            if li < len(params.encoder) - 1:
                 h = np.tanh(h)
         assert np.allclose(Z[i], h, atol=1e-12)
 
 
 def test_encode_batch_accepts_sparse(rng, to_csr):
     cfg = small_config()
-    params = init_encoder(4, cfg, rng)
+    params = encoder_params(4, cfg, rng)
     X = rng.normal(size=(6, 4))
     X[X < 0.5] = 0.0
-    dense_out = encode_batch(params, X)
-    sparse_out = encode_batch(params, to_csr(X))
+    dense_out = forward_batch(params, X).z
+    sparse_out = forward_batch(params, to_csr(X)).z
     assert np.allclose(dense_out, sparse_out, atol=1e-12)
 
 
 def test_init_encoder_deterministic_and_xavier_bounded():
     cfg = small_config(hidden=(8,), dim=4)
-    a = init_encoder(10, cfg, np.random.default_rng(42))
-    b = init_encoder(10, cfg, np.random.default_rng(42))
-    for la, lb in zip(a.layers, b.layers):
+    a = encoder_params(10, cfg, np.random.default_rng(42))
+    b = encoder_params(10, cfg, np.random.default_rng(42))
+    # the encoder takes the generator's first draws, layer by layer
+    fresh = init_mlp([10, 8, 4], np.random.default_rng(42))
+    for la, lb, lf in zip(a.encoder, b.encoder, fresh):
         assert np.array_equal(la.W, lb.W)
+        assert np.array_equal(la.W, lf.W)
         assert np.all(la.b == 0.0)
     bound0 = math.sqrt(6.0 / (10 + 8))
-    assert np.max(np.abs(a.layers[0].W)) <= bound0
+    assert np.max(np.abs(a.encoder[0].W)) <= bound0
     bound1 = math.sqrt(6.0 / (8 + 4))
-    assert np.max(np.abs(a.layers[1].W)) <= bound1
+    assert np.max(np.abs(a.encoder[1].W)) <= bound1
 
 
 def test_encoder_finite_difference_gradient(rng):
-    from sepll.nnet import mlp_backward, mlp_forward
-
     cfg = small_config(hidden=(5,), dim=3)
-    params = init_encoder(4, cfg, rng)
+    layers = encoder_params(4, cfg, rng).encoder
     x = rng.normal(size=(2, 4))
     v = rng.normal(size=(2, 3))  # scalar objective: sum(v * z)
 
-    out, cache = mlp_forward(params.layers, x, cfg.nonlinearity)
-    grads, _ = mlp_backward(params.layers, cache, v, cfg.nonlinearity, need_input_grad=False)
+    out, cache = mlp_forward(layers, x, cfg.nonlinearity)
+    grads = [Layer(W=np.empty_like(layer.W), b=np.empty_like(layer.b)) for layer in layers]
+    assert mlp_backward(layers, cache, v, grads, cfg.nonlinearity, need_input_grad=False) is None
 
     eps = 1e-6
-    for li, layer in enumerate(params.layers):
+    for li, layer in enumerate(layers):
         for arr, g in ((layer.W, grads[li].W), (layer.b, grads[li].b)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                up, _ = mlp_forward(params.layers, x, cfg.nonlinearity)
+                up, _ = mlp_forward(layers, x, cfg.nonlinearity)
                 arr[idx] = orig - eps
-                dn, _ = mlp_forward(params.layers, x, cfg.nonlinearity)
+                dn, _ = mlp_forward(layers, x, cfg.nonlinearity)
                 arr[idx] = orig
                 fd = (np.sum(v * up) - np.sum(v * dn)) / (2 * eps)
                 denom = max(abs(fd), abs(g[idx]), 1e-6)
@@ -259,14 +263,15 @@ def test_encoder_finite_difference_gradient(rng):
 
 def test_encoder_save_load_round_trip(tmp_path, rng):
     cfg = small_config(hidden=(6,), dim=3, nonlinearity="relu")
-    params = init_encoder(5, cfg, rng)
-    path = tmp_path / "enc.sepll"
-    save_encoder(params, path)
-    loaded = load_encoder(path)
-    assert loaded.nonlinearity == "relu"
-    assert len(loaded.layers) == len(params.layers)
-    for la, lb in zip(params.layers, loaded.layers):
+    params = encoder_params(5, cfg, rng)
+    vocab = Vocabulary(tokens=tuple("abcde"), df=np.ones(5, dtype=np.int64), n_docs=2)
+    path = tmp_path / "model.sepll"
+    save_checkpoint(path, params, vocab)
+    loaded, _, _ = load_checkpoint(path)
+    assert loaded.encoder_nonlinearity == "relu"
+    assert len(loaded.encoder) == len(params.encoder)
+    for la, lb in zip(params.encoder, loaded.encoder):
         assert np.array_equal(la.W, lb.W)
         assert np.array_equal(la.b, lb.b)
     X = np.random.default_rng(3).normal(size=(4, 5))
-    assert np.array_equal(encode_batch(params, X), encode_batch(loaded, X))
+    assert np.array_equal(forward_batch(params, X).z, forward_batch(loaded, X).z)

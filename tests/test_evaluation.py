@@ -147,8 +147,8 @@ def perfect_memorizer(m=8, c=4):
     mapping = MappingMatrix(c=c, class_of=np.arange(m, dtype=np.int64) % c)
     enc_cfg = EncoderConfig(max_features=10, hidden=(), dim=m, nonlinearity="identity")
     params = init_params(m, mapping, enc_cfg, ModelConfig(), np.random.default_rng(0))
-    params.encoder.layers[0].W[:] = np.eye(m)
-    params.encoder.layers[0].b[:] = 0.0
+    params.encoder[0].W[:] = np.eye(m)
+    params.encoder[0].b[:] = 0.0
     params.task_head[0].W[:] = 0.0
     params.task_head[0].b[:] = 0.0
     params.lf_head[0].W[:] = 50.0 * np.eye(m)

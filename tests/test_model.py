@@ -14,14 +14,12 @@ from sepll.model import (
     backward,
     ce_loss,
     clone_params,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
     param_items,
     predict_batch,
     save_checkpoint,
-    task_predict,
 )
 from sepll.nnet import softmax as softmax_rows
 
@@ -39,7 +37,7 @@ def tiny_params(c=2, m=3, d=4, hidden=(), rng_seed=0, class_of=(0, 1, 1)):
 
 def zeroed_heads(params, task_bias, lf_bias):
     """Zero all weights so logits come straight from the head biases."""
-    for layer in params.encoder.layers:
+    for layer in params.encoder:
         layer.W[:] = 0.0
         layer.b[:] = 0.0
     for head, bias in ((params.task_head, task_bias), (params.lf_head, lf_bias)):
@@ -93,26 +91,25 @@ def test_recombination_equals_dense_matmul(rng):
 
 
 def test_forward_single_matches_batch(rng):
+    # each row's outputs depend on that row alone
     params = tiny_params(d=4, hidden=(6,))
     X = rng.normal(size=(3, 5))
     batch = forward_batch(params, X)
     for i in range(3):
-        single = forward(params, X[i])
+        single = forward_batch(params, X[i : i + 1])
         assert np.allclose(single.q, batch.q[i : i + 1], atol=1e-15)
         assert np.allclose(single.task_logits, batch.task_logits[i : i + 1], atol=1e-15)
 
 
 def test_forward_accepts_feature_vector():
-    from sepll.encoder import featurize, fit_vocabulary
+    from sepll.encoder import featurize, featurize_split, fit_vocabulary
 
     vocab = fit_vocabulary(["a b c d e", "a b"])
-    params = tiny_params(d=4)
-    # input_dim must match vocab size: rebuild with matching dim
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     enc_cfg = EncoderConfig(max_features=50, hidden=(), dim=4)
     params = init_params(len(vocab), mapping, enc_cfg, rng=np.random.default_rng(0))
+    trace = forward_batch(params, featurize_split(["a b"], vocab))
     fv = featurize("a b", vocab)
-    trace = forward(params, fv)
     dense = np.zeros((1, len(vocab)))
     dense[0, fv.indices] = fv.weights
     ref = forward_batch(params, dense)
@@ -181,14 +178,15 @@ def test_ce_loss_shape_mismatch():
 
 def test_task_predict_ignores_lf_head():
     params = zeroed_heads(tiny_params(), task_bias=[1.0, 3.0], lf_bias=[99.0, -99.0, 0.0])
-    assert task_predict(params, np.zeros(5)) == 1
     preds = predict_batch(params, np.zeros((4, 5)))
     assert preds.tolist() == [1, 1, 1, 1]
 
 
 def test_task_predict_tie_takes_lowest_index():
-    params = zeroed_heads(tiny_params(), task_bias=[0.5, 0.5], lf_bias=[0.0, 0.0, 0.0])
-    assert task_predict(params, np.zeros(5)) == 0
+    params = zeroed_heads(tiny_params(), task_bias=[0.5, 0.5], lf_bias=[9.0, 0.0, 0.0])
+    assert predict_batch(params, np.zeros((2, 5))).tolist() == [0, 0]
+    params.task_head[0].b[:] = [0.25, 0.5]
+    assert predict_batch(params, np.zeros((1, 5))).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +199,9 @@ def test_backward_zero_gradient_when_q_equals_targets():
     params = zeroed_heads(tiny_params(), task_bias=[0.0, 0.0], lf_bias=[0.0, 0.0, 0.0])
     X = np.zeros((2, 5))
     targets = np.full((2, 3), 1.0 / 3.0)
-    loss, grads = backward(params, X, targets)
+    loss, grad = backward(params, X, targets)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
-    for name, g in grads.items():
+    for name, g in param_items(params, grad):
         assert np.allclose(g, 0.0, atol=1e-12), name
 
 
@@ -212,7 +210,8 @@ def test_backward_lf_bias_gradient_is_residual():
     X = np.zeros((1, 5))
     targets = np.array([[1.0, 0.0, 0.0]])
     trace = forward_batch(params, X)
-    _, grads = backward(params, X, targets)
+    _, grad = backward(params, X, targets)
+    grads = dict(param_items(params, grad))
     residual = trace.q[0] - targets[0]
     assert np.allclose(grads["lf.0.b"], residual, atol=1e-12)
     T = params.mapping.to_dense()
@@ -241,7 +240,8 @@ def fd_check(params, X, targets, penalty=0.0, tol=1e-4):
         base = ce_loss(trace.q, targets)
         return base + penalty * float(np.mean(np.sum(trace.lf_logits ** 2, axis=1)))
 
-    _, grads = backward(params, X, targets, lf_activation_penalty=penalty)
+    _, grad = backward(params, X, targets, lf_activation_penalty=penalty)
+    grads = dict(param_items(params, grad))
     eps = 1e-6
     worst = 0.0
     for name, arr in param_items(params):
@@ -292,14 +292,16 @@ def test_backward_permutation_equivariance(seed):
     X = rng.normal(size=(5, d))
     raw = rng.random((5, m))
     targets = raw / raw.sum(axis=1, keepdims=True)
-    loss, grads = backward(params, X, targets)
+    loss, grad = backward(params, X, targets)
+    grads = dict(param_items(params, grad))
 
     perm = rng.permutation(m)
     permuted = clone_params(params)
     permuted.lf_head[-1].W[:] = params.lf_head[-1].W[:, perm]
     permuted.lf_head[-1].b[:] = params.lf_head[-1].b[perm]
     permuted.mapping = MappingMatrix(c=c, class_of=class_of[perm])
-    loss_p, grads_p = backward(permuted, X, targets[:, perm])
+    loss_p, grad_p = backward(permuted, X, targets[:, perm])
+    grads_p = dict(param_items(permuted, grad_p))
 
     assert loss_p == pytest.approx(loss, abs=1e-12)
     assert np.allclose(grads_p["lf.0.W"], grads["lf.0.W"][:, perm], atol=1e-12)
@@ -314,11 +316,11 @@ def test_backward_accepts_sparse_input(rng, to_csr):
     X[np.abs(X) < 0.7] = 0.0
     raw = rng.random((5, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
-    loss_d, grads_d = backward(params, X, targets)
-    loss_s, grads_s = backward(params, to_csr(X), targets)
+    loss_d, grad_d = backward(params, X, targets)
+    loss_s, grad_s = backward(params, to_csr(X), targets)
     assert loss_s == pytest.approx(loss_d, abs=1e-12)
-    for name in grads_d:
-        assert np.allclose(grads_d[name], grads_s[name], atol=1e-12), name
+    for (name, g_d), (_, g_s) in zip(param_items(params, grad_d), param_items(params, grad_s)):
+        assert np.allclose(g_d, g_s, atol=1e-12), name
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +369,17 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
         load_checkpoint(path)
 
 
-def edited_checkpoint(tmp_path, edit):
-    """Save a valid checkpoint, then rewrite it with ``edit`` applied to its header."""
+def edited_checkpoint(tmp_path, edit, new_arrays=None):
+    """Save a valid checkpoint (encoder 5 -> 6 -> 4, task 4 -> 2, LF 4 -> 3), then
+    rewrite it with ``edit`` applied to its header and ``new_arrays`` replacing arrays."""
     from sepll.serialize import read_container, write_container
 
     vocab = Vocabulary(tokens=("a", "b", "c", "d", "e"), df=np.ones(5, dtype=np.int64), n_docs=6)
     path = tmp_path / "model.sepll"
-    save_checkpoint(path, tiny_params(), vocab)
+    save_checkpoint(path, tiny_params(hidden=(6,)), vocab)
     header, arrays = read_container(path)
     edit(header)
+    arrays.update(new_arrays or {})
     write_container(path, header, arrays)
     return path
 
@@ -413,6 +417,7 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         ("task_layers", -1, "task_layers must be at least 1, got -1"),
         ("n_classes", 0, "mapping needs at least one class"),
         ("class_of", [0, 1, 7], "mapping class index out of range"),
+        ("head_nonlinearity", "swish", "unknown nonlinearity 'swish'"),
     ],
     ids=[
         "n_classes",
@@ -423,10 +428,35 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         "task_layers",
         "n_classes_zero",
         "class_of_out_of_range",
+        "head_nonlinearity",
     ],
 )
 def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
     path = edited_checkpoint(tmp_path, lambda h: h.update({key: value}))
+    with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "new_arrays, message",
+    [
+        ({"task.0.W": np.zeros((5, 2))}, r"array task\.0\.W has 5 rows but its input is 4 wide"),
+        ({"lf.0.b": np.zeros(4)}, r"array lf\.0\.b has shape \(4,\) but lf\.0\.W has 3 columns"),
+        ({"encoder.1.W": np.zeros((5, 4))}, r"array encoder\.1\.W has 5 rows but its input is 6 wide"),
+        (
+            {"encoder.1.W": np.zeros((6, 3)), "encoder.1.b": np.zeros(3)},
+            r"array task\.0\.W has 4 rows but its input is 3 wide",
+        ),
+        ({"encoder.0.W": np.zeros(30)}, r"array encoder\.0\.W has shape \(30,\), not a matrix"),
+        (
+            {"task.0.W": np.zeros((4, 3)), "task.0.b": np.zeros(3)},
+            "n_classes is 2 but the task head has width 3",
+        ),
+    ],
+    ids=["head_rows", "bias_length", "encoder_rows", "encoder_output", "not_a_matrix", "task_width"],
+)
+def test_checkpoint_bad_array_shape_is_data_error(tmp_path, new_arrays, message):
+    path = edited_checkpoint(tmp_path, lambda h: None, new_arrays)
     with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
         load_checkpoint(path)
 
@@ -436,6 +466,29 @@ def test_clone_params_is_deep():
     copy = clone_params(params)
     copy.task_head[0].W[:] += 1.0
     assert not np.allclose(params.task_head[0].W, copy.task_head[0].W)
+    for (name, a), (_, b) in zip(param_items(params), param_items(copy)):
+        assert not np.shares_memory(a, b), name
+    assert not np.shares_memory(params.theta, copy.theta)
     names = [n for n, _ in param_items(params)]
     assert names == [n for n, _ in param_items(copy)]
     assert "encoder.0.W" in names and "task.0.b" in names and "lf.0.W" in names
+
+
+def test_param_items_are_views_into_theta():
+    params = tiny_params(hidden=(6,))
+    assert params.theta.flags.c_contiguous and params.theta.dtype == np.float64
+    items = list(param_items(params))
+    assert [n for n, _ in items] == [
+        "encoder.0.W", "encoder.0.b", "encoder.1.W", "encoder.1.b", "task.0.W", "task.0.b", "lf.0.W", "lf.0.b",
+    ]
+    assert sum(view.size for _, view in items) == params.theta.size
+    start = 0
+    for name, view in items:
+        view[...] = 0.0
+        view.reshape(-1)[0] = 7.0
+        assert params.theta[start] == 7.0, name
+        start += view.size
+    assert np.count_nonzero(params.theta) == len(items)
+    # the layer lists see the same memory, and the LF path is theta's tail
+    assert params.encoder[1].W[0, 0] == params.task_head[0].b[0] == params.lf_head[0].W[0, 0] == 7.0
+    assert params.theta[params.lf_slice].size == sum(v.size for n, v in items if n.startswith("lf."))

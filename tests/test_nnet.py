@@ -64,6 +64,9 @@ def test_products_match_scipy_bitwise(rng, row_block, n, f, empty, width):
     D = signed_zeros(rng, (n, width))
     assert np.array_equal(bits(X @ W), bits(ref @ W))
     assert np.array_equal(bits(X.T @ D), bits(ref.T @ D))
+    out = np.full((f, width), np.nan)  # written in place: stale values must not survive
+    assert X.T.matmul(D, out=out) is out
+    assert np.array_equal(bits(out), bits(ref.T @ D))
     if empty:
         rows = np.array(list(empty))
         D_rows = signed_zeros(rng, (rows.size, width))

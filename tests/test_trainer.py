@@ -85,21 +85,23 @@ def zeroed_tiny_params():
 
 
 def zero_grads(params):
-    return {name: np.zeros_like(arr) for name, arr in param_items(params)}
+    """A zero gradient and its named views."""
+    grad = np.zeros_like(params.theta)
+    return grad, dict(param_items(params, grad))
 
 
 def test_adamw_first_step_frozen_value():
     # g=1, lr=0.1, wd=0: bias-corrected m-hat = v-hat = 1, so the update is
     # exactly lr / (1 + eps)
     params = zeroed_tiny_params()
-    grads = zero_grads(params)
+    grad, grads = zero_grads(params)
     grads["task.0.b"][0] = 1.0
     state = init_optimizer(params)
-    adamw_step(params, grads, state, TrainConfig(weight_decay=0.0), current_lr=0.1)
+    adamw_step(params, grad, state, TrainConfig(weight_decay=0.0), current_lr=0.1)
     assert params.task_head[0].b[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-18)
     # untouched parameters stay exactly zero
     assert params.lf_head[0].b[0] == 0.0
-    assert np.all(params.encoder.layers[0].W == 0.0)
+    assert np.all(params.encoder[0].W == 0.0)
 
 
 def test_adamw_weight_decay_uses_pre_update_theta():
@@ -107,7 +109,7 @@ def test_adamw_weight_decay_uses_pre_update_theta():
     params = zeroed_tiny_params()
     params.task_head[0].b[0] = 1.0
     state = init_optimizer(params)
-    adamw_step(params, zero_grads(params), state, TrainConfig(weight_decay=0.01), current_lr=0.1)
+    adamw_step(params, zero_grads(params)[0], state, TrainConfig(weight_decay=0.01), current_lr=0.1)
     assert params.task_head[0].b[0] == pytest.approx(0.999, abs=1e-15)
 
 
@@ -119,9 +121,9 @@ def test_adamw_two_steps_match_reference_loop():
     gs = [0.7, -1.3]
     theta_ref, m_ref, v_ref = 0.0, 0.0, 0.0
     for t, g in enumerate(gs, start=1):
-        grads = zero_grads(params)
+        grad, grads = zero_grads(params)
         grads["lf.0.b"][1] = g
-        adamw_step(params, grads, state, cfg, current_lr=lr)
+        adamw_step(params, grad, state, cfg, current_lr=lr)
         m_ref = 0.9 * m_ref + 0.1 * g
         v_ref = 0.999 * v_ref + 0.001 * g * g
         m_hat = m_ref / (1 - 0.9**t)
@@ -134,11 +136,11 @@ def test_adamw_two_steps_match_reference_loop():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update():
     params = zeroed_tiny_params()
-    grads = zero_grads(params)
+    grad, grads = zero_grads(params)
     grads["task.0.b"][0] = np.inf
     state = init_optimizer(params)
     with pytest.raises(NumericalError, match="task.0.b"):
-        adamw_step(params, grads, state, TrainConfig(), current_lr=0.1)
+        adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
 
 
 def test_adamw_descends_on_fixed_batch(rng):
@@ -156,39 +158,40 @@ def test_adamw_descends_on_fixed_batch(rng):
     cfg = TrainConfig(weight_decay=0.0)
     first, _ = backward(params, X, targets)
     for _ in range(40):
-        loss, grads = backward(params, X, targets)
-        adamw_step(params, grads, state, cfg, current_lr=1e-2)
+        loss, grad = backward(params, X, targets)
+        adamw_step(params, grad, state, cfg, current_lr=1e-2)
     final, _ = backward(params, X, targets)
     assert final < first
 
 
 def multi_block_params():
-    # encoder.0.W holds 2.5 * BLOCK elements: two full blocks and a half tail
+    # encoder.0.W holds 2.5 * BLOCK elements: two full blocks and a half, so
+    # theta's third and last block spans encoder.0.W, encoder.0.b and both heads
     dim = 32
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     params = init_params(
         BLOCK * 5 // 2 // dim, mapping, EncoderConfig(max_features=10, hidden=(), dim=dim),
         rng=np.random.default_rng(4),
     )
-    assert params.encoder.layers[0].W.size == BLOCK * 5 // 2
+    assert params.encoder[0].W.size == BLOCK * 5 // 2
+    assert BLOCK * 2 < params.encoder[0].W.size < params.theta.size < BLOCK * 3
     return params
 
 
-def reference_adamw_step(params, grads, m_ref, v_ref, t, cfg, lr):
+def reference_adamw_step(params, grad, m_ref, v_ref, t, cfg, lr):
     # the whole-array AdamW update that the blocked step must reproduce bit for bit
     b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, theta in param_items(params):
-        g, m, v = grads[name], m_ref[name], v_ref[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if cfg.weight_decay:
-            update = update + lr * cfg.weight_decay * theta
-        theta -= update
+    theta, g, m, v = params.theta, grad, m_ref, v_ref
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    if cfg.weight_decay:
+        update = update + lr * cfg.weight_decay * theta
+    theta -= update
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -196,28 +199,27 @@ def test_adamw_blocked_step_is_bitwise_reference(weight_decay):
     params = multi_block_params()
     ref = multi_block_params()
     state = init_optimizer(params)
-    m_ref = {name: np.zeros_like(arr) for name, arr in param_items(ref)}
-    v_ref = {name: np.zeros_like(arr) for name, arr in param_items(ref)}
+    m_ref = np.zeros_like(ref.theta)
+    v_ref = np.zeros_like(ref.theta)
     cfg = TrainConfig(weight_decay=weight_decay)
     rng = np.random.default_rng(11)
     for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
-        grads = {name: rng.normal(size=arr.shape) for name, arr in param_items(params)}
-        adamw_step(params, grads, state, cfg, current_lr=lr)
-        reference_adamw_step(ref, grads, m_ref, v_ref, t, cfg, lr)
-    for (name, got), (_, want) in zip(param_items(params), param_items(ref)):
-        assert np.array_equal(got, want), name
-        assert np.array_equal(state.m[name], m_ref[name]), name
-        assert np.array_equal(state.v[name], v_ref[name]), name
+        grad = rng.normal(size=params.theta.shape)
+        adamw_step(params, grad, state, cfg, current_lr=lr)
+        reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
+    assert np.array_equal(params.theta, ref.theta)
+    assert np.array_equal(state.m, m_ref)
+    assert np.array_equal(state.v, v_ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update_in_last_block():
     params = multi_block_params()
-    grads = zero_grads(params)
+    grad, grads = zero_grads(params)
     grads["encoder.0.W"].reshape(-1)[-1] = np.inf
     state = init_optimizer(params)
     with pytest.raises(NumericalError, match="encoder.0.W"):
-        adamw_step(params, grads, state, TrainConfig(), current_lr=0.1)
+        adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
 
 
 # ---------------------------------------------------------------------------
