@@ -88,59 +88,26 @@ class RunConfig:
         return echo
 
 
-_DATA_KEYS = {
-    "path": str,
-    "format": str,
-    "c": int,
-    "m_per_class": int,
-    "n_train": int,
-    "n_dev": int,
-    "n_test": int,
-    "lf_accuracy": float,
-    "lf_coverage": float,
-}
-_ENCODER_KEYS = {
-    "max_features": int,
-    "min_df": int,
-    "lowercase": bool,
-    "hidden": tuple,
-    "dim": int,
-    "nonlinearity": str,
-}
-_MODEL_KEYS = {"head_depth": int, "head_hidden": int, "nonlinearity": str}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "warmup_steps": int,
-    "weight_decay": float,
-    "l2_lf": float,
-    "noise_lambda": float,
-    "use_unlabeled": bool,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "metric": str,
-    "positive_class": int,
-    "l2_lf_target": str,
+_PARSERS = {
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_float,
+    tuple: _parse_int_tuple,
+    str: lambda section, key, raw: raw.strip(),
 }
 
 
-def _collect(section: str, items, schema: dict) -> dict:
+def _schema(cls) -> dict[str, type]:
+    """Config key -> value type, read off the exact type of each field's default."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
+def _collect(parser: configparser.ConfigParser, section: str, schema: dict[str, type]) -> dict:
     out = {}
-    for key, raw in items:
+    for key, raw in parser.items(section) if parser.has_section(section) else ():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        kind = schema[key]
-        if kind is bool:
-            out[key] = _parse_bool(section, key, raw)
-        elif kind is int:
-            out[key] = _parse_int(section, key, raw)
-        elif kind is float:
-            out[key] = _parse_float(section, key, raw)
-        elif kind is tuple:
-            out[key] = _parse_int_tuple(section, key, raw)
-        else:
-            out[key] = raw.strip()
+        out[key] = _PARSERS[schema[key]](section, key, raw)
     return out
 
 
@@ -163,15 +130,11 @@ def parse_config(path: str | Path) -> RunConfig:
 
     data_cfg = None
     if parser.has_section("data"):
-        fields = _collect("data", parser.items("data"), _DATA_KEYS)
+        fields = _collect(parser, "data", {"path": str, "format": str, **_schema(SynthSpec)})
         fmt = fields.pop("format", "wrench-json")
         path_value = fields.pop("path", None)
         if fmt == "synth":
-            try:
-                synth = SynthSpec(**fields)
-            except TypeError as exc:
-                raise ConfigError(f"[data] bad synth fields: {exc}") from exc
-            data_cfg = DataConfig(format=fmt, path=path_value, synth=synth)
+            data_cfg = DataConfig(format=fmt, path=path_value, synth=SynthSpec(**fields))
         else:
             if fields:
                 raise ConfigError(
@@ -183,9 +146,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if parser.has_section("lfs"):
         lf_entries = tuple((key, value) for key, value in parser.items("lfs"))
 
-    encoder_cfg = EncoderConfig(**_collect("encoder", parser.items("encoder") if parser.has_section("encoder") else [], _ENCODER_KEYS))
-    model_cfg = ModelConfig(**_collect("model", parser.items("model") if parser.has_section("model") else [], _MODEL_KEYS))
-    train_cfg = TrainConfig(**_collect("train", parser.items("train") if parser.has_section("train") else [], _TRAIN_KEYS))
+    encoder_cfg = EncoderConfig(**_collect(parser, "encoder", _schema(EncoderConfig)))
+    model_cfg = ModelConfig(**_collect(parser, "model", _schema(ModelConfig)))
+    train_cfg = TrainConfig(**_collect(parser, "train", _schema(TrainConfig)))
     return RunConfig(
         data=data_cfg,
         lf_entries=lf_entries,

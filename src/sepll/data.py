@@ -350,74 +350,86 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SplitSet:
 # dataset file formats
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8: {exc}") from None
+
+
 def _read_json(path: Path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def _parse_entry(entry, where: str, wrench: bool) -> tuple[str, int | None, list[int]]:
+    """(text, gold label, weak labels) of one sample object; errors name ``where``.
+
+    wrench-json nests the text as ``data.text`` and requires ``weak_labels``;
+    jsonl keeps ``text`` at the top level and defaults ``weak_labels`` to [].
+    """
+    if not isinstance(entry, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+    holder = entry.get("data") if wrench else entry
+    if not isinstance(holder, dict) or "text" not in holder:
+        raise DataError(f"{where}: missing {'data.text' if wrench else 'text'} field")
+    label = entry.get("label")
+    # type(...) is int: json gives true/false as bool, which isinstance(..., int) accepts
+    if label is not None and type(label) is not int:
+        raise DataError(f"{where}: label must be an integer or null, got {json.dumps(label)}")
+    weak = entry.get("weak_labels", None if wrench else [])
+    if not isinstance(weak, list):
+        raise DataError(f"{where}: weak_labels must be an array of integers")
+    for value in weak:
+        if not (type(value) is int and value in _INT64):
+            raise DataError(f"{where}: weak label {json.dumps(value)} is not a 64-bit integer")
+    return str(holder["text"]), label, weak
+
+
+def _parse_split(entries, wrench: bool) -> tuple[tuple[Sample, ...], np.ndarray]:
+    """Samples and weak-label matrix of one split file from its
+    (where, sample id, entry) triples."""
+    samples = []
+    rows = []
+    width = None
+    for where, sample_id, entry in entries:
+        text, label, weak = _parse_entry(entry, where, wrench)
+        if width is None:
+            width = len(weak)
+        elif len(weak) != width:
+            raise DataError(f"{where}: inconsistent LF count ({len(weak)} != {width})")
+        samples.append(Sample(id=sample_id, text=text, gold_label=label))
+        rows.append(weak)
+    return tuple(samples), np.array(rows, dtype=np.int64).reshape(len(rows), width or 0)
 
 
 def _load_wrench_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object keyed by sample id")
-    samples = []
-    rows = []
-    width = None
     try:
         keys = sorted(obj.keys(), key=int)
     except ValueError as exc:
         raise DataError(f"{path}: sample ids must be integers: {exc}") from exc
-    for key in keys:
-        entry = obj[key]
-        if not isinstance(entry, dict) or "data" not in entry or "text" not in entry["data"]:
-            raise DataError(f"{path}: sample {key}: missing data.text")
-        if "weak_labels" not in entry or not isinstance(entry["weak_labels"], list):
-            raise DataError(f"{path}: sample {key}: missing weak_labels array")
-        label = entry.get("label")
-        if label is not None and not isinstance(label, int):
-            raise DataError(f"{path}: sample {key}: label must be an integer or null")
-        wl = entry["weak_labels"]
-        if width is None:
-            width = len(wl)
-        elif len(wl) != width:
-            raise DataError(f"{path}: sample {key}: inconsistent LF count ({len(wl)} != {width})")
-        samples.append(Sample(id=int(key), text=str(entry["data"]["text"]), gold_label=label))
-        rows.append([int(v) for v in wl])
-    arr = np.asarray(rows, dtype=np.int64) if rows else np.empty((0, width or 0), dtype=np.int64)
-    return tuple(samples), arr
+    return _parse_split(((f"{path}: sample {key}", int(key), obj[key]) for key in keys), wrench=True)
 
 
 def _load_jsonl_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
-    samples = []
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: {exc.msg}") from exc
-            if "text" not in entry:
-                raise DataError(f"{path}:{lineno}: missing text field")
-            wl = entry.get("weak_labels", [])
-            if not isinstance(wl, list):
-                raise DataError(f"{path}:{lineno}: weak_labels must be an array")
-            if width is None:
-                width = len(wl)
-            elif len(wl) != width:
-                raise DataError(f"{path}:{lineno}: inconsistent LF count ({len(wl)} != {width})")
-            label = entry.get("label")
-            if label is not None and not isinstance(label, int):
-                raise DataError(f"{path}:{lineno}: label must be an integer or null")
-            samples.append(Sample(id=lineno - 1, text=str(entry["text"]), gold_label=label))
-            rows.append([int(v) for v in wl])
-    arr = np.asarray(rows, dtype=np.int64) if rows else np.empty((0, width or 0), dtype=np.int64)
-    return tuple(samples), arr
+    entries = []
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entries.append((f"{path}:{lineno}", lineno - 1, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: {exc.msg}") from exc
+    return _parse_split(entries, wrench=False)
 
 
 _SPLIT_FILES = {

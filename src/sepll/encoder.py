@@ -94,46 +94,29 @@ def fit_vocabulary(texts: Sequence[str], config: EncoderConfig | None = None) ->
     )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse L2-normalized TF-IDF vector (indices ascending)."""
-
-    dim: int
-    indices: np.ndarray
-    weights: np.ndarray
-
-
-def _counts(text: str, vocab: Vocabulary) -> Counter:
-    counts: Counter[int] = Counter()
-    for tok in tokenize(text, lowercase=vocab.lowercase):
-        idx = vocab.index.get(tok)
-        if idx is not None:
-            counts[idx] += 1
-    return counts
-
-
-def featurize(text: str, vocab: Vocabulary) -> FeatureVector:
-    counts = _counts(text, vocab)
-    if not counts:
-        return FeatureVector(
-            dim=len(vocab),
-            indices=np.empty(0, dtype=np.int64),
-            weights=np.empty(0, dtype=np.float64),
-        )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[i] for i in indices], dtype=np.float64) * vocab.idf[indices]
-    weights /= np.linalg.norm(weights)
-    return FeatureVector(dim=len(vocab), indices=indices, weights=weights)
-
-
 def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> CSRMatrix:
-    """CSR feature matrix for a whole split, one row per text."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    """CSR feature matrix for a whole split, one row per text; each row's
+    column indices ascend."""
+    n, dim = len(texts), len(vocab)
+    lookup = vocab.index.get
+    ids: list[int] = []
+    lengths: list[int] = []
     for text in texts:
-        fv = featurize(text, vocab)
-        indices.extend(int(i) for i in fv.indices)
-        data.extend(float(w) for w in fv.weights)
-        indptr.append(len(indices))
-    return CSRMatrix(data, indices, indptr, shape=(len(texts), len(vocab)))
+        row = [j for j in map(lookup, tokenize(text, lowercase=vocab.lowercase)) if j is not None]
+        ids.extend(row)
+        lengths.append(len(row))
+    # one key per (row, token id); unique sorts by row, then by id, and counts repeats
+    keys, counts = np.unique(
+        np.repeat(np.arange(n, dtype=np.int64), lengths) * dim + np.array(ids, dtype=np.int64),
+        return_counts=True,
+    )
+    rows, cols = np.divmod(keys, dim)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    weights = counts * vocab.idf[cols]
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        if hi > lo:
+            # one row at a time: a vectorized norm sums in another order
+            w = weights[lo:hi]
+            w /= np.linalg.norm(w)
+    return CSRMatrix(weights, cols, indptr, shape=(n, dim))

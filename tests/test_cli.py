@@ -107,6 +107,19 @@ def test_convert_is_idempotent(tmp_path):
         assert digest(out1 / name) == digest(out2 / name)
 
 
+def test_convert_malformed_entry_exits_2_naming_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--seed", "0", "--n-train", "20",
+          "--n-dev", "5", "--n-test", "5"])
+    train = json.loads((data / "train.json").read_text(encoding="utf-8"))
+    train["3"]["weak_labels"][0] = "x"
+    (data / "train.json").write_text(json.dumps(train), encoding="utf-8")
+    assert main(["convert", str(data), "--out", str(tmp_path / "conv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'train.json'}: sample 3: weak label" in err
+    assert "Traceback" not in err
+
+
 def test_convert_missing_dir_is_usage_error(tmp_path, capsys):
     assert main(["convert", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err.lower()

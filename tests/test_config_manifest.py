@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import sepll.serialize
-from sepll.config import _TRAIN_KEYS, parse_config
-from sepll.data import MatchMatrix, write_triplets
+from sepll.config import parse_config
+from sepll.data import MatchMatrix, SynthSpec, write_triplets
+from sepll.encoder import EncoderConfig
 from sepll.errors import ConfigError, DataError
+from sepll.model import ModelConfig
 from sepll.manifest import (
     build_manifest,
     file_digest,
@@ -97,9 +99,52 @@ def test_defaults_when_sections_missing(tmp_path):
     assert cfg.data.synth is not None  # defaults injected
 
 
-def test_every_train_field_is_configurable():
-    field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    assert field_names == set(_TRAIN_KEYS)
+# a valid non-default value for every field of every configurable dataclass
+NON_DEFAULTS = {
+    "data": (
+        SynthSpec,
+        dict(c=4, m_per_class=2, n_train=30, n_dev=7, n_test=9, lf_accuracy=0.7, lf_coverage=0.25),
+    ),
+    "encoder": (
+        EncoderConfig,
+        dict(max_features=321, min_df=3, lowercase=False, hidden=(9, 5), dim=11, nonlinearity="relu"),
+    ),
+    "model": (ModelConfig, dict(head_depth=2, head_hidden=17, nonlinearity="identity")),
+    "train": (
+        TrainConfig,
+        dict(
+            learning_rate=0.125, batch_size=3, warmup_steps=4, weight_decay=0.5, l2_lf=0.25,
+            noise_lambda=0.75, use_unlabeled=False, max_epochs=6, patience=2, seed=99,
+            metric="binary_f1", positive_class=0, l2_lf_target="activations",
+        ),
+    ),
+}  # fmt: skip
+
+
+def test_every_train_field_is_configurable(tmp_path):
+    def ini_value(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, tuple):
+            return ", ".join(map(str, value))
+        return str(value)
+
+    lines = []
+    for section, (cls, values) in NON_DEFAULTS.items():
+        defaults = cls()
+        assert set(values) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        for key, value in values.items():
+            assert value != getattr(defaults, key), (cls.__name__, key)
+        lines.append(f"[{section}]")
+        if section == "data":
+            lines.append("format = synth")
+        lines += [f"{key} = {ini_value(value)}" for key, value in values.items()]
+    cfg = parse_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+    parsed = {"data": cfg.data.synth, "encoder": cfg.encoder, "model": cfg.model, "train": cfg.train}
+    for section, (cls, values) in NON_DEFAULTS.items():
+        assert parsed[section] == cls(**values)
+        for key, value in values.items():
+            assert type(getattr(parsed[section], key)) is type(value), (section, key)
 
 
 def test_lf_entries_preserved_in_order(tmp_path):

@@ -153,6 +153,120 @@ def test_jsonl_bad_line_reports_position(tmp_path):
         load_dataset(root, "jsonl")
 
 
+def entry_for(fmt, text="x", **fields):
+    """One sample object in ``fmt``'s layout."""
+    base = {"data": {"text": text}} if fmt == "wrench-json" else {"text": text}
+    return {**base, "label": 0, "weak_labels": [0, -1], **fields}
+
+
+def write_train_split(root, fmt, entries):
+    """A dataset directory whose only split is ``entries`` as the train split."""
+    root.mkdir()
+    (root / "label.json").write_text('{"0": "a", "1": "b"}', encoding="utf-8")
+    if fmt == "wrench-json":
+        text = json.dumps({str(i): e for i, e in enumerate(entries)})
+        (root / "train.json").write_text(text, encoding="utf-8")
+    else:
+        text = "".join(json.dumps(e) + "\n" for e in entries)
+        (root / "train.jsonl").write_text(text, encoding="utf-8")
+    return root
+
+
+# where each format's errors point for the first sample of train
+ENTRY_WHERE = {"wrench-json": r"train\.json: sample 0: ", "jsonl": r"train\.jsonl:1: "}
+FORMATS = sorted(ENTRY_WHERE)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda e: {**e, "weak_labels": [0, "x"]}, 'weak label "x" is not a 64-bit integer'),
+        (lambda e: {**e, "weak_labels": [None, -1]}, "weak label null is not"),
+        (lambda e: {**e, "weak_labels": [0.7, -1]}, "weak label 0.7 is not"),
+        (lambda e: {**e, "weak_labels": [True, -1]}, "weak label true is not"),
+        (lambda e: {**e, "weak_labels": [2**64, -1]}, "weak label 18446744073709551616 is not"),
+        (lambda e: {**e, "weak_labels": "0 -1"}, "weak_labels must be an array"),
+        (lambda e: {**e, "label": True}, "label must be an integer or null, got true"),
+        (lambda e: {**e, "label": 1.0}, "label must be an integer or null, got 1.0"),
+        (lambda e: {**e, "label": "1"}, "label must be an integer or null"),
+        (lambda e: 5, "expected a JSON object, got int"),
+        (lambda e: [e], "expected a JSON object, got list"),
+    ],
+    ids=[
+        "weak_str", "weak_null", "weak_float", "weak_bool", "weak_huge", "weak_not_array",
+        "label_bool", "label_float", "label_str", "entry_int", "entry_list",
+    ],
+)  # fmt: skip
+def test_malformed_entry_is_data_error_naming_sample(tmp_path, fmt, mutate, message):
+    root = write_train_split(tmp_path / "ds", fmt, [mutate(entry_for(fmt))])
+    with pytest.raises(DataError, match=ENTRY_WHERE[fmt] + message):
+        load_dataset(root, fmt)
+
+
+@pytest.mark.parametrize(
+    "fmt, entry, message",
+    [
+        ("wrench-json", {"data": "context", "weak_labels": [0]}, "missing data.text field"),
+        ("wrench-json", {"data": {"text": "x"}}, "weak_labels must be an array"),
+        ("jsonl", {"data": {"text": "x"}, "weak_labels": [0]}, "missing text field"),
+    ],
+    ids=["wrench_data_is_string", "wrench_no_weak_labels", "jsonl_no_text"],
+)
+def test_entry_missing_field_is_data_error(tmp_path, fmt, entry, message):
+    root = write_train_split(tmp_path / "ds", fmt, [entry])
+    with pytest.raises(DataError, match=ENTRY_WHERE[fmt] + message):
+        load_dataset(root, fmt)
+
+
+def test_jsonl_inconsistent_lf_count_names_line(tmp_path):
+    entries = [entry_for("jsonl"), entry_for("jsonl", weak_labels=[0])]
+    root = write_train_split(tmp_path / "ds", "jsonl", entries)
+    with pytest.raises(DataError, match=r"train\.jsonl:2: inconsistent LF count \(1 != 2\)"):
+        load_dataset(root, "jsonl")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_non_utf8_split_file_is_data_error(tmp_path, fmt):
+    root = write_train_split(tmp_path / "ds", fmt, [entry_for(fmt)])
+    split_file = root / ("train.json" if fmt == "wrench-json" else "train.jsonl")
+    split_file.write_bytes(split_file.read_bytes().replace(b'"x"', b'"\xff"'))
+    with pytest.raises(DataError, match=r"train\.jsonl?: file is not UTF-8"):
+        load_dataset(root, fmt)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    fmt=st.sampled_from(FORMATS),
+    field=st.sampled_from(["data", "text", "label", "weak_labels", "entry"]),
+    value=JSON_VALUES,
+    row=st.integers(0, 1),
+)
+def test_load_dataset_loads_or_raises_data_error(tmp_path_factory, fmt, field, value, row):
+    entries = [entry_for(fmt, "a b", label=0), entry_for(fmt, "c", label=1, weak_labels=[-1, 1])]
+    if field == "entry":
+        entries[row] = value
+    elif field == "text" and fmt == "wrench-json":
+        entries[row]["data"]["text"] = value
+    else:
+        entries[row][field] = value
+    root = write_train_split(tmp_path_factory.mktemp("fuzz") / "ds", fmt, entries)
+    try:
+        splits = load_dataset(root, fmt)
+    except DataError:
+        return
+    assert all(isinstance(s.text, str) for s in splits.train)
+    assert all(s.gold_label in (None, 0, 1) for s in splits.train)
+    assert splits.raw_weak_labels["train"].shape == (2, 2)
+
+
 @pytest.mark.parametrize("fmt", ["wrench-json", "jsonl"])
 def test_save_load_round_trip(tmp_path, fmt):
     splits = synth_dataset(SynthSpec(n_train=20, n_dev=8, n_test=8), seed=3)

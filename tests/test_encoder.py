@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sepll.data import MappingMatrix
 from sepll.encoder import (
     EncoderConfig,
     Vocabulary,
-    featurize,
     featurize_split,
     fit_vocabulary,
 )
@@ -101,17 +101,40 @@ def test_encoder_config_validation():
 # featurization
 
 
+def reference_featurize(text: str, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """One text's (ascending indices, weights), one Counter per text: the
+    per-text featurizer that featurize_split replaced, kept as its oracle."""
+    counts: Counter[int] = Counter()
+    for tok in tokenize(text, lowercase=vocab.lowercase):
+        idx = vocab.index.get(tok)
+        if idx is not None:
+            counts[idx] += 1
+    if not counts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    indices = np.array(sorted(counts), dtype=np.int64)
+    weights = np.array([counts[i] for i in indices], dtype=np.float64) * vocab.idf[indices]
+    weights /= np.linalg.norm(weights)
+    return indices, weights
+
+
+def featurize_one(text: str, vocab: Vocabulary):
+    """The single row of ``featurize_split([text], vocab)``."""
+    X = featurize_split([text], vocab)
+    assert X.shape == (1, len(vocab))
+    return X.indices, X.data
+
+
 def test_featurize_equal_idf_two_tokens_gives_inv_sqrt2():
     vocab = fit_vocabulary(["a b", "a b"])  # both idf = 1
-    vec = featurize("a b", vocab)
-    assert sorted(vec.weights.tolist()) == pytest.approx([INV_SQRT2, INV_SQRT2])
-    assert np.linalg.norm(vec.weights) == pytest.approx(1.0, abs=1e-12)
+    _, weights = featurize_one("a b", vocab)
+    assert sorted(weights.tolist()) == pytest.approx([INV_SQRT2, INV_SQRT2])
+    assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_featurize_counts_scale_with_tf():
     vocab = fit_vocabulary(["a b", "a b"])
-    vec = featurize("a a b", vocab)
-    w = dict(zip(vec.indices.tolist(), vec.weights.tolist()))
+    indices, weights = featurize_one("a a b", vocab)
+    w = dict(zip(indices.tolist(), weights.tolist()))
     ia, ib = vocab.index["a"], vocab.index["b"]
     assert w[ia] == pytest.approx(2 / math.sqrt(5))
     assert w[ib] == pytest.approx(1 / math.sqrt(5))
@@ -119,25 +142,25 @@ def test_featurize_counts_scale_with_tf():
 
 def test_featurize_out_of_vocab_is_zero_vector():
     vocab = fit_vocabulary(["a b"])
-    vec = featurize("zzz qqq", vocab)
-    assert vec.indices.size == 0
-    assert vec.weights.size == 0
+    indices, weights = featurize_one("zzz qqq", vocab)
+    assert indices.size == 0
+    assert weights.size == 0
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12))
 def test_featurize_order_insensitive(tokens):
     vocab = fit_vocabulary(["a b c d", "a b", "c"])
-    forward = featurize(" ".join(tokens), vocab)
-    backward = featurize(" ".join(reversed(tokens)), vocab)
-    assert np.array_equal(forward.indices, backward.indices)
-    assert np.allclose(forward.weights, backward.weights, atol=1e-15)
+    forward = featurize_one(" ".join(tokens), vocab)
+    backward = featurize_one(" ".join(reversed(tokens)), vocab)
+    assert np.array_equal(forward[0], backward[0])
+    assert np.allclose(forward[1], backward[1], atol=1e-15)
 
 
 @given(st.text(alphabet="abcd efg", min_size=0, max_size=40))
 def test_featurize_unit_norm_or_zero(text):
     vocab = fit_vocabulary(["ab cd efg a b", "ab b"])
-    vec = featurize(text, vocab)
-    norm = np.linalg.norm(vec.weights)
+    _, weights = featurize_one(text, vocab)
+    norm = np.linalg.norm(weights)
     assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
 
@@ -148,10 +171,55 @@ def test_feature_matrix_matches_featurize_rows():
     assert X.shape == (3, len(vocab))
     assert X.indptr.tolist() == [0, 2, 2, 4]
     for i, t in enumerate(texts):
-        vec = featurize(t, vocab)
+        indices, weights = reference_featurize(t, vocab)
         lo, hi = X.indptr[i], X.indptr[i + 1]
-        assert X.indices[lo:hi].tolist() == vec.indices.tolist()
-        assert X.data[lo:hi].tolist() == vec.weights.tolist()
+        assert X.indices[lo:hi].tolist() == indices.tolist()
+        assert X.data[lo:hi].tolist() == weights.tolist()
+
+
+# 60 distinct lowercase words, so a row can hold more nonzeros than one BLAS
+# dot kernel block; "Ab"/"aB"/"AB" collide only when lowercased
+_WORDS = [f"w{i}" for i in range(60)] + ["Ab", "aB", "AB", "Émile"]
+
+
+def _texts(words):
+    return st.builds(
+        lambda tokens, seps: "".join(w + s for w, s in zip(tokens, seps)),
+        st.lists(st.sampled_from(words), max_size=90),
+        st.lists(st.sampled_from([" ", ", ", "_", "!  ", "\\n"]), min_size=90, max_size=90),
+    )
+
+
+@given(
+    corpus=st.lists(_texts(_WORDS), min_size=1, max_size=6),
+    # "zz*" never enter the vocabulary
+    texts=st.lists(_texts(_WORDS + ["zz1", "ZZ2"]) | st.just("") | st.just("zz1 ZZ2 zz1"), max_size=8),
+    lowercase=st.booleans(),
+    min_df=st.integers(1, 2),
+)
+def test_featurize_split_equals_per_text_reference_bitwise(corpus, texts, lowercase, min_df):
+    try:
+        vocab = fit_vocabulary(corpus, EncoderConfig(lowercase=lowercase, min_df=min_df))
+    except DataError:  # every corpus token filtered out
+        return
+    X = featurize_split(texts, vocab)
+    assert X.shape == (len(texts), len(vocab))
+    assert X.indptr.dtype == X.indices.dtype == np.int64 and X.data.dtype == np.float64
+    assert X.indptr[0] == 0 and X.indptr.size == len(texts) + 1
+    for i, text in enumerate(texts):
+        indices, weights = reference_featurize(text, vocab)
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        assert np.array_equal(X.indices[lo:hi], indices)
+        assert np.array_equal(X.data[lo:hi].view(np.int64), weights.view(np.int64))
+    assert X.indptr[-1] == X.indices.size == X.data.size
+
+
+def test_featurize_split_of_no_texts_is_empty():
+    vocab = fit_vocabulary(["a b"])
+    X = featurize_split([], vocab)
+    assert X.shape == (0, 2)
+    assert X.indptr.tolist() == [0]
+    assert X.indices.size == X.data.size == 0
 
 
 # ---------------------------------------------------------------------------
