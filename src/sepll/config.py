@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .data import SynthSpec
 from .encoder import EncoderConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -134,7 +134,11 @@ def parse_config(path: str | Path) -> RunConfig:
         fmt = fields.pop("format", "wrench-json")
         path_value = fields.pop("path", None)
         if fmt == "synth":
-            data_cfg = DataConfig(format=fmt, path=path_value, synth=SynthSpec(**fields))
+            try:
+                synth = SynthSpec(**fields)
+            except DataError as exc:
+                raise ConfigError(f"{path}: [data] {exc}") from None
+            data_cfg = DataConfig(format=fmt, path=path_value, synth=synth)
         else:
             if fields:
                 raise ConfigError(

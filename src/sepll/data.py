@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -125,11 +125,6 @@ class MatchMatrix:
         object.__setattr__(self, "pairs", _frozen(pairs))
 
     @classmethod
-    def from_pairs(cls, n: int, m: int, pairs: Iterable[tuple[int, int]]) -> "MatchMatrix":
-        arr = np.array(sorted(set((int(i), int(j)) for i, j in pairs)), dtype=np.int64)
-        return cls(n=n, m=m, pairs=arr.reshape(-1, 2))
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "MatchMatrix":
         dense = np.asarray(dense)
         return cls(n=dense.shape[0], m=dense.shape[1], pairs=np.argwhere(dense != 0))
@@ -141,10 +136,15 @@ class MatchMatrix:
         return out
 
     def row_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n, dtype=np.int64)
-        if self.pairs.size:
-            np.add.at(counts, self.pairs[:, 0], 1)
-        return counts
+        return np.bincount(self.pairs[:, 0], minlength=self.n)
+
+    def class_votes(self, mapping: MappingMatrix) -> np.ndarray:
+        """(n, c) int64: how many of each row's matches vote for each class."""
+        if self.m != mapping.m:
+            raise DataError(f"LF dimension mismatch: matches have m={self.m}, mapping m={mapping.m}")
+        c = mapping.c
+        flat = self.pairs[:, 0] * c + mapping.class_of[self.pairs[:, 1]]
+        return np.bincount(flat, minlength=self.n * c).reshape(self.n, c)
 
     def __eq__(self, other):
         return (
@@ -212,13 +212,12 @@ def build_targets(match: MatchMatrix, include_unlabeled: bool = True) -> TargetD
     """
     if match.m < 1:
         raise DataError("cannot build targets with zero LF columns")
-    dense = match.to_dense()
-    counts = dense.sum(axis=1)
+    counts = match.row_counts()
     unlabeled = counts == 0
-    rows = np.empty_like(dense)
+    rows = np.zeros((match.n, match.m))
     rows[unlabeled] = 1.0 / match.m
-    matched = ~unlabeled
-    rows[matched] = dense[matched] / counts[matched, None]
+    i, j = match.pairs.T
+    rows[i, j] = 1.0 / counts[i]
     return TargetDistribution(
         rows=_frozen(rows),
         unlabeled_mask=_frozen(unlabeled),
@@ -362,6 +361,8 @@ def _read_json(path: Path):
         return json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply") from None
 
 
 _INT64 = range(-(2**63), 2**63)
@@ -429,6 +430,8 @@ def _load_jsonl_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
             entries.append((f"{path}:{lineno}", lineno - 1, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise DataError(f"{path}:{lineno}: JSON nested too deeply") from None
     return _parse_split(entries, wrench=False)
 
 
@@ -499,16 +502,19 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     elif fmt == "wrench-json":
         raise DataError(f"{root}: missing label.json companion file")
     else:
-        top = -1
+        observed = {x.gold_label for s in SPLIT_NAMES for x in parts[s] if x.gold_label is not None}
         for s in SPLIT_NAMES:
-            if weak[s].size:
-                top = max(top, int(weak[s].max()))
-            for sample in parts[s]:
-                if sample.gold_label is not None:
-                    top = max(top, sample.gold_label)
-        if top < 0:
+            observed.update(np.unique(weak[s]).tolist())
+        classes = sorted(v for v in observed if v >= 0)
+        if not classes:
             raise DataError(f"{root}: cannot infer class count (no labels anywhere)")
-        class_names = tuple(f"class_{k}" for k in range(top + 1))
+        if classes[-1] != len(classes) - 1:
+            missing = next(k for k, v in enumerate(classes) if k != v)
+            raise DataError(
+                f"{root}: inferred classes must be 0..c-1 without gaps, but class {missing} "
+                f"never occurs (largest label {classes[-1]}); add a label.json naming the classes"
+            )
+        class_names = tuple(f"class_{k}" for k in range(len(classes)))
 
     return SplitSet(
         train=parts["train"],

@@ -55,22 +55,6 @@ class EvalReport:
             "confusion": [[int(v) for v in row] for row in self.confusion],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EvalReport":
-        return cls(
-            split=obj["split"],
-            metric=obj["metric"],
-            value=obj["value"],
-            accuracy=obj["accuracy"],
-            per_class_precision=tuple(obj["per_class_precision"]),
-            per_class_recall=tuple(obj["per_class_recall"]),
-            per_class_f1=tuple(obj["per_class_f1"]),
-            confusion=np.asarray(obj["confusion"], dtype=np.int64),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, EvalReport) and self.to_json_dict() == other.to_json_dict()
-
 
 def _precision_recall_f1(confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tp = np.diag(confusion).astype(np.float64)
@@ -190,25 +174,6 @@ class MemorizationReport:
             "threshold_k": self.threshold_k,
             "m": self.m,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MemorizationReport":
-        return cls(
-            paths={
-                name: PathMemorization(
-                    accuracy=p["accuracy"],
-                    macro_f1=p["macro_f1"],
-                    cross_entropy=p["cross_entropy"],
-                )
-                for name, p in obj["paths"].items()
-            },
-            uniform_ce=obj["uniform_ce"],
-            threshold_k=obj["threshold_k"],
-            m=obj["m"],
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, MemorizationReport) and self.to_json_dict() == other.to_json_dict()
 
 
 def _binary_cells_macro_f1(pred: np.ndarray, true: np.ndarray) -> float:

@@ -127,15 +127,12 @@ def majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int) -> np.n
     the tied classes. Both draws come from the dedicated "mv-ties" stream and
     are consumed in row order, only on ambiguous rows.
     """
-    if match.m != mapping.m:
-        raise DataError(f"LF dimension mismatch: matches have m={match.m}, mapping m={mapping.m}")
-    votes = match.to_dense() @ mapping.to_dense()
+    votes = match.class_votes(mapping)
+    preds = votes.argmax(axis=1)
+    tied = votes == votes.max(axis=1, keepdims=True)
     rng = stream(seed, "mv-ties")
-    preds = np.empty(match.n, dtype=np.int64)
-    for i in range(match.n):
-        row = votes[i]
-        tied = np.flatnonzero(row == row.max())
-        preds[i] = tied[0] if tied.size == 1 else rng.choice(tied)
+    for i in np.flatnonzero(tied.sum(axis=1) > 1):
+        preds[i] = rng.choice(np.flatnonzero(tied[i]))
     return preds
 
 
@@ -169,31 +166,29 @@ def compute_stats(
     match: MatchMatrix, mapping: MappingMatrix, gold: Sequence[int] | None = None
 ) -> LfStats:
     """Per-LF coverage/precision and dataset-level coverage, density, conflict rate."""
-    if match.m != mapping.m:
-        raise DataError(f"LF dimension mismatch: matches have m={match.m}, mapping m={mapping.m}")
-    dense = match.to_dense()
+    votes = match.class_votes(mapping)
     n = match.n
-    hits = dense.sum(axis=0).astype(np.int64)
-    gold_arr = None
+    rows, cols = match.pairs.T
+    hits = np.bincount(cols, minlength=match.m)
+    correct = None
     if gold is not None:
         gold_arr = np.asarray(list(gold), dtype=np.int64)
         if gold_arr.shape[0] != n:
             raise DataError("gold label count does not match sample count")
+        right = gold_arr[rows] == mapping.class_of[cols]
+        correct = np.bincount(cols[right], minlength=match.m)
     per_lf = []
     for j in range(match.m):
         cov = float(hits[j]) / n if n else 0.0
         precision = None
-        if gold_arr is not None:
-            if hits[j] > 0:
-                correct = int(((dense[:, j] > 0) & (gold_arr == mapping.class_of[j])).sum())
-                precision = correct / int(hits[j])
+        if correct is not None and hits[j] > 0:
+            precision = int(correct[j]) / int(hits[j])
         per_lf.append(PerLfStats(coverage=cov, hits=int(hits[j]), precision=precision))
-    row_counts = dense.sum(axis=1)
+    row_counts = match.row_counts()
     matched = row_counts > 0
     coverage = float(matched.mean()) if n else 0.0
     mean_matches = float(row_counts[matched].mean()) if matched.any() else 0.0
-    class_presence = (dense @ mapping.to_dense()) > 0
-    conflicts = class_presence.sum(axis=1) >= 2
+    conflicts = (votes > 0).sum(axis=1) >= 2
     conflict_rate = float(conflicts[matched].mean()) if matched.any() else 0.0
     return LfStats(
         per_lf=tuple(per_lf),

@@ -168,21 +168,16 @@ def inject_noise(
     """For every sample and class with at least one match, each unmatched LF of
     that class independently gains a match with probability noise_lambda.
     Existing matches are never removed."""
-    if match.m != mapping.m:
-        raise DataError(f"LF dimension mismatch: matches have m={match.m}, mapping m={mapping.m}")
+    class_hit = match.class_votes(mapping) > 0
     if not (0.0 <= noise_lambda <= 1.0):
         raise ConfigError("noise_lambda must be in [0, 1]")
-    dense = match.to_dense() > 0
     if noise_lambda == 0.0 or match.m == 0 or match.n == 0:
         return match
-    class_hit = np.zeros((match.n, mapping.c), dtype=bool)
-    for k in range(mapping.c):
-        cols = mapping.class_of == k
-        if cols.any():
-            class_hit[:, k] = dense[:, cols].any(axis=1)
-    eligible = class_hit[:, mapping.class_of] & ~dense
-    draws = rng.random(dense.shape) < noise_lambda
-    return MatchMatrix.from_dense(dense | (eligible & draws))
+    eligible = class_hit[:, mapping.class_of]
+    eligible[match.pairs[:, 0], match.pairs[:, 1]] = False
+    draws = rng.random((match.n, match.m)) < noise_lambda
+    added = np.argwhere(eligible & draws)
+    return MatchMatrix(match.n, match.m, np.concatenate([match.pairs, added]))
 
 
 @dataclass(frozen=True)
@@ -245,8 +240,6 @@ def train(
         raise DataError(
             f"match matrix has {match_train.n} rows but train split has {len(splits.train)} samples"
         )
-    if match_train.m != mapping.m:
-        raise DataError(f"LF dimension mismatch: matches have m={match_train.m}, mapping m={mapping.m}")
 
     vocab = fit_vocabulary([s.text for s in splits.train], encoder_config)
     X_train = featurize_split([s.text for s in splits.train], vocab)

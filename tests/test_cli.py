@@ -120,6 +120,27 @@ def test_convert_malformed_entry_exits_2_naming_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["wrench-json", "jsonl"])
+def test_convert_deeply_nested_json_exits_2_naming_file(tmp_path, capsys, fmt):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--seed", "0", "--n-train", "5",
+          "--n-dev", "5", "--n-test", "5", "--format", fmt])
+    nested = "[" * 100_000 + "]" * 100_000
+    if fmt == "wrench-json":
+        split_file, where = data / "train.json", f"{data / 'train.json'}: "
+        split_file.write_text(nested, encoding="utf-8")
+    else:
+        split_file, where = data / "train.jsonl", f"{data / 'train.jsonl'}:2: "
+        lines = split_file.read_text(encoding="utf-8").splitlines()
+        lines[1] = nested
+        split_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["convert", str(data), "--format", fmt, "--out", str(tmp_path / "conv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where + "JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_convert_missing_dir_is_usage_error(tmp_path, capsys):
     assert main(["convert", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err.lower()
@@ -127,6 +148,15 @@ def test_convert_missing_dir_is_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # train
+
+
+def test_train_synth_config_with_one_class_exits_1_naming_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, SYNTH_CONFIG.replace("format = synth", "format = synth\nc = 1"))
+    code = main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{cfg}: [data] synth needs at least two classes" in err
+    assert "Traceback" not in err
 
 
 def test_train_writes_artifacts(trained, capsys):

@@ -145,6 +145,31 @@ def test_load_jsonl(tmp_path):
     assert splits.raw_weak_labels["train"].tolist() == [[0, -1], [1, 1]]
 
 
+@pytest.mark.parametrize(
+    "lines, missing",
+    [
+        ([{"text": "a", "label": 0}, {"text": "b", "label": 1_000_000}], 1),
+        ([{"text": "a", "weak_labels": [1, -1]}, {"text": "b", "weak_labels": [-1, 2]}], 0),
+        ([{"text": "a", "label": 0, "weak_labels": [2]}], 1),
+    ],
+)
+def test_jsonl_inferred_classes_need_no_gaps(tmp_path, lines, missing):
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "train.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    with pytest.raises(DataError, match=f"class {missing} never occurs") as info:
+        load_dataset(root, "jsonl")
+    assert str(root) in str(info.value) and "label.json" in str(info.value)
+
+
+def test_jsonl_label_json_allows_unused_classes(tmp_path):
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "train.jsonl").write_text(json.dumps({"text": "a", "label": 2}) + "\n")
+    (root / "label.json").write_text(json.dumps({"0": "x", "1": "y", "2": "z"}))
+    assert load_dataset(root, "jsonl").class_names == ("x", "y", "z")
+
+
 def test_jsonl_bad_line_reports_position(tmp_path):
     root = tmp_path / "ds"
     root.mkdir()
@@ -442,7 +467,7 @@ def test_mapping_rows_always_one_hot(class_of):
 
 
 def test_triplet_round_trip(tmp_path):
-    match = MatchMatrix.from_pairs(4, 3, [(0, 1), (2, 0), (3, 2)])
+    match = MatchMatrix(4, 3, np.array([(3, 2), (0, 1), (2, 0)]))
     f = tmp_path / "L.triplets"
     write_triplets(match, f)
     raw = f.read_bytes()
