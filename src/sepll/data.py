@@ -124,11 +124,6 @@ class MatchMatrix:
                 raise DataError("duplicate (sample, LF) match pair")
         object.__setattr__(self, "pairs", _frozen(pairs))
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "MatchMatrix":
-        dense = np.asarray(dense)
-        return cls(n=dense.shape[0], m=dense.shape[1], pairs=np.argwhere(dense != 0))
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.m), dtype=np.float64)
         if self.pairs.size:

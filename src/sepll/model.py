@@ -17,7 +17,7 @@ import numpy as np
 from .data import MappingMatrix
 from .encoder import EncoderConfig, Vocabulary
 from .errors import ConfigError, DataError, NumericalError
-from .nnet import ACTIVATIONS, Layer, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
+from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
@@ -210,7 +210,9 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
     With ``lf_activation_penalty`` > 0 the loss gains
     penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
     Returns ``(loss, grad)``: ``grad`` has theta's layout, so
-    ``param_items(params, grad)`` names its parts.
+    ``param_items(params, grad)`` names its parts. For a :class:`CSRMatrix`
+    batch, the rows of ``encoder.0.W``'s gradient outside
+    ``X.used_columns()`` are exactly +0.0.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -234,7 +236,8 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
         d_lf += (2.0 * lf_activation_penalty / n) * lf_logits
     d_task = d_combined @ params.mapping.to_dense()
 
-    grad = np.empty_like(params.theta)
+    # zeroed: a sparse batch writes only its own rows of the first layer
+    grad = np.zeros(params.theta.shape)
     enc_grads, task_grads, lf_grads = _layers(grad, params.dims)
     dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, lf_grads, params.head_nonlinearity)
     dz_task = mlp_backward(params.task_head, task_cache, d_task, task_grads, params.head_nonlinearity)
@@ -246,9 +249,14 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
         params.encoder_nonlinearity,
         need_input_grad=False,
     )
-    finite = np.isfinite(grad)
+    # the first layer's other rows are +0.0; everything after it is dense
+    first = enc_grads[0].W
+    rows = X.used_columns() if isinstance(X, CSRMatrix) else slice(None)
+    if not np.isfinite(first[rows]).all():
+        raise NumericalError(f"non-finite gradient in {param_name_at(params, 0)}")
+    finite = np.isfinite(grad[first.size :])
     if not finite.all():
-        raise NumericalError(f"non-finite gradient in {param_name_at(params, int(np.argmin(finite)))}")
+        raise NumericalError(f"non-finite gradient in {param_name_at(params, first.size + int(np.argmin(finite)))}")
     return loss, grad
 
 

@@ -23,11 +23,12 @@ class CSRMatrix:
 
     Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[indptr[i]:indptr[i + 1]]``, which are distinct within a row.
-    Supports row selection (``X[rows]``), ``X @ W`` and ``X.T @ D``. Each
-    product element adds its terms left to right, starting from 0.0: ``X @ W``
-    over a row's nonzeros in storage order, ``X.T @ D`` over a column's
-    nonzeros in row order. That is the summation order of scipy's CSR
-    products, so results are bitwise equal to ``scipy.sparse.csr_array``'s.
+    Supports row selection (``X[rows]``), ``X @ W`` and the used rows of
+    ``X.T @ D`` (:meth:`transpose_product`). Each product element adds its
+    terms left to right, starting from 0.0: ``X @ W`` over a row's nonzeros in
+    storage order, ``X.T @ D`` over a column's nonzeros in row order. That is
+    the summation order of scipy's CSR products, so results are bitwise equal
+    to ``scipy.sparse.csr_array``'s.
     """
 
     def __init__(self, data, indices, indptr, shape: tuple[int, int]):
@@ -50,38 +51,25 @@ class CSRMatrix:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
         return _row_sums(self.data, self.indices, self.indptr, W)
 
-    @property
-    def T(self) -> _TransposedCSR:
-        return _TransposedCSR(self)
+    def used_columns(self) -> np.ndarray:
+        """The columns that hold a nonzero in some row, ascending."""
+        return np.flatnonzero(np.bincount(self.indices, minlength=self.shape[1]))
 
-
-class _TransposedCSR:
-    """``X.T`` for the one product backprop needs, ``X.T @ D``."""
-
-    def __init__(self, X: CSRMatrix):
-        self.X = X
-        self.shape = (X.shape[1], X.shape[0])
-
-    def __matmul__(self, D: np.ndarray) -> np.ndarray:
-        return self.matmul(D)
-
-    def matmul(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``X.T @ D``, written into ``out`` when given."""
-        X = self.X
-        if D.ndim != 2 or D.shape[0] != X.shape[0]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {D.shape}")
+    def transpose_product(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``X.T @ D`` that can be nonzero: returns ``(cols, sums)``,
+        where ``cols`` is :meth:`used_columns` and ``sums`` is ``(X.T @ D)[cols]``.
+        Every other row of ``X.T @ D`` is +0.0."""
+        if D.ndim != 2 or D.shape[0] != self.shape[0]:
+            raise ValueError(f"cannot multiply a {self.shape[::-1]} matrix by one of shape {D.shape}")
         # Regroup the nonzeros by column, keeping row order within a column: the
-        # touched columns become the rows of a CSR matrix over X's rows.
-        order = np.argsort(X.indices, kind="stable")
-        cols = X.indices[order]
-        row_of = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[order]
+        # used columns become the rows of a CSR matrix over this matrix's rows.
+        order = np.argsort(self.indices, kind="stable")
+        cols = self.indices[order]
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))[order]
         new_col = np.ones(cols.size, dtype=bool)
         new_col[1:] = cols[1:] != cols[:-1]
         indptr = np.append(np.flatnonzero(new_col), cols.size)
-        out = np.empty((X.shape[1], D.shape[1])) if out is None else out
-        out.fill(0.0)
-        out[cols[new_col]] = _row_sums(X.data[order], row_of, indptr, D)
-        return out
+        return cols[new_col], _row_sums(self.data[order], row_of, indptr, D)
 
 
 def _row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -191,6 +179,8 @@ def mlp_backward(
     """Backpropagate ``d_out``, writing each layer's gradient into the same-shaped
     arrays of ``grads``; returns the gradient w.r.t. the input.
 
+    For a :class:`CSRMatrix` input only the rows of ``grads[0].W`` at the
+    columns the input uses are written; the caller passes that array zeroed.
     The input gradient is skipped (None) when ``need_input_grad`` is false, which
     avoids densifying sparse first-layer inputs.
     """
@@ -199,7 +189,8 @@ def mlp_backward(
     for i in range(len(layers) - 1, -1, -1):
         x = cache.inputs[i]
         if isinstance(x, CSRMatrix):
-            x.T.matmul(delta, out=grads[i].W)
+            cols, sums = x.transpose_product(delta)
+            grads[i].W[cols] = sums
         else:
             np.matmul(x.T, delta, out=grads[i].W)
         np.sum(delta, axis=0, out=grads[i].b)

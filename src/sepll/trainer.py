@@ -29,6 +29,7 @@ from .model import (
     param_name_at,
     predict_batch,
 )
+from .nnet import CSRMatrix
 from .seeds import stream
 from .serialize import write_text
 
@@ -90,20 +91,25 @@ BLOCK = 32768
 class OptimizerState:
     m: np.ndarray  # first and second moments, with theta's layout
     v: np.ndarray
+    # per-block scratch that adamw_step writes into instead of allocating
+    u: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+    finite: np.ndarray = field(repr=False, compare=False)
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # per-block scratch that adamw_step writes into instead of allocating
-    u: np.ndarray = field(default_factory=lambda: np.empty(BLOCK), repr=False, compare=False)
-    w: np.ndarray = field(default_factory=lambda: np.empty(BLOCK), repr=False, compare=False)
-    finite: np.ndarray = field(
-        default_factory=lambda: np.empty(BLOCK, dtype=bool), repr=False, compare=False
-    )
 
 
 def init_optimizer(params: SepLLParams) -> OptimizerState:
-    return OptimizerState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
+    block = max(BLOCK, params.dims[0][1])  # a block holds at least one first-layer row
+    return OptimizerState(
+        m=np.zeros_like(params.theta),
+        v=np.zeros_like(params.theta),
+        u=np.empty(block),
+        w=np.empty(block),
+        finite=np.empty(block, dtype=bool),
+    )
 
 
 def adamw_step(
@@ -112,17 +118,29 @@ def adamw_step(
     state: OptimizerState,
     config: TrainConfig,
     current_lr: float,
+    rows: np.ndarray | None = None,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place on ``params.theta``.
 
-    ``grad`` has theta's layout. The step walks theta, ``grad`` and the moments
-    together in blocks of ``BLOCK`` elements with ``out=`` and in-place ufuncs
-    into the state's scratch buffers, so it allocates no arrays. Every element
-    sees the same operations in the same order as
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * theta``,
-    so results are bitwise equal to that whole-array formula. A non-finite
-    update raises ``NumericalError`` naming the parameter; blocks before the
-    offending one have already been applied by then.
+    ``grad`` has theta's layout. ``rows`` lists, ascending and distinct, the
+    rows of the first-layer weight ``encoder.0.W`` where ``grad`` may be
+    nonzero; its other rows must be +0.0 and are not read. None means every row.
+
+    The step walks theta, ``grad`` and the moments together in blocks of at
+    most ``BLOCK`` elements (whole rows of ``encoder.0.W``, then the rest of
+    theta), with ``out=`` and in-place ufuncs into the state's scratch buffers.
+    Results are bitwise equal to the whole-array formula
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * theta``:
+    every element sees its operations in the same order, except that the
+    moment terms ``g * (1 - b1)`` and ``g * g * (1 - b2)`` are added on
+    ``rows`` only. Elsewhere they are +0.0, and adding +0.0 changes nothing but
+    a -0.0. Neither moment is ever -0.0: both start at +0.0, a rounded sum is
+    -0.0 only if both terms are, ``v * b2 >= +0.0``, and for b1 > 0.5
+    ``m * b1`` is -0.0 only if m is (even the smallest subnormal times b1
+    rounds away from zero). Other betas use every row.
+
+    A non-finite update raises ``NumericalError`` naming the parameter; blocks
+    before the offending one have already been applied by then.
     """
     state.step += 1
     t = state.step
@@ -130,20 +148,39 @@ def adamw_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     decay = current_lr * config.weight_decay
-    for lo in range(0, params.theta.size, BLOCK):
-        th = params.theta[lo : lo + BLOCK]
-        g = grad[lo : lo + BLOCK]
-        m = state.m[lo : lo + BLOCK]
-        v = state.v[lo : lo + BLOCK]
+    n_rows, width = params.dims[0][:2]
+    first = n_rows * width  # encoder.0.W, row-major, is theta[:first]
+    if rows is None or b1 <= 0.5 or b2 < 0.0:
+        rows = np.arange(n_rows)
+    bounds = [
+        *range(0, first, max(1, BLOCK // width) * width),
+        *range(first, params.theta.size, BLOCK),
+        params.theta.size,
+    ]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi <= first:
+            r0, r1 = lo // width, hi // width
+            i0, i1 = rows.searchsorted((r0, r1))
+            sel = slice(None) if i1 - i0 == r1 - r0 else rows[i0:i1] - r0
+            shape = (-1, width)
+        else:
+            sel, shape = slice(None), (1, -1)
+        th = params.theta[lo:hi]
+        m = state.m[lo:hi]
+        v = state.v[lo:hi]
         k = th.size
         u, w, finite = state.u[:k], state.w[:k], state.finite[:k]
+        # the moment terms, on the block's rows that may have a nonzero gradient:
+        # views of the block when that is every row, gathered copies otherwise
+        g = grad[lo:hi].reshape(shape)[sel]
+        gu = u[: g.size].reshape(g.shape)
         m *= b1
-        np.multiply(g, 1.0 - b1, out=u)
-        m += u
+        np.multiply(g, 1.0 - b1, out=gu)
+        m.reshape(shape)[sel] += gu
         v *= b2
-        np.multiply(g, g, out=u)
-        u *= 1.0 - b2
-        v += u
+        np.multiply(g, g, out=gu)
+        gu *= 1.0 - b2
+        v.reshape(shape)[sel] += gu
         np.divide(m, bc1, out=u)
         u *= current_lr
         np.divide(v, bc2, out=w)
@@ -229,9 +266,17 @@ def train(
     sweeps mini-batches; early stopping keeps the parameters of the best dev
     epoch and stops after ``patience`` epochs without improvement.
     """
-    config = config or TrainConfig()
     encoder_config = encoder_config or EncoderConfig()
-    model_config = model_config or ModelConfig()
+    vocab, X_train, X_dev, dev_gold = _featurize(splits, match_train, encoder_config)
+    params, history = _fit(
+        X_train, X_dev, dev_gold, match_train, mapping, config or TrainConfig(), encoder_config, model_config
+    )
+    return params, history, vocab
+
+
+def _featurize(splits: SplitSet, match_train: MatchMatrix, encoder_config: EncoderConfig):
+    """Check the splits, fit the vocabulary on the train texts and featurize the
+    train and dev splits; returns ``(vocab, X_train, X_dev, dev_gold)``."""
     if not splits.dev:
         raise DataError("dev split required for early stopping")
     if any(s.gold_label is None for s in splits.dev):
@@ -240,16 +285,28 @@ def train(
         raise DataError(
             f"match matrix has {match_train.n} rows but train split has {len(splits.train)} samples"
         )
-
     vocab = fit_vocabulary([s.text for s in splits.train], encoder_config)
     X_train = featurize_split([s.text for s in splits.train], vocab)
     X_dev = featurize_split([s.text for s in splits.dev], vocab)
     dev_gold = np.array([s.gold_label for s in splits.dev], dtype=np.int64)
+    return vocab, X_train, X_dev, dev_gold
 
+
+def _fit(
+    X_train: CSRMatrix,
+    X_dev: CSRMatrix,
+    dev_gold: np.ndarray,
+    match_train: MatchMatrix,
+    mapping: MappingMatrix,
+    config: TrainConfig,
+    encoder_config: EncoderConfig,
+    model_config: ModelConfig | None,
+) -> tuple[SepLLParams, TrainHistory]:
+    """The training loop of :func:`train`, on features built by :func:`_featurize`."""
     rng_init = stream(config.seed, "init")
     rng_shuffle = stream(config.seed, "shuffle")
     rng_noise = stream(config.seed, "noise")
-    params = init_params(len(vocab), mapping, encoder_config, model_config, rng_init)
+    params = init_params(X_train.shape[1], mapping, encoder_config, model_config, rng_init)
     state = init_optimizer(params)
     history = TrainHistory()
     best_params = clone_params(params)
@@ -272,14 +329,15 @@ def train(
                 batch = order[start : start + config.batch_size]
                 global_step += 1
                 lr = lr_schedule(global_step, config.warmup_steps, config.learning_rate)
+                X_batch = X_train[batch]
                 loss, grad = backward(
-                    params, X_train[batch], targets.rows[batch], lf_activation_penalty=activation_penalty
+                    params, X_batch, targets.rows[batch], lf_activation_penalty=activation_penalty
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")
                 if config.l2_lf > 0 and config.l2_lf_target == "parameters":
                     grad[lf] += 2.0 * config.l2_lf * params.theta[lf]
-                adamw_step(params, grad, state, config, lr)
+                adamw_step(params, grad, state, config, lr, rows=X_batch.used_columns())
                 losses.append(loss)
             dev_metric = _dev_metric(params, X_dev, dev_gold, config, mapping.c)
             history.epochs.append(
@@ -298,7 +356,7 @@ def train(
     except NumericalError as exc:
         exc.history = history  # let callers inspect the partial run
         raise
-    return best_params, history, vocab
+    return best_params, history
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +391,24 @@ def run_ablation(
     encoder_config: EncoderConfig | None = None,
     model_config: ModelConfig | None = None,
 ) -> dict[str, dict[str, float]]:
-    """Train every routing variant; returns {variant: {dev, test}} in a fixed order."""
+    """Train every routing variant; returns {variant: {dev, test}} in a fixed order.
+
+    The vocabulary and the features depend on no routing switch, so they are
+    built once and shared by all variants.
+    """
     base_config = base_config or TrainConfig()
+    encoder_config = encoder_config or EncoderConfig()
     if not splits.test or any(s.gold_label is None for s in splits.test):
         raise DataError("ablation requires a test split with gold labels")
     test_gold = np.array([s.gold_label for s in splits.test], dtype=np.int64)
+    vocab, X_train, X_dev, dev_gold = _featurize(splits, match_by_split["train"], encoder_config)
+    X_test = featurize_split([s.text for s in splits.test], vocab)
     table: dict[str, dict[str, float]] = {}
     for variant in VARIANT_ORDER:
         cfg = ablation_config(base_config, variant)
-        params, history, vocab = train(
-            splits, match_by_split["train"], mapping, cfg, encoder_config, model_config
+        params, history = _fit(
+            X_train, X_dev, dev_gold, match_by_split["train"], mapping, cfg, encoder_config, model_config
         )
-        X_test = featurize_split([s.text for s in splits.test], vocab)
         test_metric = _dev_metric(params, X_test, test_gold, cfg, mapping.c)
         table[variant] = {"dev": history.best_dev_metric, "test": test_metric}
     return table

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sepll.data import MatchMatrix
 from sepll.nnet import CSRMatrix
 
 settings.register_profile(
@@ -24,6 +25,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def match_from_dense(dense) -> MatchMatrix:
+    """The MatchMatrix with a match wherever the 2-d ``dense`` is nonzero."""
+    dense = np.asarray(dense)
+    return MatchMatrix(n=dense.shape[0], m=dense.shape[1], pairs=np.argwhere(dense != 0))
 
 
 @pytest.fixture

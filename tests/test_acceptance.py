@@ -15,10 +15,10 @@ from pathlib import Path
 import conftest
 import numpy as np
 import pytest
+from conftest import match_from_dense
 
 from sepll.data import (
     MappingMatrix,
-    MatchMatrix,
     SynthSpec,
     build_targets,
     load_dataset,
@@ -178,7 +178,7 @@ def test_criterion_2_numeric_oracles():
     # majority vote vs exhaustive counting
     dense = (rng.random((n, 7)) < 0.4).astype(np.int64)
     class_of = rng.integers(0, 3, size=7)
-    match = MatchMatrix.from_dense(dense)
+    match = match_from_dense(dense)
     mapping = MappingMatrix(c=3, class_of=class_of)
     preds = majority_vote(match, mapping, seed=0)
     preds_again = majority_vote(match, mapping, seed=0)
@@ -269,7 +269,7 @@ def test_criterion_6_noise_rate_monte_carlo():
     n = 100_000
     dense = np.zeros((n, 4), dtype=np.int64)
     dense[:, 0] = 1  # class 0 seeded everywhere; LF1 is the eligible sibling
-    match = MatchMatrix.from_dense(dense)
+    match = match_from_dense(dense)
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
     results = []
     ok = True
@@ -297,7 +297,7 @@ def test_criterion_7_invariants():
     for _ in range(cases):
         n, m = int(rng.integers(1, 20)), int(rng.integers(1, 10))
         dense = (rng.random((n, m)) < 0.4).astype(np.int64)
-        targets = build_targets(MatchMatrix.from_dense(dense))
+        targets = build_targets(match_from_dense(dense))
         if not np.allclose(targets.rows.sum(axis=1), 1.0, atol=1e-9):
             failures.append("row-normalization")
             break
@@ -352,7 +352,7 @@ def test_criterion_7_invariants():
             a.raw_weak_labels["train"], b.raw_weak_labels["train"]
         )
         dense = (np.random.default_rng(case).random((6, 4)) < 0.5).astype(np.int64)
-        match = MatchMatrix.from_dense(dense)
+        match = match_from_dense(dense)
         mp = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
         same = same and np.array_equal(
             majority_vote(match, mp, seed=case), majority_vote(match, mp, seed=case)

@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 
 import sepll.serialize
 from sepll.config import parse_config
-from sepll.data import MatchMatrix, SynthSpec, write_triplets
+from sepll.data import SynthSpec, write_triplets
 from sepll.encoder import EncoderConfig
 from sepll.errors import ConfigError, DataError
 from sepll.model import ModelConfig
@@ -286,7 +287,7 @@ def test_failed_container_write_keeps_previous_file(tmp_path, monkeypatch):
         return TrainHistory(epochs=[EpochRecord(k, 0.5, 0.75, 1e-3) for k in range(n_epochs)])
 
     def triplets(n_rows):
-        return MatchMatrix.from_dense(np.eye(n_rows, 3, dtype=np.int64))
+        return match_from_dense(np.eye(n_rows, 3, dtype=np.int64))
 
     writers = {
         "history.csv": lambda size: history(size).to_csv(tmp_path / "history.csv"),

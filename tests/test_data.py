@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
 from sepll.data import (
@@ -400,14 +401,14 @@ def test_one_class_conversion_is_lossless(args):
 
 
 def test_build_targets_normalizes_matched_rows():
-    match = MatchMatrix.from_dense(np.array([[1, 0, 1, 0]]))
+    match = match_from_dense(np.array([[1, 0, 1, 0]]))
     targets = build_targets(match)
     assert targets.rows.tolist() == [[0.5, 0.0, 0.5, 0.0]]
     assert not targets.unlabeled_mask[0]
 
 
 def test_build_targets_uniform_unmatched_and_mask():
-    match = MatchMatrix.from_dense(np.array([[0, 0], [1, 0]]))
+    match = match_from_dense(np.array([[0, 0], [1, 0]]))
     targets = build_targets(match, include_unlabeled=True)
     assert targets.rows[0].tolist() == [0.5, 0.5]
     assert targets.unlabeled_mask.tolist() == [True, False]
@@ -431,7 +432,7 @@ def test_build_targets_zero_lfs_errors():
 )
 def test_build_targets_rows_sum_to_one(rows):
     dense = np.asarray(rows, dtype=float)
-    targets = build_targets(MatchMatrix.from_dense(dense))
+    targets = build_targets(match_from_dense(dense))
     sums = targets.rows.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-9)
     unmatched = dense.sum(axis=1) == 0

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
 from sepll.data import MappingMatrix, MatchMatrix
@@ -161,7 +162,7 @@ def test_memorization_perfect_lf_path_and_uniform_task_path():
     m = 8
     params = perfect_memorizer(m=m)
     X = np.eye(m)
-    match = MatchMatrix.from_dense(np.eye(m, dtype=np.int64))
+    match = match_from_dense(np.eye(m, dtype=np.int64))
     report = memorization_report(params, X, match, k=4)
 
     lf = report.paths["lf_latent"]
@@ -190,7 +191,7 @@ def test_memorization_ce_restricted_to_matched_rows():
     X = np.eye(m)
     dense = np.eye(m, dtype=np.int64)
     dense[3] = 0  # row 3 goes unmatched; X row 3 still spikes LF 3
-    report = memorization_report(params, X, MatchMatrix.from_dense(dense), k=4)
+    report = memorization_report(params, X, match_from_dense(dense), k=4)
     # CE must skip the unmatched row entirely, so it stays ~0
     assert report.paths["lf_latent"].cross_entropy == pytest.approx(0.0, abs=1e-12)
     # accuracy still counts the unmatched row's cells: one false positive cell
@@ -200,7 +201,7 @@ def test_memorization_ce_restricted_to_matched_rows():
 def test_memorization_validation():
     params = perfect_memorizer(m=8)
     with pytest.raises(DataError, match="LF dimension mismatch"):
-        memorization_report(params, np.eye(8), MatchMatrix.from_dense(np.eye(8, dtype=np.int64)[:, :6]))
+        memorization_report(params, np.eye(8), match_from_dense(np.eye(8, dtype=np.int64)[:, :6]))
     with pytest.raises(DataError, match="sample count"):
         memorization_report(params, np.eye(8), MatchMatrix(n=4, m=8, pairs=np.empty((0, 2), dtype=np.int64)))
     with pytest.raises(DataError, match="at least one matched"):
@@ -209,7 +210,7 @@ def test_memorization_validation():
 
 def test_memorization_report_json_round_trip():
     params = perfect_memorizer(m=8)
-    report = memorization_report(params, np.eye(8), MatchMatrix.from_dense(np.eye(8, dtype=np.int64)))
+    report = memorization_report(params, np.eye(8), match_from_dense(np.eye(8, dtype=np.int64)))
     blob = json.loads(json.dumps(report.to_json_dict()))
     assert blob == report.to_json_dict()
     assert blob["m"] == report.m and blob["threshold_k"] == report.threshold_k
@@ -225,7 +226,7 @@ def test_memorization_report_json_round_trip():
 
 
 def test_match_count_breakdown_groups_and_supports():
-    match = MatchMatrix.from_dense(
+    match = match_from_dense(
         np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
     )
     preds = [0, 1, 1, 0]
@@ -238,14 +239,14 @@ def test_match_count_breakdown_groups_and_supports():
 
 
 def test_match_count_breakdown_only_observed_counts():
-    match = MatchMatrix.from_dense(np.array([[1, 1, 1], [1, 1, 1]]))
+    match = match_from_dense(np.array([[1, 1, 1], [1, 1, 1]]))
     table = match_count_breakdown([0, 0], [0, 1], match, n_classes=2)
     assert list(table) == [3]
     assert table[3].support == 2
 
 
 def test_match_count_breakdown_length_mismatch():
-    match = MatchMatrix.from_dense(np.array([[1]]))
+    match = match_from_dense(np.array([[1]]))
     with pytest.raises(DataError):
         match_count_breakdown([0, 1], [0, 1], match)
 

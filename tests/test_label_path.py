@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
 from sepll.data import MappingMatrix, MatchMatrix, TargetDistribution, build_targets
@@ -87,7 +88,7 @@ def dense_inject_noise(match, mapping, noise_lambda, rng) -> MatchMatrix:
             class_hit[:, k] = dense[:, cols].any(axis=1)
     eligible = class_hit[:, mapping.class_of] & ~dense
     draws = rng.random(dense.shape) < noise_lambda
-    return MatchMatrix.from_dense(dense | (eligible & draws))
+    return match_from_dense(dense | (eligible & draws))
 
 
 def dense_build_targets(match: MatchMatrix, include_unlabeled: bool = True) -> TargetDistribution:
@@ -147,7 +148,7 @@ def label_cases(draw):
     )
     dense = (np.asarray(cells, dtype=np.float64).reshape(n, m) < density).astype(np.int64)
     gold = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
-    match = MatchMatrix.from_dense(dense)
+    match = match_from_dense(dense)
     mapping = MappingMatrix(c=c, class_of=np.asarray(class_of, dtype=np.int64))
     return match, mapping, gold
 
@@ -165,7 +166,7 @@ def test_label_path_bitwise_equals_dense_reference(case, seed, lam, include_unla
 
 def _case(dense, class_of, c):
     dense = np.asarray(dense, dtype=np.int64).reshape(len(dense), len(class_of))
-    match = MatchMatrix.from_dense(dense)
+    match = match_from_dense(dense)
     return match, MappingMatrix(c=c, class_of=np.asarray(class_of, dtype=np.int64))
 
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
 import sepll.lf_engine as lf_engine
@@ -203,7 +204,7 @@ def test_mapping_from_lfs():
 
 
 def test_majority_vote_strict_majority_ignores_rng():
-    match = MatchMatrix.from_dense(np.array([[1, 1, 0], [0, 0, 1], [1, 0, 1]]))
+    match = match_from_dense(np.array([[1, 1, 0], [0, 0, 1], [1, 0, 1]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1]))
     a = majority_vote(match, mapping, seed=0)
     b = majority_vote(match, mapping, seed=999)
@@ -223,14 +224,14 @@ def test_majority_vote_no_match_uniform_and_reproducible():
 
 
 def test_majority_vote_tie_varies_with_seed():
-    match = MatchMatrix.from_dense(np.array([[1, 1]]))
+    match = match_from_dense(np.array([[1, 1]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
     outcomes = {majority_vote(match, mapping, seed=s)[0] for s in range(40)}
     assert outcomes == {0, 1}
 
 
 def test_majority_vote_dimension_mismatch():
-    match = MatchMatrix.from_dense(np.array([[1, 0]]))
+    match = match_from_dense(np.array([[1, 0]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     with pytest.raises(DataError, match="LF dimension mismatch"):
         majority_vote(match, mapping, seed=0)
@@ -243,10 +244,10 @@ def test_majority_vote_untied_rows_permutation_equivariant(seed, data):
     dense = (rng.random((n, m)) < 0.6).astype(np.int64)
     class_of = rng.integers(0, 2, size=m)
     mapping = MappingMatrix(c=2, class_of=class_of)
-    preds = majority_vote(MatchMatrix.from_dense(dense), mapping, seed=7)
+    preds = majority_vote(match_from_dense(dense), mapping, seed=7)
     perm = np.asarray(data.draw(st.permutations(range(m))))
     mapped = majority_vote(
-        MatchMatrix.from_dense(dense[:, perm]),
+        match_from_dense(dense[:, perm]),
         MappingMatrix(c=2, class_of=class_of[perm]),
         seed=7,
     )
@@ -260,7 +261,7 @@ def test_majority_vote_matches_exhaustive_count(rng):
     dense = (rng.random((n, m)) < 0.5).astype(np.int64)
     class_of = rng.integers(0, c, size=m)
     mapping = MappingMatrix(c=c, class_of=class_of)
-    preds = majority_vote(MatchMatrix.from_dense(dense), mapping, seed=11)
+    preds = majority_vote(match_from_dense(dense), mapping, seed=11)
     for i in range(n):
         counts = [0] * c
         for j in range(m):
@@ -278,7 +279,7 @@ def test_majority_vote_matches_exhaustive_count(rng):
 
 
 def test_compute_stats_hand_example():
-    match = MatchMatrix.from_dense(
+    match = match_from_dense(
         np.array(
             [
                 [1, 0],  # gold 0, LF0 right
@@ -302,7 +303,7 @@ def test_compute_stats_hand_example():
 
 
 def test_compute_stats_without_gold_precision_none():
-    match = MatchMatrix.from_dense(np.array([[1], [0]]))
+    match = match_from_dense(np.array([[1], [0]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0]))
     stats = compute_stats(match, mapping)
     assert stats.per_lf[0].precision is None
@@ -310,7 +311,7 @@ def test_compute_stats_without_gold_precision_none():
 
 
 def test_compute_stats_zero_hit_lf_precision_none():
-    match = MatchMatrix.from_dense(np.array([[1, 0]]))
+    match = match_from_dense(np.array([[1, 0]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
     stats = compute_stats(match, mapping, gold=[0])
     assert stats.per_lf[1].hits == 0
@@ -318,7 +319,7 @@ def test_compute_stats_zero_hit_lf_precision_none():
 
 
 def test_stats_json_dict():
-    match = MatchMatrix.from_dense(np.array([[1, 1]]))
+    match = match_from_dense(np.array([[1, 1]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
     stats = compute_stats(match, mapping, gold=[0])
     blob = stats.to_json_dict()

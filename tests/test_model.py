@@ -323,6 +323,36 @@ def test_backward_accepts_sparse_input(rng, to_csr):
         assert np.allclose(g_d, g_s, atol=1e-12), name
 
 
+def test_backward_first_layer_rows_outside_the_batch_are_positive_zero(rng, to_csr):
+    params = tiny_params(d=4, hidden=(6,))
+    X = rng.normal(size=(7, 5))
+    X[:, [1, 3]] = 0.0  # two features the batch never uses
+    X[np.abs(X) < 0.5] = 0.0
+    raw = rng.random((7, 3))
+    X_csr = to_csr(X)
+    _, grad = backward(params, X_csr, raw / raw.sum(axis=1, keepdims=True))
+    W = dict(param_items(params, grad))["encoder.0.W"]
+    unused = np.setdiff1d(np.arange(W.shape[0]), np.unique(X_csr.indices))
+    assert {1, 3} <= set(unused.tolist())
+    assert np.array_equal(W[unused].view(np.int64), np.zeros((unused.size, W.shape[1]), dtype=np.int64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_non_finite_first_layer_row_names_it(to_csr):
+    # feature 2 adds nothing to the forward pass (its weights are zero), but its
+    # 1e308 input times a large upstream gradient overflows its gradient row
+    params = tiny_params(d=4)
+    params.encoder[0].W[2] = 0.0
+    for layer in params.task_head + params.lf_head:
+        layer.W *= 1e3
+    X = np.zeros((2, 5))
+    X[:, 2] = 1e308
+    X[0, 0] = X[1, 4] = 1.0
+    targets = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalError, match=r"non-finite gradient in encoder\.0\.W"):
+        backward(params, to_csr(X), targets)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

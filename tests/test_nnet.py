@@ -35,6 +35,17 @@ def signed_zeros(rng, shape) -> np.ndarray:
 SHAPES = [(40, 30, (0, 7, 8, 39)), (25, 1, (3,)), (0, 12, ()), (6, 9, (0, 1, 2, 3, 4, 5))]
 
 
+def transpose_product_dense(X: CSRMatrix, D: np.ndarray) -> np.ndarray:
+    """``X.T @ D`` from the row form: the returned rows scattered into zeros."""
+    cols, sums = X.transpose_product(D)
+    assert np.array_equal(cols, np.unique(X.indices))  # the used columns, ascending
+    assert np.array_equal(X.used_columns(), cols)
+    assert sums.shape == (cols.size, D.shape[1])
+    out = np.zeros((X.shape[1], D.shape[1]))
+    out[cols] = sums
+    return out
+
+
 @pytest.fixture(params=[None, 7], ids=["default-block", "7-element-block"])
 def row_block(request, monkeypatch):
     """Run each product with the default row blocks and with blocks of a few rows."""
@@ -63,15 +74,13 @@ def test_products_match_scipy_bitwise(rng, row_block, n, f, empty, width):
     W = signed_zeros(rng, (f, width))
     D = signed_zeros(rng, (n, width))
     assert np.array_equal(bits(X @ W), bits(ref @ W))
-    assert np.array_equal(bits(X.T @ D), bits(ref.T @ D))
-    out = np.full((f, width), np.nan)  # written in place: stale values must not survive
-    assert X.T.matmul(D, out=out) is out
-    assert np.array_equal(bits(out), bits(ref.T @ D))
+    assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D))
     if empty:
-        rows = np.array(list(empty))
+        rows = np.array(list(empty))  # an all-empty batch: no used columns
         D_rows = signed_zeros(rng, (rows.size, width))
         assert np.array_equal(bits(X[rows] @ W), bits(ref[rows] @ W))
-        assert np.array_equal(bits(X[rows].T @ D_rows), bits(ref[rows].T @ D_rows))
+        assert X[rows].transpose_product(D_rows)[0].size == 0
+        assert np.array_equal(bits(transpose_product_dense(X[rows], D_rows)), bits(ref[rows].T @ D_rows))
 
 
 def test_products_match_scipy_on_long_and_skewed_rows(rng, row_block):
@@ -87,7 +96,7 @@ def test_products_match_scipy_on_long_and_skewed_rows(rng, row_block):
     W = rng.normal(size=(f, 17)) * 10.0 ** rng.integers(-8, 8, size=(f, 17))
     D = rng.normal(size=(n, 17))
     assert np.array_equal(bits(X @ W), bits(ref @ W))
-    assert np.array_equal(bits(X.T @ D), bits(ref.T @ D))
+    assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D))
 
 
 def test_products_reject_mismatched_shapes(rng):
@@ -95,7 +104,7 @@ def test_products_reject_mismatched_shapes(rng):
     with pytest.raises(ValueError):
         X @ np.zeros((4, 2))
     with pytest.raises(ValueError):
-        X.T @ np.zeros((3, 2))
+        X.transpose_product(np.zeros((3, 2)))
 
 
 def test_row_selection_is_bounds_checked(rng):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
 from sepll.data import (
@@ -152,7 +153,7 @@ def test_adamw_descends_on_fixed_batch(rng):
     )
     X = rng.normal(size=(8, 6))
     targets = build_targets(
-        MatchMatrix.from_dense((rng.random((8, 4)) < 0.5).astype(int))
+        match_from_dense((rng.random((8, 4)) < 0.5).astype(int))
     ).rows
     state = init_optimizer(params)
     cfg = TrainConfig(weight_decay=0.0)
@@ -166,7 +167,8 @@ def test_adamw_descends_on_fixed_batch(rng):
 
 def multi_block_params():
     # encoder.0.W holds 2.5 * BLOCK elements: two full blocks and a half, so
-    # theta's third and last block spans encoder.0.W, encoder.0.b and both heads
+    # its third block is a partial one, and the rest of theta (encoder.0.b and
+    # both heads, under BLOCK elements) is one more block after it
     dim = 32
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     params = init_params(
@@ -212,6 +214,104 @@ def test_adamw_blocked_step_is_bitwise_reference(weight_decay):
     assert np.array_equal(state.v, v_ref)
 
 
+def signed_zero_grad(rng, shape):
+    """Normal values with -0.0 and the smallest negative subnormal mixed in: times
+    1 - beta1 the latter rounds to -0.0 too."""
+    g = rng.normal(size=shape)
+    pick = rng.random(shape)
+    g[pick < 0.1] = -0.0
+    g[pick > 0.9] = -np.nextafter(0.0, 1.0)
+    return g
+
+
+def keep_first_layer_rows(params, grad, rows):
+    """``grad`` with every ``encoder.0.W`` row outside ``rows`` set to +0.0."""
+    W = dict(param_items(params, grad))["encoder.0.W"]
+    keep = np.zeros(W.shape[0], dtype=bool)
+    keep[rows] = True
+    W[~keep] = 0.0
+    return grad
+
+
+def row_sets(n_rows, rng):
+    return {
+        "empty": np.empty(0, dtype=np.int64),
+        "one": np.array([n_rows // 2]),
+        "all": np.arange(n_rows),
+        "random": np.unique(rng.integers(0, n_rows, size=n_rows // 8)),
+    }
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("which", ["empty", "one", "all", "random"])
+def test_adamw_row_aware_step_is_bitwise_reference(weight_decay, which):
+    params = multi_block_params()
+    ref = multi_block_params()
+    state = init_optimizer(params)
+    m_ref = np.zeros_like(ref.theta)
+    v_ref = np.zeros_like(ref.theta)
+    cfg = TrainConfig(weight_decay=weight_decay)
+    rng = np.random.default_rng(12)
+    n_rows = params.encoder[0].W.shape[0]
+    for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+        rows = row_sets(n_rows, rng)[which]
+        grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
+        adamw_step(params, grad, state, cfg, current_lr=lr, rows=rows)
+        reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
+    assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64))
+    assert np.array_equal(state.m.view(np.int64), m_ref.view(np.int64))
+    assert np.array_equal(state.v.view(np.int64), v_ref.view(np.int64))
+
+
+def test_adamw_row_aware_step_with_rows_wider_than_a_block():
+    # a first-layer row wider than BLOCK is a block of its own
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
+    encoder = EncoderConfig(hidden=(), dim=BLOCK + 5)
+    params = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
+    ref = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
+    state = init_optimizer(params)
+    m_ref, v_ref = np.zeros_like(ref.theta), np.zeros_like(ref.theta)
+    rng = np.random.default_rng(6)
+    for t, rows in enumerate([np.array([1]), np.array([0, 2]), np.arange(3)], start=1):
+        grad = keep_first_layer_rows(params, rng.normal(size=params.theta.shape), rows)
+        adamw_step(params, grad, state, TrainConfig(), current_lr=0.01, rows=rows)
+        reference_adamw_step(ref, grad, m_ref, v_ref, t, TrainConfig(), 0.01)
+    assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64))
+
+
+def test_adamw_first_moment_is_never_negative_zero():
+    # Skipping the +0.0 moment terms outside ``rows`` is exact only because m
+    # never holds -0.0: it starts at +0.0, a rounded sum is -0.0 only if both
+    # terms are, and m * beta1 is -0.0 only if m is.
+    tiny = -np.nextafter(0.0, 1.0)
+    assert np.signbit(tiny * 0.9) and tiny * 0.9 == tiny  # rounds away from zero
+    assert tiny * 0.1 == 0.0 and np.signbit(tiny * 0.1)  # the gradient term can be -0.0
+    params = multi_block_params()
+    state = init_optimizer(params)
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        grad = signed_zero_grad(rng, params.theta.shape)
+        grad[rng.random(grad.shape) < 0.5] = tiny
+        adamw_step(params, grad, state, TrainConfig(), current_lr=0.01)
+        assert not np.any((state.m == 0.0) & np.signbit(state.m))
+
+
+def test_adamw_rows_fall_back_to_every_row_for_small_beta1():
+    # with beta1 = 0.5 the smallest negative subnormal times beta1 rounds to
+    # -0.0, so skipping "+ 0.0" would leave -0.0 where every row gives +0.0
+    params, every = multi_block_params(), multi_block_params()
+    states = init_optimizer(params), init_optimizer(every)
+    for state in states:
+        state.beta1 = 0.5
+        state.m[:] = -np.nextafter(0.0, 1.0)
+    grad = np.zeros_like(params.theta)
+    adamw_step(params, grad, states[0], TrainConfig(), current_lr=0.01, rows=np.array([0]))
+    adamw_step(every, grad, states[1], TrainConfig(), current_lr=0.01)
+    assert np.array_equal(states[0].m.view(np.int64), states[1].m.view(np.int64))
+    assert not np.signbit(states[0].m).any()
+    assert np.array_equal(params.theta.view(np.int64), every.theta.view(np.int64))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update_in_last_block():
     params = multi_block_params()
@@ -230,7 +330,7 @@ def demo_match():
     # rows: 0 matches LF0 (class 0); 1 matches LF2 (class 1); 2 matches nothing
     dense = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
-    return MatchMatrix.from_dense(dense), mapping
+    return match_from_dense(dense), mapping
 
 
 def test_inject_noise_lambda_zero_is_identity():
@@ -257,7 +357,7 @@ def test_inject_noise_never_removes_and_respects_classes(seed, lam):
     n, m, c = 12, 6, 3
     dense = (rng.random((n, m)) < 0.4).astype(np.int64)
     class_of = rng.integers(0, c, size=m)
-    match = MatchMatrix.from_dense(dense)
+    match = match_from_dense(dense)
     mapping = MappingMatrix(c=c, class_of=class_of)
     out = inject_noise(match, mapping, lam, np.random.default_rng(seed + 1)).to_dense()
     assert np.all(out >= dense)
@@ -277,7 +377,7 @@ def test_inject_noise_rate_matches_bernoulli():
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
     lam = 0.1
     out = inject_noise(
-        MatchMatrix.from_dense(dense), mapping, lam, np.random.default_rng(99)
+        match_from_dense(dense), mapping, lam, np.random.default_rng(99)
     ).to_dense()
     added = int(out[:, 1].sum())
     assert out[:, 2].sum() == 0 and out[:, 3].sum() == 0  # other class untouched
@@ -459,6 +559,27 @@ def test_run_ablation_covers_all_variants():
         assert set(row) == {"dev", "test"}
         assert 0.0 <= row["dev"] <= 1.0
         assert 0.0 <= row["test"] <= 1.0
+
+
+def test_run_ablation_featurizes_once(monkeypatch):
+    import sepll.trainer
+
+    calls = {"fit_vocabulary": 0, "featurize_split": 0}
+
+    def counted(name):
+        fn = getattr(sepll.trainer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sepll.trainer, name, counted(name))
+    splits, conv = small_splits(seed=0, n_train=80, n_dev=24, n_test=24)
+    run_ablation(splits, conv.match, conv.mapping, fast_config(max_epochs=1, patience=1), SMALL_ENC)
+    assert calls == {"fit_vocabulary": 1, "featurize_split": 3}  # train, dev and test
 
 
 def test_run_ablation_requires_test_gold():
