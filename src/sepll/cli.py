@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .config import DataConfig, RunConfig, parse_config
 from .data import (
+    SPLIT_NAMES,
     ConversionProvenance,
     MappingMatrix,
     MatchMatrix,
@@ -54,35 +55,81 @@ def cli() -> None:
     """Weak-supervision classification from labeling-function matches."""
 
 
-def _require_data(run_cfg: RunConfig) -> DataConfig:
+@dataclasses.dataclass
+class _Run:
+    """A command's config, its root seed, the splits it loaded and the files it read."""
+
+    cfg: RunConfig
+    seed: int
+    splits: SplitSet
+    inputs: dict[str, Path]  # manifest inputs: the config and the dataset files
+
+    def echo(self) -> dict:
+        """The config echo with the root seed and class names, as manifests record it."""
+        echo = self.cfg.to_echo_dict()
+        echo["train"]["seed"] = self.seed
+        echo["class_names"] = list(self.splits.class_names)
+        return echo
+
+
+def _load_run(run_cfg: RunConfig, config_path: str, seed: int | None) -> _Run:
+    """The data of ``run_cfg``, under the root seed that ``--seed`` overrides."""
     if run_cfg.data is None:
         raise ConfigError("config needs a [data] section for this command")
-    return run_cfg.data
-
-
-def _load_splits(run_cfg: RunConfig, seed: int) -> tuple[SplitSet, dict[str, Path]]:
-    data_cfg = _require_data(run_cfg)
+    root_seed = int(seed if seed is not None else run_cfg.train.seed)
+    data_cfg = run_cfg.data
+    inputs = {"config": Path(config_path)}
     if data_cfg.format == "synth":
-        return synth_dataset(data_cfg.synth, seed), {}
-    splits = load_dataset(data_cfg.path, data_cfg.format)
-    files = {f.name: f for f in dataset_files(data_cfg.path, data_cfg.format)}
-    return splits, files
+        splits = synth_dataset(data_cfg.synth, root_seed)
+    else:
+        splits = load_dataset(data_cfg.path, data_cfg.format)
+        inputs.update((f.name, f) for f in dataset_files(data_cfg.path, data_cfg.format))
+    return _Run(run_cfg, root_seed, splits, inputs)
+
+
+def _out_dir(out: str) -> Path:
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _finish(
+    out_dir: Path, seed: int, echo: dict, inputs: dict[str, Path], artifacts: dict[str, Path]
+) -> None:
+    """Write ``out_dir/manifest.json`` over the inputs read and the artifacts written."""
+    write_manifest(out_dir / "manifest.json", build_manifest(seed, echo, inputs, artifacts))
 
 
 def _build_matrices(
-    splits: SplitSet, run_cfg: RunConfig, names: tuple[str, ...] = ("train", "dev", "test")
-) -> tuple[dict[str, MatchMatrix], MappingMatrix, ConversionProvenance | None]:
+    run: _Run, names: tuple[str, ...] = SPLIT_NAMES
+) -> tuple[dict[str, MatchMatrix], MappingMatrix]:
     """Matches either from rule LFs in the config or from the dataset weak labels.
 
     Rule LFs are applied only to the splits in ``names``; weak labels are
     converted for every split, since the derived columns depend on all of them.
     """
-    if run_cfg.lf_entries:
-        lfs = parse_lf_entries(run_cfg.lf_entries, splits.class_names)
+    splits = run.splits
+    if run.cfg.lf_entries:
+        lfs = parse_lf_entries(run.cfg.lf_entries, splits.class_names)
         match = {name: apply_lfs(lfs, splits.split(name)) for name in names}
-        return match, mapping_from_lfs(lfs, splits.n_classes), None
+        return match, mapping_from_lfs(lfs, splits.n_classes)
     conv = to_one_class_lfs(splits)
-    return dict(conv.match), conv.mapping, conv.provenance
+    return dict(conv.match), conv.mapping
+
+
+def _write_label_dir(
+    out: str, match: dict[str, MatchMatrix], mapping: MappingMatrix
+) -> tuple[Path, dict[str, Path]]:
+    """``L_{split}.triplets`` per split and ``T.classof`` in ``out``; returns the
+    directory and the artifacts written."""
+    out_dir = _out_dir(out)
+    artifacts: dict[str, Path] = {}
+    for name in SPLIT_NAMES:
+        artifacts[f"L_{name}"] = out_dir / f"L_{name}.triplets"
+        write_triplets(match[name], artifacts[f"L_{name}"])
+    artifacts["T"] = out_dir / "T.classof"
+    write_mapping(mapping, artifacts["T"])
+    return out_dir, artifacts
 
 
 def _write_provenance(
@@ -94,13 +141,6 @@ def _write_provenance(
     write_csv(path, rows)
 
 
-def _echo_with_names(run_cfg: RunConfig, seed: int, splits: SplitSet) -> dict:
-    echo = run_cfg.to_echo_dict()
-    echo["train"]["seed"] = int(seed)
-    echo["class_names"] = list(splits.class_names)
-    return echo
-
-
 @cli.command()
 @click.argument("in_path", type=click.Path(exists=True, file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["wrench-json", "jsonl"]), default="wrench-json")
@@ -109,22 +149,11 @@ def convert(in_path: str, fmt: str, out: str) -> None:
     """Convert dataset weak labels into one-class match/mapping matrices."""
     splits = load_dataset(in_path, fmt)
     conv = to_one_class_lfs(splits)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-    for name in ("train", "dev", "test"):
-        f = out_dir / f"L_{name}.triplets"
-        write_triplets(conv.match[name], f)
-        artifacts[f"L_{name}"] = f
-    mapping_file = out_dir / "T.classof"
-    write_mapping(conv.mapping, mapping_file)
-    artifacts["T"] = mapping_file
-    prov_file = out_dir / "provenance.csv"
-    _write_provenance(conv.provenance, splits.class_names, prov_file)
-    artifacts["provenance"] = prov_file
+    out_dir, artifacts = _write_label_dir(out, conv.match, conv.mapping)
+    artifacts["provenance"] = out_dir / "provenance.csv"
+    _write_provenance(conv.provenance, splits.class_names, artifacts["provenance"])
     inputs = {f.name: f for f in dataset_files(in_path, fmt)}
-    manifest = build_manifest(0, {"command": "convert", "format": fmt}, inputs, artifacts)
-    write_manifest(out_dir / "manifest.json", manifest)
+    _finish(out_dir, 0, {"command": "convert", "format": fmt}, inputs, artifacts)
     click.echo(f"converted {conv.mapping.m} one-class LFs ({len(conv.provenance.dropped)} dropped)")
 
 
@@ -137,22 +166,10 @@ def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
     run_cfg = parse_config(config_path)
     if not run_cfg.lf_entries:
         raise ConfigError("config has no [lfs] section to apply")
-    root_seed = seed if seed is not None else run_cfg.train.seed
-    splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-    for name in ("train", "dev", "test"):
-        f = out_dir / f"L_{name}.triplets"
-        write_triplets(match[name], f)
-        artifacts[f"L_{name}"] = f
-    mapping_file = out_dir / "T.classof"
-    write_mapping(mapping, mapping_file)
-    artifacts["T"] = mapping_file
-    inputs = {"config": Path(config_path), **data_files}
-    manifest = build_manifest(root_seed, _echo_with_names(run_cfg, root_seed, splits), inputs, artifacts)
-    write_manifest(out_dir / "manifest.json", manifest)
+    run = _load_run(run_cfg, config_path, seed)
+    match, mapping = _build_matrices(run)
+    out_dir, artifacts = _write_label_dir(out, match, mapping)
+    _finish(out_dir, run.seed, run.echo(), run.inputs, artifacts)
     click.echo(f"applied {mapping.m} LFs to {sum(m.n for m in match.values())} samples")
 
 
@@ -162,13 +179,11 @@ def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
 @click.option("--seed", type=int, default=None, help="root seed override")
 def stats(config_path: str, out: str | None, seed: int | None) -> None:
     """Per-LF and dataset-level match statistics for every split."""
-    run_cfg = parse_config(config_path)
-    root_seed = seed if seed is not None else run_cfg.train.seed
-    splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg)
+    run = _load_run(parse_config(config_path), config_path, seed)
+    match, mapping = _build_matrices(run)
     payload = {}
-    for name in ("train", "dev", "test"):
-        samples = splits.split(name)
+    for name in SPLIT_NAMES:
+        samples = run.splits.split(name)
         if not samples:
             continue
         gold = [s.gold_label for s in samples]
@@ -177,13 +192,10 @@ def stats(config_path: str, out: str | None, seed: int | None) -> None:
     if out is None:
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     stats_file = out_dir / "stats.json"
     write_json(payload, stats_file)
-    inputs = {"config": Path(config_path), **data_files}
-    manifest = build_manifest(root_seed, _echo_with_names(run_cfg, root_seed, splits), inputs, {"stats": stats_file})
-    write_manifest(out_dir / "manifest.json", manifest)
+    _finish(out_dir, run.seed, run.echo(), run.inputs, {"stats": stats_file})
     click.echo(f"wrote {stats_file}")
 
 
@@ -222,10 +234,8 @@ def synth(
     )
     splits = synth_dataset(spec, seed)
     out_dir = Path(out)
-    files = save_dataset(splits, out_dir, fmt)
-    artifacts = {f.name: f for f in files}
-    manifest = build_manifest(seed, {"command": "synth", "spec": dataclasses.asdict(spec), "format": fmt}, {}, artifacts)
-    write_manifest(out_dir / "manifest.json", manifest)
+    artifacts = {f.name: f for f in save_dataset(splits, out_dir, fmt)}
+    _finish(out_dir, seed, {"command": "synth", "spec": dataclasses.asdict(spec), "format": fmt}, {}, artifacts)
     click.echo(f"wrote synthetic dataset to {out_dir}")
 
 
@@ -235,24 +245,19 @@ def synth(
 @click.option("--seed", type=int, default=None, help="root seed override")
 def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     """Train the two-path model and write checkpoint, history, manifest."""
-    run_cfg = parse_config(config_path)
-    root_seed = seed if seed is not None else run_cfg.train.seed
-    train_cfg = dataclasses.replace(run_cfg.train, seed=root_seed)
-    splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
+    run = _load_run(parse_config(config_path), config_path, seed)
+    train_cfg = dataclasses.replace(run.cfg.train, seed=run.seed)
+    match, mapping = _build_matrices(run, ("train",))
     params, history, vocab = train(
-        splits, match["train"], mapping, train_cfg, run_cfg.encoder, run_cfg.model
+        run.splits, match["train"], mapping, train_cfg, run.cfg.encoder, run.cfg.model
     )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    echo = _echo_with_names(run_cfg, root_seed, splits)
+    out_dir = _out_dir(out)
+    echo = run.echo()
     ckpt_file = out_dir / "checkpoint.sepll"
     save_checkpoint(ckpt_file, params, vocab, echo)
     history_file = out_dir / "history.csv"
     history.to_csv(history_file)
-    inputs = {"config": Path(config_path), **data_files}
-    manifest = build_manifest(root_seed, echo, inputs, {"checkpoint": ckpt_file, "history": history_file})
-    write_manifest(out_dir / "manifest.json", manifest)
+    _finish(out_dir, run.seed, echo, run.inputs, {"checkpoint": ckpt_file, "history": history_file})
     click.echo(
         f"best dev {train_cfg.metric} {history.best_dev_metric:.4f} at epoch {history.best_epoch}; "
         f"wrote {ckpt_file}"
@@ -260,37 +265,36 @@ def train_cmd(config_path: str, out: str, seed: int | None) -> None:
 
 
 def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None, names: tuple[str, ...]):
-    """Checkpoint, data and the matches of the splits in ``names``, after checking
-    that the checkpoint's LF-to-class map is the one the data yields."""
+    """The run (its inputs now include the checkpoint), the checkpoint's parameters,
+    vocabulary and config echo, and the matches of the splits in ``names``, after
+    checking that the checkpoint's LF-to-class map is the one the data yields."""
     run_cfg = parse_config(config_path)
     params, vocab, echo = load_checkpoint(checkpoint)
-    root_seed = seed if seed is not None else run_cfg.train.seed
-    splits, data_files = _load_splits(run_cfg, root_seed)
-    match, mapping, _ = _build_matrices(splits, run_cfg, names)
-    if mapping.m != params.mapping.m:
-        raise DataError(
-            f"LF dimension mismatch: checkpoint has m={params.mapping.m}, data yields m={mapping.m}"
-        )
-    if mapping.c != params.mapping.c:
-        raise DataError(
-            f"class count mismatch: checkpoint has c={params.mapping.c}, data yields c={mapping.c}"
-        )
+    run = _load_run(run_cfg, config_path, seed)
+    run.inputs["checkpoint"] = Path(checkpoint)
+    match, mapping = _build_matrices(run, names)
+    for what, key in (("LF dimension", "m"), ("class count", "c")):
+        have, got = getattr(params.mapping, key), getattr(mapping, key)
+        if have != got:
+            raise DataError(f"{what} mismatch: checkpoint has {key}={have}, data yields {key}={got}")
     if not np.array_equal(mapping.class_of, params.mapping.class_of):
         j = int(np.argmax(mapping.class_of != params.mapping.class_of))
         raise DataError(
             f"LF class mismatch: checkpoint maps LF {j} to class {params.mapping.class_of[j]}, "
             f"data yields class {mapping.class_of[j]}"
         )
-    return run_cfg, params, vocab, echo, splits, match, data_files, root_seed
+    return run, params, vocab, echo, match
 
 
-def _split_features_gold(splits: SplitSet, vocab, split: str):
+def _split_features_gold(splits: SplitSet, vocab, split: str, need_gold: bool = False):
+    """Features and gold labels of ``split``; with ``need_gold`` every sample must have one."""
     samples = splits.split(split)
     if not samples:
         raise DataError(f"split {split!r} is empty")
-    X = featurize_split([s.text for s in samples], vocab)
     gold = [s.gold_label for s in samples]
-    return samples, X, gold
+    if need_gold and any(g is None for g in gold):
+        raise DataError(f"split {split!r} lacks gold labels")
+    return featurize_split([s.text for s in samples], vocab), gold
 
 
 @cli.command("eval")
@@ -304,34 +308,27 @@ def eval_cmd(
     checkpoint: str, config_path: str, split: str, metric: str | None, out: str | None, seed: int | None
 ) -> None:
     """Score task predictions from the class head against gold labels."""
-    run_cfg, params, vocab, echo, splits, _, data_files, root_seed = _load_eval_inputs(
-        checkpoint, config_path, seed, ()
-    )
-    _, X, gold = _split_features_gold(splits, vocab, split)
-    if any(g is None for g in gold):
-        raise DataError(f"split {split!r} lacks gold labels")
-    metric = metric or run_cfg.train.metric
+    run, params, vocab, echo, _ = _load_eval_inputs(checkpoint, config_path, seed, ())
+    X, gold = _split_features_gold(run.splits, vocab, split, need_gold=True)
+    metric = metric or run.cfg.train.metric
     preds = predict_batch(params, X)
     report = task_metrics(
         preds,
         gold,
         metric=metric,
         n_classes=params.mapping.c,
-        positive_class=run_cfg.train.positive_class,
+        positive_class=run.cfg.train.positive_class,
         split=split,
     )
     if out is None:
         click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     json_file = out_dir / "report.json"
     write_json(report.to_json_dict(), json_file)
     csv_file = out_dir / "report.csv"
     report_to_csv(report.cells(), csv_file)
-    inputs = {"config": Path(config_path), "checkpoint": Path(checkpoint), **data_files}
-    manifest = build_manifest(root_seed, echo, inputs, {"report_json": json_file, "report_csv": csv_file})
-    write_manifest(out_dir / "manifest.json", manifest)
+    _finish(out_dir, run.seed, echo, run.inputs, {"report_json": json_file, "report_csv": csv_file})
     click.echo(f"{split} {metric} {report.value:.4f}; wrote {json_file}")
 
 
@@ -355,102 +352,77 @@ def analyze(
     seed: int | None,
 ) -> None:
     """Memorization report, match-count breakdown, or train-test gap."""
-    run_cfg, params, vocab, echo, splits, match, data_files, root_seed = _load_eval_inputs(
+    run, params, vocab, echo, match = _load_eval_inputs(
         checkpoint, config_path, seed, ("train", "test") if which == "gap" else (split,)
     )
     k = int(threshold_k)
-    out_dir = None
-    artifacts: dict[str, Path] = {}
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    if which == "memorization":
-        _, X, _ = _split_features_gold(splits, vocab, split)
-        report = memorization_report(params, X, match[split], k=k)
-        payload = report.to_json_dict()
-        if out_dir is None:
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            f = out_dir / "memorization.json"
-            write_json(payload, f)
-            artifacts["memorization"] = f
-            if plot:
-                paths = list(report.paths)
-                scores = out_dir / "memorization_scores.svg"
-                write_bar_chart_svg(
-                    scores,
-                    f"LF prediction quality ({split}, k={k})",
-                    paths,
-                    {
-                        "accuracy": [report.paths[p].accuracy for p in paths],
-                        "macro_f1": [report.paths[p].macro_f1 for p in paths],
-                    },
-                )
-                artifacts["memorization_scores_svg"] = scores
-                ce = out_dir / "memorization_ce.svg"
-                write_bar_chart_svg(
-                    ce,
-                    f"Cross-entropy vs match distribution ({split})",
-                    paths + ["uniform"],
-                    {"cross_entropy": [report.paths[p].cross_entropy for p in paths] + [report.uniform_ce]},
-                )
-                artifacts["memorization_ce_svg"] = ce
-            click.echo(f"wrote {f}")
-    elif which == "matches":
-        _, X, gold = _split_features_gold(splits, vocab, split)
-        if any(g is None for g in gold):
-            raise DataError(f"split {split!r} lacks gold labels")
-        metric = run_cfg.train.metric
-        preds = predict_batch(params, X)
+    if which == "matches":
+        X, gold = _split_features_gold(run.splits, vocab, split, need_gold=True)
+        metric = run.cfg.train.metric
         table = match_count_breakdown(
-            preds,
+            predict_batch(params, X),
             gold,
             match[split],
             metric=metric,
             n_classes=params.mapping.c,
-            positive_class=run_cfg.train.positive_class,
+            positive_class=run.cfg.train.positive_class,
         )
-        if out_dir is None:
-            payload = {str(c): {"value": g.value, "support": g.support} for c, g in table.items()}
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            f = out_dir / "matches.csv"
-            breakdown_to_csv(table, metric, f)
-            artifacts["matches"] = f
-            if plot:
-                svg = out_dir / "matches.svg"
-                counts = sorted(table)
-                write_bar_chart_svg(
-                    svg,
-                    f"{metric} by match count ({split})",
-                    [str(c) for c in counts],
-                    {metric: [table[c].value for c in counts]},
-                )
-                artifacts["matches_svg"] = svg
-            click.echo(f"wrote {f}")
+        payload = {str(c): {"value": g.value, "support": g.support} for c, g in table.items()}
+    elif which == "memorization":
+        X, _ = _split_features_gold(run.splits, vocab, split)
+        report = memorization_report(params, X, match[split], k=k)
+        payload = report.to_json_dict()
     else:  # gap
         gap_reports = {}
         for part in ("train", "test"):
-            _, X, _ = _split_features_gold(splits, vocab, part)
+            X, _ = _split_features_gold(run.splits, vocab, part)
             gap_reports[part] = memorization_report(params, X, match[part], k=k)
         payload = {
             "cells": train_test_gap(gap_reports["train"], gap_reports["test"]),
             "train": gap_reports["train"].to_json_dict(),
             "test": gap_reports["test"].to_json_dict(),
         }
-        if out_dir is None:
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            f = out_dir / "gap.json"
-            write_json(payload, f)
-            artifacts["gap"] = f
-            click.echo(f"wrote {f}")
+    if out is None:
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        return
 
-    if out_dir is not None:
-        inputs = {"config": Path(config_path), "checkpoint": Path(checkpoint), **data_files}
-        manifest = build_manifest(root_seed, echo, inputs, artifacts)
-        write_manifest(out_dir / "manifest.json", manifest)
+    out_dir = _out_dir(out)
+    if which == "matches":
+        artifacts = {"matches": out_dir / "matches.csv"}
+        breakdown_to_csv(table, metric, artifacts["matches"])
+        if plot:
+            artifacts["matches_svg"] = out_dir / "matches.svg"
+            counts = sorted(table)
+            write_bar_chart_svg(
+                artifacts["matches_svg"],
+                f"{metric} by match count ({split})",
+                [str(c) for c in counts],
+                {metric: [table[c].value for c in counts]},
+            )
+    else:
+        artifacts = {which: out_dir / f"{which}.json"}
+        write_json(payload, artifacts[which])
+    if plot and which == "memorization":
+        paths = list(report.paths)
+        artifacts["memorization_scores_svg"] = out_dir / "memorization_scores.svg"
+        write_bar_chart_svg(
+            artifacts["memorization_scores_svg"],
+            f"LF prediction quality ({split}, k={k})",
+            paths,
+            {
+                "accuracy": [report.paths[p].accuracy for p in paths],
+                "macro_f1": [report.paths[p].macro_f1 for p in paths],
+            },
+        )
+        artifacts["memorization_ce_svg"] = out_dir / "memorization_ce.svg"
+        write_bar_chart_svg(
+            artifacts["memorization_ce_svg"],
+            f"Cross-entropy vs match distribution ({split})",
+            paths + ["uniform"],
+            {"cross_entropy": [report.paths[p].cross_entropy for p in paths] + [report.uniform_ce]},
+        )
+    _finish(out_dir, run.seed, echo, run.inputs, artifacts)
+    click.echo(f"wrote {artifacts[which]}")
 
 
 @cli.command()
@@ -458,38 +430,33 @@ def analyze(
 @click.option("--datasets", default=None, help="comma-separated dataset directories")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=int, default=None, help="root seed override")
-def ablate(config_path: str, datasets: str | None, out: str | None, seed: int | None) -> None:
+def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -> None:
     """Train all six routing variants; test metric per dataset plus average."""
     run_cfg = parse_config(config_path)
-    root_seed = seed if seed is not None else run_cfg.train.seed
-    base_cfg = dataclasses.replace(run_cfg.train, seed=root_seed)
-
-    jobs: list[tuple[str, SplitSet, dict[str, MatchMatrix], MappingMatrix]] = []
-    data_files: dict[str, Path] = {}
-    if datasets is not None:
+    if datasets is None:
+        label = Path(run_cfg.data.path).name if run_cfg.data and run_cfg.data.path else "synth"
+        data_cfgs = [(label, run_cfg.data)]
+    else:
         names = [part.strip() for part in datasets.split(",") if part.strip()]
         if not names:
             raise ConfigError("--datasets got an empty dataset list")
         fmt = run_cfg.data.format if run_cfg.data and run_cfg.data.format != "synth" else "wrench-json"
-        for name in names:
-            splits = load_dataset(name, fmt)
-            match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
-            jobs.append((Path(name).name, splits, match, mapping))
-            for f in dataset_files(name, fmt):
-                data_files[f"{Path(name).name}/{f.name}"] = f
-    else:
-        splits, files = _load_splits(run_cfg, root_seed)
-        match, mapping, _ = _build_matrices(splits, run_cfg, ("train",))
-        label = Path(run_cfg.data.path).name if run_cfg.data and run_cfg.data.path else "synth"
-        jobs.append((label, splits, match, mapping))
-        data_files.update(files)
+        data_cfgs = [(Path(name).name, DataConfig(format=fmt, path=name)) for name in names]
 
+    inputs = {"config": Path(config_path)}
+    jobs: list[tuple[str, SplitSet, dict[str, MatchMatrix], MappingMatrix]] = []
+    for label, data_cfg in data_cfgs:
+        run = _load_run(dataclasses.replace(run_cfg, data=data_cfg), config_path, seed)
+        jobs.append((label, run.splits, *_build_matrices(run, ("train",))))
+        prefix = "" if datasets is None else f"{label}/"
+        inputs.update((prefix + name, f) for name, f in run.inputs.items() if name != "config")
+
+    base_cfg = dataclasses.replace(run_cfg.train, seed=run.seed)  # every run has the one root seed
     results: dict[str, dict[str, dict[str, float]]] = {}
     for label, splits, match, mapping in jobs:
         results[label] = run_ablation(splits, match, mapping, base_cfg, run_cfg.encoder, run_cfg.model)
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     labels = [label for label, *_ in jobs]
     csv_file = out_dir / "ablation.csv"
     rows = [["variant", *labels, "avg"]]
@@ -499,11 +466,9 @@ def ablate(config_path: str, datasets: str | None, out: str | None, seed: int | 
     write_csv(csv_file, rows)
     json_file = out_dir / "ablation.json"
     write_json(results, json_file)
-    inputs = {"config": Path(config_path), **data_files}
-    echo = run_cfg.to_echo_dict()
-    echo["train"]["seed"] = root_seed
-    manifest = build_manifest(root_seed, echo, inputs, {"csv": csv_file, "json": json_file})
-    write_manifest(out_dir / "manifest.json", manifest)
+    echo = run_cfg.to_echo_dict()  # no class names: the datasets may differ in them
+    echo["train"]["seed"] = run.seed
+    _finish(out_dir, run.seed, echo, inputs, {"csv": csv_file, "json": json_file})
     click.echo(f"wrote {csv_file}")
 
 

@@ -436,17 +436,21 @@ _SPLIT_FILES = {
 }
 
 
+def _split_paths(root: Path, fmt: str) -> dict[str, Path | None]:
+    """The file each split of a ``fmt`` dataset under ``root`` loads from:
+    the first of its candidate names that exists, None when none does."""
+    if fmt not in _SPLIT_FILES:
+        raise DataError(f"unknown dataset format {fmt!r}")
+    return {
+        split: next((root / name for name in candidates if (root / name).exists()), None)
+        for split, candidates in _SPLIT_FILES[fmt].items()
+    }
+
+
 def dataset_files(path: str | Path, fmt: str) -> list[Path]:
     """The files a load would read; used for manifest digests."""
     root = Path(path)
-    if fmt not in _SPLIT_FILES:
-        raise DataError(f"unknown dataset format {fmt!r}")
-    found = []
-    for candidates in _SPLIT_FILES[fmt].values():
-        for name in candidates:
-            if (root / name).exists():
-                found.append(root / name)
-                break
+    found = [f for f in _split_paths(root, fmt).values() if f is not None]
     if (root / "label.json").exists():
         found.append(root / "label.json")
     return found
@@ -457,23 +461,14 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"{root}: not a dataset directory")
-    if fmt not in _SPLIT_FILES:
-        raise DataError(f"unknown dataset format {fmt!r}")
+    files = _split_paths(root, fmt)
+    if all(f is None for f in files.values()):
+        raise DataError(f"{root}: no split files found for format {fmt!r}")
     loader = _load_wrench_split if fmt == "wrench-json" else _load_jsonl_split
     parts: dict[str, tuple[Sample, ...]] = {}
     weak: dict[str, np.ndarray] = {}
-    any_found = False
-    for split, candidates in _SPLIT_FILES[fmt].items():
-        for name in candidates:
-            f = root / name
-            if f.exists():
-                parts[split], weak[split] = loader(f)
-                any_found = True
-                break
-        else:
-            parts[split], weak[split] = (), np.empty((0, 0), dtype=np.int64)
-    if not any_found:
-        raise DataError(f"{root}: no split files found for format {fmt!r}")
+    for split, f in files.items():
+        parts[split], weak[split] = loader(f) if f else ((), np.empty((0, 0), dtype=np.int64))
     widths = {weak[s].shape[1] for s in SPLIT_NAMES if len(parts[s])}
     width = widths.pop() if len(widths) == 1 else None
     if width is None:
@@ -522,17 +517,18 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
 
 def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -> list[Path]:
     """Write a dataset directory; returns the files written."""
+    if fmt not in _SPLIT_FILES:
+        raise DataError(f"unknown dataset format {fmt!r}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    written = []
     label_file = root / "label.json"
     names = {str(i): name for i, name in enumerate(splits.class_names)}
     write_text(label_file, json.dumps(names, sort_keys=True) + "\n")
-    written.append(label_file)
-    file_names = {"train": "train", "dev": "valid", "test": "test"}
+    written = [label_file]
     for split in SPLIT_NAMES:
         samples = splits.split(split)
         weak = splits.raw_weak_labels[split]
+        f = root / _SPLIT_FILES[fmt][split][0]
         if fmt == "wrench-json":
             obj = {
                 str(s.id): {
@@ -542,9 +538,8 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
                 }
                 for i, s in enumerate(samples)
             }
-            f = root / f"{file_names[split]}.json"
             write_text(f, json.dumps(obj, sort_keys=True) + "\n")
-        elif fmt == "jsonl":
+        else:
             lines = [
                 json.dumps(
                     {
@@ -556,10 +551,7 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
                 )
                 for i, s in enumerate(samples)
             ]
-            f = root / f"{file_names[split]}.jsonl"
             write_text(f, "\n".join(lines) + ("\n" if lines else ""))
-        else:
-            raise DataError(f"unknown dataset format {fmt!r}")
         written.append(f)
     return written
 

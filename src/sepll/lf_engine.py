@@ -130,9 +130,13 @@ def majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int) -> np.n
     votes = match.class_votes(mapping)
     preds = votes.argmax(axis=1)
     tied = votes == votes.max(axis=1, keepdims=True)
-    rng = stream(seed, "mv-ties")
-    for i in np.flatnonzero(tied.sum(axis=1) > 1):
-        preds[i] = rng.choice(np.flatnonzero(tied[i]))
+    ks = tied.sum(axis=1)
+    ambiguous = np.flatnonzero(ks > 1)
+    # one integers() call over the tie counts draws what per-row
+    # rng.choice(tied classes) calls would, and leaves the same stream state
+    picks = stream(seed, "mv-ties").integers(0, ks[ambiguous])
+    # the picks-th tied class of each ambiguous row
+    preds[ambiguous] = (tied[ambiguous].cumsum(axis=1) > picks[:, None]).argmax(axis=1)
     return preds
 
 

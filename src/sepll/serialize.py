@@ -65,6 +65,16 @@ def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _is_array_spec(spec) -> bool:
+    return (
+        isinstance(spec, dict)
+        and isinstance(spec.get("name"), str)
+        and isinstance(spec.get("shape"), list)
+        # type(...) is int: json gives true/false as bool, which isinstance(..., int) accepts
+        and all(type(s) is int and s >= 0 for s in spec["shape"])
+    )
+
+
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
@@ -72,12 +82,23 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         end = raw.index(b"\n", len(MAGIC))
         header = json.loads(raw[len(MAGIC):end].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt container header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: container header is not a JSON object")
+    specs = header.get("arrays", [])
+    if not isinstance(specs, list):
+        raise DataError(f"{path}: container header field 'arrays' is not a list")
     arrays: dict[str, np.ndarray] = {}
     offset = end + 1
-    for spec in header.get("arrays", []):
-        shape = tuple(int(s) for s in spec["shape"])
+    for k, spec in enumerate(specs):
+        if not _is_array_spec(spec):
+            raise DataError(
+                f'{path}: container array entry {k} is not {{"name": str, "shape": [non-negative ints]}}'
+            )
+        if spec["name"] in arrays:
+            raise DataError(f"{path}: container array {spec['name']!r} is listed twice")
+        shape = tuple(spec["shape"])
         count = math.prod(shape) if shape else 1
         needed = offset + 8 * count
         if needed > len(raw):

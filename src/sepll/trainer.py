@@ -85,6 +85,8 @@ def lr_schedule(step: int, warmup_steps: int, base_lr: float) -> float:
 # where whole-layer temporaries (8 MB for a 4000x256 first layer) stream
 # through main memory once per operation.
 BLOCK = 32768
+# AdamW's moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -96,9 +98,6 @@ class OptimizerState:
     w: np.ndarray = field(repr=False, compare=False)
     finite: np.ndarray = field(repr=False, compare=False)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(params: SepLLParams) -> OptimizerState:
@@ -130,27 +129,26 @@ def adamw_step(
     most ``BLOCK`` elements (whole rows of ``encoder.0.W``, then the rest of
     theta), with ``out=`` and in-place ufuncs into the state's scratch buffers.
     Results are bitwise equal to the whole-array formula
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * theta``:
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta``:
     every element sees its operations in the same order, except that the
-    moment terms ``g * (1 - b1)`` and ``g * g * (1 - b2)`` are added on
+    moment terms ``g * (1 - BETA1)`` and ``g * g * (1 - BETA2)`` are added on
     ``rows`` only. Elsewhere they are +0.0, and adding +0.0 changes nothing but
     a -0.0. Neither moment is ever -0.0: both start at +0.0, a rounded sum is
-    -0.0 only if both terms are, ``v * b2 >= +0.0``, and for b1 > 0.5
-    ``m * b1`` is -0.0 only if m is (even the smallest subnormal times b1
-    rounds away from zero). Other betas use every row.
+    -0.0 only if both terms are, ``v * BETA2 >= +0.0``, and ``m * BETA1`` is
+    -0.0 only if m is: BETA1 = 0.9 > 0.5, so even the smallest subnormal times
+    BETA1 rounds away from zero.
 
     A non-finite update raises ``NumericalError`` naming the parameter; blocks
     before the offending one have already been applied by then.
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     decay = current_lr * config.weight_decay
     n_rows, width = params.dims[0][:2]
     first = n_rows * width  # encoder.0.W, row-major, is theta[:first]
-    if rows is None or b1 <= 0.5 or b2 < 0.0:
+    if rows is None:
         rows = np.arange(n_rows)
     bounds = [
         *range(0, first, max(1, BLOCK // width) * width),
@@ -174,18 +172,18 @@ def adamw_step(
         # views of the block when that is every row, gathered copies otherwise
         g = grad[lo:hi].reshape(shape)[sel]
         gu = u[: g.size].reshape(g.shape)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=gu)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=gu)
         m.reshape(shape)[sel] += gu
-        v *= b2
+        v *= BETA2
         np.multiply(g, g, out=gu)
-        gu *= 1.0 - b2
+        gu *= 1.0 - BETA2
         v.reshape(shape)[sel] += gu
         np.divide(m, bc1, out=u)
         u *= current_lr
         np.divide(v, bc2, out=w)
         np.sqrt(w, out=w)
-        w += state.eps
+        w += EPS
         u /= w
         if config.weight_decay:
             np.multiply(th, decay, out=w)
@@ -324,7 +322,6 @@ def _fit(
                 raise DataError("no training rows: every sample is unmatched and use_unlabeled is off")
             rng_shuffle.shuffle(order)
             losses = []
-            lr = lr_schedule(max(global_step, 1), config.warmup_steps, config.learning_rate)
             for start in range(0, order.size, config.batch_size):
                 batch = order[start : start + config.batch_size]
                 global_step += 1

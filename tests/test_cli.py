@@ -275,6 +275,73 @@ def test_eval_checkpoint_shapes_that_do_not_chain_exit_2(trained, capsys):
 
 
 
+def rewrite_header(ckpt: Path, edit) -> None:
+    """Replace the JSON header line of a container with ``edit(header)``
+    (serialized unless it is already bytes), keeping the payload."""
+    raw = ckpt.read_bytes()
+    start = raw.index(b"\n") + 1
+    end = raw.index(b"\n", start)
+    blob = edit(json.loads(raw[start:end]))
+    if not isinstance(blob, bytes):
+        blob = json.dumps(blob).encode("utf-8")
+    ckpt.write_bytes(raw[:start] + blob + raw[end:])
+
+
+def _edit_first_array(**changes):
+    def edit(header):
+        header["arrays"][0].update(changes)
+        return header
+
+    return edit
+
+
+def _drop_first_shape(header):
+    del header["arrays"][0]["shape"]
+    return header
+
+
+def _first_array_as_list(header):
+    spec = header["arrays"][0]
+    header["arrays"][0] = [spec["name"], spec["shape"]]
+    return header
+
+
+def _repeat_first_name(header):
+    header["arrays"][1]["name"] = header["arrays"][0]["name"]
+    return header
+
+
+NOT_A_SPEC = "container array entry 0 is not"
+MALFORMED_HEADERS = {  # case -> (header edit, message)
+    "shape is a string": (_edit_first_array(shape="ab"), NOT_A_SPEC),
+    "shape has a negative entry": (_edit_first_array(shape=[-1, 3]), NOT_A_SPEC),
+    "shape has a boolean entry": (_edit_first_array(shape=[True, 3]), NOT_A_SPEC),
+    "shape has a float entry": (_edit_first_array(shape=[2.5, 3]), NOT_A_SPEC),
+    "name is not a string": (_edit_first_array(name=5), NOT_A_SPEC),
+    "spec without shape": (_drop_first_shape, NOT_A_SPEC),
+    "spec is a list": (_first_array_as_list, NOT_A_SPEC),
+    "name repeats": (_repeat_first_name, "is listed twice"),
+    "arrays is a number": (lambda header: {**header, "arrays": 5}, "field 'arrays' is not a list"),
+    "header is a list": (lambda header: [header], "container header is not a JSON object"),
+    "header nested too deeply": (
+        lambda header: b"[" * 100000 + b"]" * 100000,
+        "corrupt container header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_eval_malformed_container_header_exits_2_naming_file(trained, capsys, case):
+    cfg, run_dir = trained
+    ckpt = run_dir / "checkpoint.sepll"
+    edit, message = MALFORMED_HEADERS[case]
+    rewrite_header(ckpt, edit)
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: " in err and message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -486,6 +553,38 @@ def test_stats_out_dir(tmp_path):
     assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
     blob = json.loads((out / "stats.json").read_text())
     assert len(blob["train"]["per_lf"]) == 3
+
+
+def test_every_out_command_manifest_lists_exactly_its_files(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "0", "--n-train", "60",
+                 "--n-dev", "20", "--n-test", "20"]) == 0  # fmt: skip
+    text = f"[data]\npath = {data}\n\n" + LF_CONFIG[LF_CONFIG.index("[encoder]"):]
+    cfg = write_config(tmp_path, text)
+    quick = write_config(tmp_path, text.replace("max_epochs = 3", "max_epochs = 1"), name="quick.cfg")
+    ckpt = ["--checkpoint", str(tmp_path / "train" / "checkpoint.sepll"), "--config", cfg]
+    commands = {
+        "synth": None,
+        "convert": ["convert", str(data)],
+        "apply-lfs": ["apply-lfs", "--config", cfg],
+        "stats": ["stats", "--config", cfg],
+        "train": ["train", "--config", cfg],
+        "eval": ["eval", *ckpt],
+        **{
+            f"analyze-{which}": ["analyze", *ckpt, "--which", which, "--plot"]
+            for which in ("memorization", "matches", "gap")
+        },
+        "ablate": ["ablate", "--config", quick],
+    }
+    for name, argv in commands.items():
+        out = data if argv is None else tmp_path / name
+        if argv is not None:
+            assert main([*argv, "--out", str(out)]) == 0, name
+        manifest = out / "manifest.json"
+        assert verify_manifest(manifest) == [], name
+        listed = [Path(entry["path"]).resolve() for entry in load_manifest(manifest)["artifacts"].values()]
+        written = [f.resolve() for f in out.iterdir() if f.name != "manifest.json"]
+        assert sorted(listed) == sorted(written), name
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ consumed exactly as before.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def _check_dims(match: MatchMatrix, mapping: MappingMatrix) -> None:
         raise DataError(f"LF dimension mismatch: matches have m={match.m}, mapping m={mapping.m}")
 
 
-def dense_majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int) -> np.ndarray:
+def dense_majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int):
+    """Predictions and the final tie-stream state of the per-row tie loop."""
     _check_dims(match, mapping)
     votes = match.to_dense() @ mapping.to_dense()
     rng = stream(seed, "mv-ties")
@@ -37,7 +39,21 @@ def dense_majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int) -
         row = votes[i]
         tied = np.flatnonzero(row == row.max())
         preds[i] = tied[0] if tied.size == 1 else rng.choice(tied)
-    return preds
+    return preds, rng.bit_generator.state
+
+
+def majority_vote_and_state(match: MatchMatrix, mapping: MappingMatrix, seed: int):
+    """``majority_vote``'s predictions and the state its tie stream ends in."""
+    made = []
+
+    def recording_stream(*args):
+        made.append(stream(*args))
+        return made[-1]
+
+    with mock.patch("sepll.lf_engine.stream", recording_stream):
+        preds = majority_vote(match, mapping, seed)
+    (rng,) = made
+    return preds, rng.bit_generator.state
 
 
 def dense_compute_stats(match: MatchMatrix, mapping: MappingMatrix, gold=None) -> LfStats:
@@ -110,9 +126,10 @@ def assert_same_arrays(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def assert_label_path_matches_reference(match, mapping, gold, seed, lam, include_unlabeled):
-    assert_same_arrays(
-        majority_vote(match, mapping, seed), dense_majority_vote(match, mapping, seed)
-    )
+    preds, state = majority_vote_and_state(match, mapping, seed)
+    ref_preds, ref_state = dense_majority_vote(match, mapping, seed)
+    assert_same_arrays(preds, ref_preds)
+    assert state == ref_state
     for labels in (None, gold):
         got = json.dumps(compute_stats(match, mapping, labels).to_json_dict())
         want = json.dumps(dense_compute_stats(match, mapping, labels).to_json_dict())
@@ -192,6 +209,21 @@ def test_label_path_corner_cases_equal_dense_reference(name, seed):
     for lam in (0.0, 0.3, 1.0):
         for include_unlabeled in (True, False):
             assert_label_path_matches_reference(match, mapping, gold, seed, lam, include_unlabeled)
+
+
+@pytest.mark.parametrize("c", [2, 3, 8])
+def test_majority_vote_equals_tie_loop_on_many_rows(c):
+    # 850-1200 ambiguous rows per seed, with every tie count from 2 to c
+    rng = np.random.default_rng(c)
+    class_of = np.arange(2 * c) % c
+    for seed in range(4):
+        dense = (rng.random((2000, 2 * c)) < 0.3).astype(np.int64)
+        match = match_from_dense(dense)
+        mapping = MappingMatrix(c=c, class_of=class_of)
+        preds, state = majority_vote_and_state(match, mapping, seed)
+        ref_preds, ref_state = dense_majority_vote(match, mapping, seed)
+        assert_same_arrays(preds, ref_preds)
+        assert state == ref_state
 
 
 def test_all_tied_rows_consume_one_draw_each_in_row_order():

@@ -296,22 +296,6 @@ def test_adamw_first_moment_is_never_negative_zero():
         assert not np.any((state.m == 0.0) & np.signbit(state.m))
 
 
-def test_adamw_rows_fall_back_to_every_row_for_small_beta1():
-    # with beta1 = 0.5 the smallest negative subnormal times beta1 rounds to
-    # -0.0, so skipping "+ 0.0" would leave -0.0 where every row gives +0.0
-    params, every = multi_block_params(), multi_block_params()
-    states = init_optimizer(params), init_optimizer(every)
-    for state in states:
-        state.beta1 = 0.5
-        state.m[:] = -np.nextafter(0.0, 1.0)
-    grad = np.zeros_like(params.theta)
-    adamw_step(params, grad, states[0], TrainConfig(), current_lr=0.01, rows=np.array([0]))
-    adamw_step(every, grad, states[1], TrainConfig(), current_lr=0.01)
-    assert np.array_equal(states[0].m.view(np.int64), states[1].m.view(np.int64))
-    assert not np.signbit(states[0].m).any()
-    assert np.array_equal(params.theta.view(np.int64), every.theta.view(np.int64))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update_in_last_block():
     params = multi_block_params()
