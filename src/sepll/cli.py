@@ -442,6 +442,14 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
             raise ConfigError("--datasets got an empty dataset list")
         fmt = run_cfg.data.format if run_cfg.data and run_cfg.data.format != "synth" else "wrench-json"
         data_cfgs = [(Path(name).name, DataConfig(format=fmt, path=name)) for name in names]
+        seen: dict[str, str] = {}
+        for label, data_cfg in data_cfgs:
+            if label in seen:
+                raise ConfigError(
+                    f"--datasets {seen[label]} and {data_cfg.path} share the name {label!r}, "
+                    "which labels their results"
+                )
+            seen[label] = data_cfg.path
 
     inputs = {"config": Path(config_path)}
     jobs: list[tuple[str, SplitSet, dict[str, MatchMatrix], MappingMatrix]] = []

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import native
 from .data import MappingMatrix, MatchMatrix, SplitSet, build_targets
 from .encoder import EncoderConfig, Vocabulary, featurize_split, fit_vocabulary
 from .errors import ConfigError, DataError, NumericalError
@@ -123,29 +124,51 @@ def adamw_step(
 
     ``grad`` has theta's layout. ``rows`` lists, ascending and distinct, the
     rows of the first-layer weight ``encoder.0.W`` where ``grad`` may be
-    nonzero; its other rows must be +0.0 and are not read. None means every row.
+    nonzero; its other rows must be +0.0. None means every row.
 
-    The step walks theta, ``grad`` and the moments together in blocks of at
-    most ``BLOCK`` elements (whole rows of ``encoder.0.W``, then the rest of
-    theta), with ``out=`` and in-place ufuncs into the state's scratch buffers.
     Results are bitwise equal to the whole-array formula
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta``:
-    every element sees its operations in the same order, except that the
-    moment terms ``g * (1 - BETA1)`` and ``g * g * (1 - BETA2)`` are added on
-    ``rows`` only. Elsewhere they are +0.0, and adding +0.0 changes nothing but
-    a -0.0. Neither moment is ever -0.0: both start at +0.0, a rounded sum is
-    -0.0 only if both terms are, ``v * BETA2 >= +0.0``, and ``m * BETA1`` is
-    -0.0 only if m is: BETA1 = 0.9 > 0.5, so even the smallest subnormal times
-    BETA1 rounds away from zero.
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta`` on
+    both paths below: every element sees its operations in the same order,
+    with every constant computed here once.
 
-    A non-finite update raises ``NumericalError`` naming the parameter; blocks
-    before the offending one have already been applied by then.
+    - The compiled kernel (:mod:`sepll.native`), where it could be built, reads
+      every gradient element and ignores ``rows``.
+    - Otherwise numpy walks theta, ``grad`` and the moments together in blocks
+      of at most ``BLOCK`` elements (whole rows of ``encoder.0.W``, then the
+      rest of theta), with ``out=`` and in-place ufuncs into the state's
+      scratch buffers. It adds the moment terms ``g * (1 - BETA1)`` and
+      ``g * g * (1 - BETA2)`` on ``rows`` only, and does not read the others.
+
+    Both are exact because outside ``rows`` those terms are +0.0, and adding
+    +0.0 changes nothing but a -0.0. Neither moment is ever -0.0: both start
+    at +0.0, a rounded sum is -0.0 only if both terms are, ``v * BETA2 >=
+    +0.0``, and ``m * BETA1`` is -0.0 only if m is: BETA1 = 0.9 > 0.5, so even
+    the smallest subnormal times BETA1 rounds away from zero.
+
+    A non-finite update raises ``NumericalError`` naming the parameter. By
+    then the moments of its chunk and the chunks before it have been updated,
+    and theta has been updated on the earlier chunks: ``native.CHUNK``
+    elements each on the kernel path, blocks of up to ``BLOCK`` on the numpy
+    path.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     decay = current_lr * config.weight_decay
+    kernel = native.adamw()
+    if kernel is not None:
+        shapes = {a.shape for a in (params.theta, grad, state.m, state.v)}
+        if len(shapes) != 1 or state.u.size < native.CHUNK:
+            raise ValueError(f"AdamW arrays disagree in shape: {shapes}, scratch {state.u.size}")
+        bad = kernel(
+            params.theta, grad, state.m, state.v, state.u, params.theta.size,
+            BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, current_lr, EPS,
+            decay, bool(config.weight_decay),
+        )
+        if bad >= 0:
+            raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
+        return
     n_rows, width = params.dims[0][:2]
     first = n_rows * width  # encoder.0.W, row-major, is theta[:first]
     if rows is None:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sepll
+from sepll import native
 from sepll.data import MatchMatrix
 from sepll.nnet import CSRMatrix
 
@@ -31,6 +36,41 @@ def match_from_dense(dense) -> MatchMatrix:
     """The MatchMatrix with a match wherever the 2-d ``dense`` is nonzero."""
     dense = np.asarray(dense)
     return MatchMatrix(n=dense.shape[0], m=dense.shape[1], pairs=np.argwhere(dense != 0))
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the same sepll as this
+    process, from any cwd."""
+    pkg_root = str(Path(sepll.__file__).resolve().parents[1])
+    inherited = [
+        os.path.abspath(entry)
+        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        if entry
+    ]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
+
+
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """Point the compiled-kernel cache at a temporary directory, for this process
+    and the commands it starts, so that the suite writes nothing under ~/.cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+@pytest.fixture
+def adamw_paths(monkeypatch):
+    """Iterate over the AdamW step's paths by name, each switched on while the
+    loop body runs: the compiled kernel, where it could be built, then numpy."""
+
+    def paths():
+        if native.adamw() is not None:
+            yield "kernel"
+        monkeypatch.setattr(native, "_adamw", None)
+        yield "numpy"
+
+    return paths
 
 
 @pytest.fixture

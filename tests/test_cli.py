@@ -3,20 +3,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
-import sepll
 from sepll.cli import main
 from sepll.manifest import load_manifest, verify_manifest
 from sepll.trainer import VARIANT_ORDER
@@ -461,6 +460,21 @@ def test_ablate_multiple_datasets(tmp_path):
         assert vals[2] == pytest.approx((vals[0] + vals[1]) / 2)
 
 
+def test_ablate_datasets_sharing_a_name_exit_1(tmp_path, capsys):
+    # results are keyed by the directory's base name, so the second would
+    # silently replace the first in ablation.json, ablation.csv and the manifest
+    d1, d2 = tmp_path / "a" / "data", tmp_path / "b" / "data"
+    for d in (d1, d2):
+        main(["synth", "--out", str(d), "--n-train", "20", "--n-dev", "8", "--n-test", "8"])
+    cfg = write_config(tmp_path)
+    out = tmp_path / "abl"
+    code = main(["ablate", "--config", cfg, "--datasets", f"{d1},{d2}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(d1) in err and str(d2) in err and "'data'" in err
+    assert not out.exists()
+
+
 def test_ablate_empty_datasets_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["ablate", "--config", cfg, "--datasets", " , ", "--out", str(tmp_path / "x")])
@@ -605,18 +619,6 @@ def test_help_exits_0(capsys):
     out = capsys.readouterr().out
     for cmd in ("convert", "apply-lfs", "stats", "synth", "train", "eval", "analyze", "ablate"):
         assert cmd in out
-
-
-def child_env() -> dict[str, str]:
-    """Environment for a child interpreter that imports the same sepll as this
-    process, from any cwd."""
-    pkg_root = str(Path(sepll.__file__).resolve().parents[1])
-    inherited = [
-        os.path.abspath(entry)
-        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        if entry
-    ]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
 
 
 def test_console_script_entry_point():

@@ -135,13 +135,14 @@ def test_adamw_two_steps_match_reference_loop():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_adamw_rejects_non_finite_update():
-    params = zeroed_tiny_params()
-    grad, grads = zero_grads(params)
-    grads["task.0.b"][0] = np.inf
-    state = init_optimizer(params)
-    with pytest.raises(NumericalError, match="task.0.b"):
-        adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
+def test_adamw_rejects_non_finite_update(adamw_paths):
+    for _ in adamw_paths():
+        params = zeroed_tiny_params()
+        grad, grads = zero_grads(params)
+        grads["task.0.b"][0] = np.inf
+        state = init_optimizer(params)
+        with pytest.raises(NumericalError, match="task.0.b"):
+            adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
 
 
 def test_adamw_descends_on_fixed_batch(rng):
@@ -197,21 +198,22 @@ def reference_adamw_step(params, grad, m_ref, v_ref, t, cfg, lr):
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adamw_blocked_step_is_bitwise_reference(weight_decay):
-    params = multi_block_params()
-    ref = multi_block_params()
-    state = init_optimizer(params)
-    m_ref = np.zeros_like(ref.theta)
-    v_ref = np.zeros_like(ref.theta)
-    cfg = TrainConfig(weight_decay=weight_decay)
-    rng = np.random.default_rng(11)
-    for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
-        grad = rng.normal(size=params.theta.shape)
-        adamw_step(params, grad, state, cfg, current_lr=lr)
-        reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
-    assert np.array_equal(params.theta, ref.theta)
-    assert np.array_equal(state.m, m_ref)
-    assert np.array_equal(state.v, v_ref)
+def test_adamw_blocked_step_is_bitwise_reference(weight_decay, adamw_paths):
+    for path in adamw_paths():
+        params = multi_block_params()
+        ref = multi_block_params()
+        state = init_optimizer(params)
+        m_ref = np.zeros_like(ref.theta)
+        v_ref = np.zeros_like(ref.theta)
+        cfg = TrainConfig(weight_decay=weight_decay)
+        rng = np.random.default_rng(11)
+        for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+            grad = rng.normal(size=params.theta.shape)
+            adamw_step(params, grad, state, cfg, current_lr=lr)
+            reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
+        assert np.array_equal(params.theta, ref.theta), path
+        assert np.array_equal(state.m, m_ref), path
+        assert np.array_equal(state.v, v_ref), path
 
 
 def signed_zero_grad(rng, shape):
@@ -244,66 +246,90 @@ def row_sets(n_rows, rng):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("which", ["empty", "one", "all", "random"])
-def test_adamw_row_aware_step_is_bitwise_reference(weight_decay, which):
-    params = multi_block_params()
-    ref = multi_block_params()
-    state = init_optimizer(params)
-    m_ref = np.zeros_like(ref.theta)
-    v_ref = np.zeros_like(ref.theta)
-    cfg = TrainConfig(weight_decay=weight_decay)
-    rng = np.random.default_rng(12)
-    n_rows = params.encoder[0].W.shape[0]
-    for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
-        rows = row_sets(n_rows, rng)[which]
-        grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
-        adamw_step(params, grad, state, cfg, current_lr=lr, rows=rows)
-        reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
-    assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64))
-    assert np.array_equal(state.m.view(np.int64), m_ref.view(np.int64))
-    assert np.array_equal(state.v.view(np.int64), v_ref.view(np.int64))
+def test_adamw_row_aware_step_is_bitwise_reference(weight_decay, which, adamw_paths):
+    for path in adamw_paths():
+        params = multi_block_params()
+        ref = multi_block_params()
+        state = init_optimizer(params)
+        m_ref = np.zeros_like(ref.theta)
+        v_ref = np.zeros_like(ref.theta)
+        cfg = TrainConfig(weight_decay=weight_decay)
+        rng = np.random.default_rng(12)
+        n_rows = params.encoder[0].W.shape[0]
+        for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+            rows = row_sets(n_rows, rng)[which]
+            grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
+            adamw_step(params, grad, state, cfg, current_lr=lr, rows=rows)
+            reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
+        assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64)), path
+        assert np.array_equal(state.m.view(np.int64), m_ref.view(np.int64)), path
+        assert np.array_equal(state.v.view(np.int64), v_ref.view(np.int64)), path
 
 
-def test_adamw_row_aware_step_with_rows_wider_than_a_block():
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, adamw_paths):
+    # the numpy step is the kernel's oracle: same inputs, same rows, same bits
+    finals = {}
+    for path in adamw_paths():
+        params = multi_block_params()
+        state = init_optimizer(params)
+        rng = np.random.default_rng(14)
+        n_rows = params.encoder[0].W.shape[0]
+        for lr in [0.05, 0.01, 0.002, 0.03]:
+            rows = row_sets(n_rows, rng)["random"]
+            grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
+            adamw_step(params, grad, state, TrainConfig(weight_decay=weight_decay), lr, rows=rows)
+        finals[path] = [a.view(np.int64) for a in (params.theta, state.m, state.v)]
+    if "kernel" not in finals:
+        pytest.skip("the AdamW kernel could not be built here")
+    for kernel, numpy in zip(finals["kernel"], finals["numpy"]):
+        assert np.array_equal(kernel, numpy)
+
+
+def test_adamw_row_aware_step_with_rows_wider_than_a_block(adamw_paths):
     # a first-layer row wider than BLOCK is a block of its own
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
     encoder = EncoderConfig(hidden=(), dim=BLOCK + 5)
-    params = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
-    ref = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
-    state = init_optimizer(params)
-    m_ref, v_ref = np.zeros_like(ref.theta), np.zeros_like(ref.theta)
-    rng = np.random.default_rng(6)
-    for t, rows in enumerate([np.array([1]), np.array([0, 2]), np.arange(3)], start=1):
-        grad = keep_first_layer_rows(params, rng.normal(size=params.theta.shape), rows)
-        adamw_step(params, grad, state, TrainConfig(), current_lr=0.01, rows=rows)
-        reference_adamw_step(ref, grad, m_ref, v_ref, t, TrainConfig(), 0.01)
-    assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64))
+    for path in adamw_paths():
+        params = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
+        ref = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
+        state = init_optimizer(params)
+        m_ref, v_ref = np.zeros_like(ref.theta), np.zeros_like(ref.theta)
+        rng = np.random.default_rng(6)
+        for t, rows in enumerate([np.array([1]), np.array([0, 2]), np.arange(3)], start=1):
+            grad = keep_first_layer_rows(params, rng.normal(size=params.theta.shape), rows)
+            adamw_step(params, grad, state, TrainConfig(), current_lr=0.01, rows=rows)
+            reference_adamw_step(ref, grad, m_ref, v_ref, t, TrainConfig(), 0.01)
+        assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64)), path
 
 
-def test_adamw_first_moment_is_never_negative_zero():
-    # Skipping the +0.0 moment terms outside ``rows`` is exact only because m
-    # never holds -0.0: it starts at +0.0, a rounded sum is -0.0 only if both
-    # terms are, and m * beta1 is -0.0 only if m is.
+def test_adamw_first_moment_is_never_negative_zero(adamw_paths):
+    # Skipping the +0.0 moment terms outside ``rows`` (numpy), or adding them
+    # (kernel), is exact only because m never holds -0.0: it starts at +0.0, a
+    # rounded sum is -0.0 only if both terms are, and m * beta1 is -0.0 only if m is.
     tiny = -np.nextafter(0.0, 1.0)
     assert np.signbit(tiny * 0.9) and tiny * 0.9 == tiny  # rounds away from zero
     assert tiny * 0.1 == 0.0 and np.signbit(tiny * 0.1)  # the gradient term can be -0.0
-    params = multi_block_params()
-    state = init_optimizer(params)
-    rng = np.random.default_rng(13)
-    for _ in range(4):
-        grad = signed_zero_grad(rng, params.theta.shape)
-        grad[rng.random(grad.shape) < 0.5] = tiny
-        adamw_step(params, grad, state, TrainConfig(), current_lr=0.01)
-        assert not np.any((state.m == 0.0) & np.signbit(state.m))
+    for path in adamw_paths():
+        params = multi_block_params()
+        state = init_optimizer(params)
+        rng = np.random.default_rng(13)
+        for _ in range(4):
+            grad = signed_zero_grad(rng, params.theta.shape)
+            grad[rng.random(grad.shape) < 0.5] = tiny
+            adamw_step(params, grad, state, TrainConfig(), current_lr=0.01)
+            assert not np.any((state.m == 0.0) & np.signbit(state.m)), path
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_adamw_rejects_non_finite_update_in_last_block():
-    params = multi_block_params()
-    grad, grads = zero_grads(params)
-    grads["encoder.0.W"].reshape(-1)[-1] = np.inf
-    state = init_optimizer(params)
-    with pytest.raises(NumericalError, match="encoder.0.W"):
-        adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
+def test_adamw_rejects_non_finite_update_in_last_block(adamw_paths):
+    for _ in adamw_paths():
+        params = multi_block_params()
+        grad, grads = zero_grads(params)
+        grads["encoder.0.W"].reshape(-1)[-1] = np.inf
+        state = init_optimizer(params)
+        with pytest.raises(NumericalError, match="encoder.0.W"):
+            adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
 
 
 # ---------------------------------------------------------------------------
