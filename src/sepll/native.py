@@ -31,6 +31,10 @@ import numpy as np
 # correctly, as numpy's does.
 # Updates of a chunk are checked in a pass of their own, which keeps the
 # arithmetic loop free of exits and so vectorized.
+# The decay term is added even when weight decay is 0, so that theta streams
+# through the arithmetic loop. For a finite theta, theta * 0.0 is a signed zero
+# that can only turn an update of -0.0 into +0.0, where theta >= +0.0, and
+# theta minus either zero gives the same bits.
 CHUNK = 4096  # elements whose updates are checked before any of them is applied
 SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 #include <math.h>
@@ -42,7 +46,7 @@ SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 long long sepll_adamw(double *theta, const double *grad, double *m, double *v,
                       double *u, long long n, double beta1, double one_minus_beta1,
                       double beta2, double one_minus_beta2, double bc1, double bc2,
-                      double lr, double eps, double decay, int use_decay)
+                      double lr, double eps, double decay)
 {
     for (long long lo = 0; lo < n; lo += CHUNK) {
         long long k = n - lo < CHUNK ? n - lo : CHUNK;
@@ -52,8 +56,7 @@ long long sepll_adamw(double *theta, const double *grad, double *m, double *v,
             mm[i] = mm[i] * beta1 + g[i] * one_minus_beta1;
             vv[i] = vv[i] * beta2 + (g[i] * g[i]) * one_minus_beta2;
             u[i] = (mm[i] / bc1) * lr / (sqrt(vv[i] / bc2) + eps);
-            if (use_decay)
-                u[i] += th[i] * decay;
+            u[i] += th[i] * decay;
         }
         int finite = 1;
         for (long long i = 0; i < k; i++)
@@ -101,7 +104,7 @@ def _load():
         return None  # RuntimeError: Path.home() found no home directory
     array = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
     step.argtypes = [array, array, array, array, array, ctypes.c_longlong]
-    step.argtypes += [ctypes.c_double] * 9 + [ctypes.c_int]
+    step.argtypes += [ctypes.c_double] * 9
     step.restype = ctypes.c_longlong
     return step
 

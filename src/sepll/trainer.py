@@ -102,13 +102,12 @@ class OptimizerState:
 
 
 def init_optimizer(params: SepLLParams) -> OptimizerState:
-    block = max(BLOCK, params.dims[0][1])  # a block holds at least one first-layer row
     return OptimizerState(
         m=np.zeros_like(params.theta),
         v=np.zeros_like(params.theta),
-        u=np.empty(block),
-        w=np.empty(block),
-        finite=np.empty(block, dtype=bool),
+        u=np.empty(BLOCK),
+        w=np.empty(BLOCK),
+        finite=np.empty(BLOCK, dtype=bool),
     )
 
 
@@ -118,38 +117,27 @@ def adamw_step(
     state: OptimizerState,
     config: TrainConfig,
     current_lr: float,
-    rows: np.ndarray | None = None,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place on ``params.theta``.
 
-    ``grad`` has theta's layout. ``rows`` lists, ascending and distinct, the
-    rows of the first-layer weight ``encoder.0.W`` where ``grad`` may be
-    nonzero; its other rows must be +0.0. None means every row.
+    ``grad`` has theta's layout. Results are bitwise equal to the whole-array
+    formula ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta``
+    on both paths below: both apply the same per-element operations in the
+    same order, with every constant computed here once.
 
-    Results are bitwise equal to the whole-array formula
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta`` on
-    both paths below: every element sees its operations in the same order,
-    with every constant computed here once.
-
-    - The compiled kernel (:mod:`sepll.native`), where it could be built, reads
-      every gradient element and ignores ``rows``.
+    - The compiled kernel (:mod:`sepll.native`), where it could be built.
     - Otherwise numpy walks theta, ``grad`` and the moments together in blocks
-      of at most ``BLOCK`` elements (whole rows of ``encoder.0.W``, then the
-      rest of theta), with ``out=`` and in-place ufuncs into the state's
-      scratch buffers. It adds the moment terms ``g * (1 - BETA1)`` and
-      ``g * g * (1 - BETA2)`` on ``rows`` only, and does not read the others.
-
-    Both are exact because outside ``rows`` those terms are +0.0, and adding
-    +0.0 changes nothing but a -0.0. Neither moment is ever -0.0: both start
-    at +0.0, a rounded sum is -0.0 only if both terms are, ``v * BETA2 >=
-    +0.0``, and ``m * BETA1`` is -0.0 only if m is: BETA1 = 0.9 > 0.5, so even
-    the smallest subnormal times BETA1 rounds away from zero.
+      of ``BLOCK`` elements, with ``out=`` and in-place ufuncs into the state's
+      scratch buffers.
 
     A non-finite update raises ``NumericalError`` naming the parameter. By
     then the moments of its chunk and the chunks before it have been updated,
     and theta has been updated on the earlier chunks: ``native.CHUNK``
-    elements each on the kernel path, blocks of up to ``BLOCK`` on the numpy
-    path.
+    elements each on the kernel path, ``BLOCK`` on the numpy path. Only a
+    theta that has itself overflowed tells the paths apart at weight decay 0:
+    the kernel still adds ``theta * 0.0`` and raises here, while numpy skips
+    that term and leaves it to the logits check of a later forward pass that
+    uses it.
     """
     state.step += 1
     t = state.step
@@ -163,45 +151,25 @@ def adamw_step(
             raise ValueError(f"AdamW arrays disagree in shape: {shapes}, scratch {state.u.size}")
         bad = kernel(
             params.theta, grad, state.m, state.v, state.u, params.theta.size,
-            BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, current_lr, EPS,
-            decay, bool(config.weight_decay),
+            BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, current_lr, EPS, decay,
         )
         if bad >= 0:
             raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
         return
-    n_rows, width = params.dims[0][:2]
-    first = n_rows * width  # encoder.0.W, row-major, is theta[:first]
-    if rows is None:
-        rows = np.arange(n_rows)
-    bounds = [
-        *range(0, first, max(1, BLOCK // width) * width),
-        *range(first, params.theta.size, BLOCK),
-        params.theta.size,
-    ]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= first:
-            r0, r1 = lo // width, hi // width
-            i0, i1 = rows.searchsorted((r0, r1))
-            sel = slice(None) if i1 - i0 == r1 - r0 else rows[i0:i1] - r0
-            shape = (-1, width)
-        else:
-            sel, shape = slice(None), (1, -1)
-        th = params.theta[lo:hi]
-        m = state.m[lo:hi]
-        v = state.v[lo:hi]
+    for lo in range(0, params.theta.size, BLOCK):
+        th = params.theta[lo : lo + BLOCK]
+        g = grad[lo : lo + BLOCK]
+        m = state.m[lo : lo + BLOCK]
+        v = state.v[lo : lo + BLOCK]
         k = th.size
         u, w, finite = state.u[:k], state.w[:k], state.finite[:k]
-        # the moment terms, on the block's rows that may have a nonzero gradient:
-        # views of the block when that is every row, gathered copies otherwise
-        g = grad[lo:hi].reshape(shape)[sel]
-        gu = u[: g.size].reshape(g.shape)
         m *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=gu)
-        m.reshape(shape)[sel] += gu
+        np.multiply(g, 1.0 - BETA1, out=u)
+        m += u
         v *= BETA2
-        np.multiply(g, g, out=gu)
-        gu *= 1.0 - BETA2
-        v.reshape(shape)[sel] += gu
+        np.multiply(g, g, out=u)
+        u *= 1.0 - BETA2
+        v += u
         np.divide(m, bc1, out=u)
         u *= current_lr
         np.divide(v, bc2, out=w)
@@ -349,15 +317,14 @@ def _fit(
                 batch = order[start : start + config.batch_size]
                 global_step += 1
                 lr = lr_schedule(global_step, config.warmup_steps, config.learning_rate)
-                X_batch = X_train[batch]
                 loss, grad = backward(
-                    params, X_batch, targets.rows[batch], lf_activation_penalty=activation_penalty
+                    params, X_train[batch], targets.rows[batch], lf_activation_penalty=activation_penalty
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")
                 if config.l2_lf > 0 and config.l2_lf_target == "parameters":
                     grad[lf] += 2.0 * config.l2_lf * params.theta[lf]
-                adamw_step(params, grad, state, config, lr, rows=X_batch.used_columns())
+                adamw_step(params, grad, state, config, lr)
                 losses.append(loss)
             dev_metric = _dev_metric(params, X_dev, dev_gold, config, mapping.c)
             history.epochs.append(
@@ -382,25 +349,22 @@ def _fit(
 # ---------------------------------------------------------------------------
 # ablation
 
-VARIANT_ORDER = ("full", "-weight_decay", "-l2", "-unlabeled", "-noise", "basic")
+# each routing variant's overrides of the base config
+VARIANTS: dict[str, dict[str, object]] = {
+    "full": {},
+    "-weight_decay": {"weight_decay": 0.0},
+    "-l2": {"l2_lf": 0.0},
+    "-unlabeled": {"use_unlabeled": False},
+    "-noise": {"noise_lambda": 0.0},
+    "basic": {"weight_decay": 0.0, "l2_lf": 0.0, "use_unlabeled": False, "noise_lambda": 0.0},
+}
+VARIANT_ORDER = tuple(VARIANTS)
 
 
 def ablation_config(base: TrainConfig, variant: str) -> TrainConfig:
-    if variant == "full":
-        return base
-    if variant == "-weight_decay":
-        return dataclasses.replace(base, weight_decay=0.0)
-    if variant == "-l2":
-        return dataclasses.replace(base, l2_lf=0.0)
-    if variant == "-unlabeled":
-        return dataclasses.replace(base, use_unlabeled=False)
-    if variant == "-noise":
-        return dataclasses.replace(base, noise_lambda=0.0)
-    if variant == "basic":
-        return dataclasses.replace(
-            base, weight_decay=0.0, l2_lf=0.0, use_unlabeled=False, noise_lambda=0.0
-        )
-    raise ConfigError(f"unknown ablation variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown ablation variant {variant!r}")
+    return dataclasses.replace(base, **VARIANTS[variant])
 
 
 def run_ablation(

@@ -43,9 +43,9 @@ def fresh(monkeypatch, tmp_path):
     return tmp_path / "cache" / "sepll"
 
 
-def train_bytes(tmp_path, name: str) -> dict[str, str]:
+def train_bytes(tmp_path, name: str, config: str = CONFIG) -> dict[str, str]:
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG, encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
     out = tmp_path / name
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("checkpoint.sepll", "history.csv")}
@@ -70,6 +70,16 @@ def test_kernel_is_built_and_loaded_where_a_compiler_exists(fresh):
     assert native.adamw() is native.adamw()  # decided once per process
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_source_compiles_without_warnings():
+    # -Wextra names a parameter the kernel no longer reads, among others
+    proc = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+        input=native.SOURCE, capture_output=True, text=True, timeout=native.COMPILE_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def break_build(case: str, monkeypatch, tmp_path) -> None:
     if case == "no compiler":
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
@@ -85,12 +95,14 @@ def break_build(case: str, monkeypatch, tmp_path) -> None:
 
 @pytest.mark.parametrize("case", ["no compiler", "compile error", "cache is a file", "not a library"])
 def test_a_failed_build_falls_back_to_identical_numpy_training(fresh, monkeypatch, tmp_path, case):
-    reference = train_bytes(tmp_path, "reference")
+    # weight decay 0 too: the kernel still adds theta * 0.0, which numpy skips
+    configs = {"decay": CONFIG, "no decay": CONFIG + "weight_decay = 0.0\n"}
+    reference = {k: train_bytes(tmp_path, f"reference {k}", c) for k, c in configs.items()}
     assert (native._adamw is None) == (shutil.which("cc") is None)
     monkeypatch.setattr(native, "_adamw", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "broken"))
     break_build(case, monkeypatch, tmp_path)
-    assert train_bytes(tmp_path, "fallback") == reference
+    assert {k: train_bytes(tmp_path, f"fallback {k}", c) for k, c in configs.items()} == reference
     assert native._adamw is None
     assert not list(native.library_path().parent.glob(".adamw-*"))  # no temp file left
 

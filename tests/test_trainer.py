@@ -197,25 +197,6 @@ def reference_adamw_step(params, grad, m_ref, v_ref, t, cfg, lr):
     theta -= update
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adamw_blocked_step_is_bitwise_reference(weight_decay, adamw_paths):
-    for path in adamw_paths():
-        params = multi_block_params()
-        ref = multi_block_params()
-        state = init_optimizer(params)
-        m_ref = np.zeros_like(ref.theta)
-        v_ref = np.zeros_like(ref.theta)
-        cfg = TrainConfig(weight_decay=weight_decay)
-        rng = np.random.default_rng(11)
-        for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
-            grad = rng.normal(size=params.theta.shape)
-            adamw_step(params, grad, state, cfg, current_lr=lr)
-            reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
-        assert np.array_equal(params.theta, ref.theta), path
-        assert np.array_equal(state.m, m_ref), path
-        assert np.array_equal(state.v, v_ref), path
-
-
 def signed_zero_grad(rng, shape):
     """Normal values with -0.0 and the smallest negative subnormal mixed in: times
     1 - beta1 the latter rounds to -0.0 too."""
@@ -235,50 +216,49 @@ def keep_first_layer_rows(params, grad, rows):
     return grad
 
 
-def row_sets(n_rows, rng):
-    return {
-        "empty": np.empty(0, dtype=np.int64),
-        "one": np.array([n_rows // 2]),
-        "all": np.arange(n_rows),
-        "random": np.unique(rng.integers(0, n_rows, size=n_rows // 8)),
-    }
+def row_sparse_grad(params, rng):
+    """A signed-zero gradient on a random eighth of the first-layer rows, +0.0
+    on the others, as ``backward`` writes it for a sparse batch."""
+    n_rows = params.encoder[0].W.shape[0]
+    rows = np.unique(rng.integers(0, n_rows, size=n_rows // 8))
+    return keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-@pytest.mark.parametrize("which", ["empty", "one", "all", "random"])
-def test_adamw_row_aware_step_is_bitwise_reference(weight_decay, which, adamw_paths):
+def test_adamw_blocked_step_is_bitwise_reference(weight_decay, adamw_paths):
+    gradients = {
+        "normal": lambda params, rng: rng.normal(size=params.theta.shape),
+        "row-sparse": row_sparse_grad,
+    }
     for path in adamw_paths():
-        params = multi_block_params()
-        ref = multi_block_params()
-        state = init_optimizer(params)
-        m_ref = np.zeros_like(ref.theta)
-        v_ref = np.zeros_like(ref.theta)
-        cfg = TrainConfig(weight_decay=weight_decay)
-        rng = np.random.default_rng(12)
-        n_rows = params.encoder[0].W.shape[0]
-        for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
-            rows = row_sets(n_rows, rng)[which]
-            grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
-            adamw_step(params, grad, state, cfg, current_lr=lr, rows=rows)
-            reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
-        assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64)), path
-        assert np.array_equal(state.m.view(np.int64), m_ref.view(np.int64)), path
-        assert np.array_equal(state.v.view(np.int64), v_ref.view(np.int64)), path
+        for kind, make_grad in gradients.items():
+            params = multi_block_params()
+            ref = multi_block_params()
+            state = init_optimizer(params)
+            m_ref = np.zeros_like(ref.theta)
+            v_ref = np.zeros_like(ref.theta)
+            cfg = TrainConfig(weight_decay=weight_decay)
+            rng = np.random.default_rng(11)
+            for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+                grad = make_grad(params, rng)
+                adamw_step(params, grad, state, cfg, current_lr=lr)
+                reference_adamw_step(ref, grad, m_ref, v_ref, t, cfg, lr)
+            assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64)), (path, kind)
+            assert np.array_equal(state.m.view(np.int64), m_ref.view(np.int64)), (path, kind)
+            assert np.array_equal(state.v.view(np.int64), v_ref.view(np.int64)), (path, kind)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, adamw_paths):
-    # the numpy step is the kernel's oracle: same inputs, same rows, same bits
+    # the numpy step is the kernel's oracle: same inputs, same bits, also where
+    # the kernel adds theta * 0.0 that numpy skips at weight decay 0
     finals = {}
     for path in adamw_paths():
         params = multi_block_params()
         state = init_optimizer(params)
         rng = np.random.default_rng(14)
-        n_rows = params.encoder[0].W.shape[0]
         for lr in [0.05, 0.01, 0.002, 0.03]:
-            rows = row_sets(n_rows, rng)["random"]
-            grad = keep_first_layer_rows(params, signed_zero_grad(rng, params.theta.shape), rows)
-            adamw_step(params, grad, state, TrainConfig(weight_decay=weight_decay), lr, rows=rows)
+            adamw_step(params, row_sparse_grad(params, rng), state, TrainConfig(weight_decay=weight_decay), lr)
         finals[path] = [a.view(np.int64) for a in (params.theta, state.m, state.v)]
     if "kernel" not in finals:
         pytest.skip("the AdamW kernel could not be built here")
@@ -286,27 +266,11 @@ def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, adamw_paths):
         assert np.array_equal(kernel, numpy)
 
 
-def test_adamw_row_aware_step_with_rows_wider_than_a_block(adamw_paths):
-    # a first-layer row wider than BLOCK is a block of its own
-    mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
-    encoder = EncoderConfig(hidden=(), dim=BLOCK + 5)
-    for path in adamw_paths():
-        params = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
-        ref = init_params(3, mapping, encoder, rng=np.random.default_rng(5))
-        state = init_optimizer(params)
-        m_ref, v_ref = np.zeros_like(ref.theta), np.zeros_like(ref.theta)
-        rng = np.random.default_rng(6)
-        for t, rows in enumerate([np.array([1]), np.array([0, 2]), np.arange(3)], start=1):
-            grad = keep_first_layer_rows(params, rng.normal(size=params.theta.shape), rows)
-            adamw_step(params, grad, state, TrainConfig(), current_lr=0.01, rows=rows)
-            reference_adamw_step(ref, grad, m_ref, v_ref, t, TrainConfig(), 0.01)
-        assert np.array_equal(params.theta.view(np.int64), ref.theta.view(np.int64)), path
-
-
 def test_adamw_first_moment_is_never_negative_zero(adamw_paths):
-    # Skipping the +0.0 moment terms outside ``rows`` (numpy), or adding them
-    # (kernel), is exact only because m never holds -0.0: it starts at +0.0, a
-    # rounded sum is -0.0 only if both terms are, and m * beta1 is -0.0 only if m is.
+    # The first-layer rows a batch does not touch get +0.0 gradient terms; adding
+    # them keeps those rows' moments bit for bit only because m never holds -0.0:
+    # it starts at +0.0, a rounded sum is -0.0 only if both terms are, and
+    # m * beta1 is -0.0 only if m is.
     tiny = -np.nextafter(0.0, 1.0)
     assert np.signbit(tiny * 0.9) and tiny * 0.9 == tiny  # rounds away from zero
     assert tiny * 0.1 == 0.0 and np.signbit(tiny * 0.1)  # the gradient term can be -0.0
