@@ -204,15 +204,33 @@ def predict_batch(params: SepLLParams, X) -> np.ndarray:
     return np.argmax(trace.task_logits, axis=1)
 
 
-def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty: float = 0.0):
+@dataclass
+class GradientBuffer:
+    """A gradient with theta's layout that :func:`backward` rewrites batch after
+    batch. A sparse batch writes only some rows of the first layer's gradient;
+    ``rows`` holds those of the last batch, which the next one re-zeroes before
+    writing its own. Every other part is overwritten whole."""
+
+    flat: np.ndarray
+    rows: np.ndarray | slice = field(default_factory=lambda: slice(0))
+
+
+def backward(
+    params: SepLLParams,
+    X,
+    targets: np.ndarray,
+    lf_activation_penalty: float = 0.0,
+    out: GradientBuffer | None = None,
+):
     """Loss and exact gradients of the batch-mean loss for every parameter.
 
     With ``lf_activation_penalty`` > 0 the loss gains
     penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
     Returns ``(loss, grad)``: ``grad`` has theta's layout, so
-    ``param_items(params, grad)`` names its parts. For a :class:`CSRMatrix`
-    batch, the rows of ``encoder.0.W``'s gradient outside
-    ``X.used_columns()`` are exactly +0.0.
+    ``param_items(params, grad)`` names its parts. It is ``out.flat`` when
+    ``out`` is given, a new array otherwise. For a :class:`CSRMatrix` batch,
+    the rows of ``encoder.0.W``'s gradient outside ``X.used_columns()`` are
+    exactly +0.0.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -236,9 +254,15 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
         d_lf += (2.0 * lf_activation_penalty / n) * lf_logits
     d_task = d_combined @ params.mapping.to_dense()
 
-    # zeroed: a sparse batch writes only its own rows of the first layer
-    grad = np.zeros(params.theta.shape)
+    if out is None:
+        out = GradientBuffer(np.zeros(params.theta.shape))
+    grad = out.flat
     enc_grads, task_grads, lf_grads = _layers(grad, params.dims)
+    # a sparse batch writes only its own rows of the first layer, so the rows
+    # the last one wrote go back to +0.0 first
+    first = enc_grads[0].W
+    first[out.rows] = 0.0
+    out.rows = X.used_columns() if isinstance(X, CSRMatrix) else slice(None)
     dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, lf_grads, params.head_nonlinearity)
     dz_task = mlp_backward(params.task_head, task_cache, d_task, task_grads, params.head_nonlinearity)
     mlp_backward(
@@ -250,9 +274,7 @@ def backward(params: SepLLParams, X, targets: np.ndarray, lf_activation_penalty:
         need_input_grad=False,
     )
     # the first layer's other rows are +0.0; everything after it is dense
-    first = enc_grads[0].W
-    rows = X.used_columns() if isinstance(X, CSRMatrix) else slice(None)
-    if not np.isfinite(first[rows]).all():
+    if not np.isfinite(first[out.rows]).all():
         raise NumericalError(f"non-finite gradient in {param_name_at(params, 0)}")
     finite = np.isfinite(grad[first.size :])
     if not finite.all():

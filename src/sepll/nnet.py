@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .errors import NumericalError
 
 # float64 elements in one row block of a sparse product's output (512 KiB)
@@ -28,7 +29,8 @@ class CSRMatrix:
     terms left to right, starting from 0.0: ``X @ W`` over a row's nonzeros in
     storage order, ``X.T @ D`` over a column's nonzeros in row order. That is
     the summation order of scipy's CSR products, so results are bitwise equal
-    to ``scipy.sparse.csr_array``'s.
+    to ``scipy.sparse.csr_array``'s. Both products first check the structure
+    and raise ``ValueError`` where it would index outside the arrays.
     """
 
     def __init__(self, data, indices, indptr, shape: tuple[int, int]):
@@ -49,7 +51,24 @@ class CSRMatrix:
     def __matmul__(self, W: np.ndarray) -> np.ndarray:
         if W.ndim != 2 or W.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
+        self._check()
         return _row_sums(self.data, self.indices, self.indptr, W)
+
+    def _check(self) -> None:
+        """Raise ValueError unless ``indptr`` runs from 0 to the number of
+        nonzeros without decreasing, and every column index is in range."""
+        n, f = self.shape
+        ptr, nnz = self.indptr, self.data.size
+        if (
+            ptr.shape != (n + 1,)
+            or ptr[0] != 0
+            or ptr[-1] != nnz
+            or self.data.shape != self.indices.shape
+            or np.any(ptr[1:] < ptr[:-1])
+        ):
+            raise ValueError(f"malformed row pointers for a {self.shape} matrix with {nnz} nonzeros")
+        if nnz and not (self.indices.min() >= 0 and self.indices.max() < f):
+            raise ValueError(f"column index outside [0, {f})")
 
     def used_columns(self) -> np.ndarray:
         """The columns that hold a nonzero in some row, ascending."""
@@ -61,6 +80,7 @@ class CSRMatrix:
         Every other row of ``X.T @ D`` is +0.0."""
         if D.ndim != 2 or D.shape[0] != self.shape[0]:
             raise ValueError(f"cannot multiply a {self.shape[::-1]} matrix by one of shape {D.shape}")
+        self._check()
         # Regroup the nonzeros by column, keeping row order within a column: the
         # used columns become the rows of a CSR matrix over this matrix's rows.
         order = np.argsort(self.indices, kind="stable")
@@ -74,14 +94,20 @@ class CSRMatrix:
 
 def _row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``out[i] = sum_k data[k] * V[indices[k]]`` over row ``i``'s nonzeros ``k``,
-    added left to right from 0.0.
+    added left to right from 0.0, for a structure its caller has checked.
 
-    Works through blocks of rows small enough to stay cache-resident. Within a
+    Runs the compiled kernel where :mod:`sepll.native` is loaded. Otherwise numpy
+    works through blocks of rows small enough to stay cache-resident. Within a
     block, step ``j`` adds the ``j``-th term of every row that has one; rows go
     longest first, so the rows still active at step ``j`` are a prefix.
     """
     n = indptr.size - 1
     out = np.empty((n, V.shape[1]))
+    kernels = native.loaded()
+    if kernels is not None:
+        data, indices, indptr, V = map(np.ascontiguousarray, (data, indices, indptr, V))
+        kernels.row_sums(data, indices, indptr, n, V, V.shape[1], out)
+        return out
     block = max(1, ROW_BLOCK // max(V.shape[1], 1))
     for lo in range(0, n, block):
         ptr = indptr[lo : lo + block + 1]

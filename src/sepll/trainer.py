@@ -22,6 +22,7 @@ from .encoder import EncoderConfig, Vocabulary, featurize_split, fit_vocabulary
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import task_metrics
 from .model import (
+    GradientBuffer,
     ModelConfig,
     SepLLParams,
     backward,
@@ -125,7 +126,7 @@ def adamw_step(
     on both paths below: both apply the same per-element operations in the
     same order, with every constant computed here once.
 
-    - The compiled kernel (:mod:`sepll.native`), where it could be built.
+    - The compiled kernel, where :mod:`sepll.native` is loaded.
     - Otherwise numpy walks theta, ``grad`` and the moments together in blocks
       of ``BLOCK`` elements, with ``out=`` and in-place ufuncs into the state's
       scratch buffers.
@@ -144,12 +145,12 @@ def adamw_step(
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     decay = current_lr * config.weight_decay
-    kernel = native.adamw()
-    if kernel is not None:
+    kernels = native.loaded()
+    if kernels is not None:
         shapes = {a.shape for a in (params.theta, grad, state.m, state.v)}
         if len(shapes) != 1 or state.u.size < native.CHUNK:
             raise ValueError(f"AdamW arrays disagree in shape: {shapes}, scratch {state.u.size}")
-        bad = kernel(
+        bad = kernels.adamw(
             params.theta, grad, state.m, state.v, state.u, params.theta.size,
             BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, current_lr, EPS, decay,
         )
@@ -295,8 +296,10 @@ def _fit(
     rng_init = stream(config.seed, "init")
     rng_shuffle = stream(config.seed, "shuffle")
     rng_noise = stream(config.seed, "noise")
+    native.load()  # the kernels run from here on, where they could be built
     params = init_params(X_train.shape[1], mapping, encoder_config, model_config, rng_init)
     state = init_optimizer(params)
+    grad_buffer = GradientBuffer(np.zeros_like(params.theta))  # every batch's gradient
     history = TrainHistory()
     best_params = clone_params(params)
     epochs_flat = 0
@@ -318,7 +321,11 @@ def _fit(
                 global_step += 1
                 lr = lr_schedule(global_step, config.warmup_steps, config.learning_rate)
                 loss, grad = backward(
-                    params, X_train[batch], targets.rows[batch], lf_activation_penalty=activation_penalty
+                    params,
+                    X_train[batch],
+                    targets.rows[batch],
+                    lf_activation_penalty=activation_penalty,
+                    out=grad_buffer,
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")

@@ -60,14 +60,15 @@ def kernel_cache(tmp_path_factory):
 
 
 @pytest.fixture
-def adamw_paths(monkeypatch):
-    """Iterate over the AdamW step's paths by name, each switched on while the
-    loop body runs: the compiled kernel, where it could be built, then numpy."""
+def native_paths(monkeypatch):
+    """Iterate over the paths of the AdamW step and the sparse products by name,
+    each switched on while the loop body runs: the compiled kernels, where they
+    could be built, then numpy for both."""
 
     def paths():
-        if native.adamw() is not None:
+        if native.load() is not None:
             yield "kernel"
-        monkeypatch.setattr(native, "_adamw", None)
+        monkeypatch.setattr(native, "_kernels", None)
         yield "numpy"
 
     return paths

@@ -10,6 +10,7 @@ from sepll.data import MappingMatrix
 from sepll.encoder import EncoderConfig, Vocabulary
 from sepll.errors import ConfigError, DataError, NumericalError
 from sepll.model import (
+    GradientBuffer,
     ModelConfig,
     backward,
     ce_loss,
@@ -262,12 +263,15 @@ def fd_check(params, X, targets, penalty=0.0, tol=1e-4):
     return worst
 
 
-def test_backward_finite_difference_small_net(rng):
+def test_backward_finite_difference_small_net(rng, to_csr, native_paths):
     params = tiny_params(c=2, m=3, d=4, hidden=(5,))
     X = rng.normal(size=(3, 5))
     raw = rng.random((3, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
     fd_check(params, X, targets)
+    X[np.abs(X) < 0.5] = 0.0
+    for _ in native_paths():  # the sparse products
+        fd_check(params, to_csr(X), targets)
 
 
 def test_backward_finite_difference_with_activation_penalty(rng):
@@ -310,35 +314,37 @@ def test_backward_permutation_equivariance(seed):
     assert np.allclose(grads_p["encoder.0.W"], grads["encoder.0.W"], atol=1e-12)
 
 
-def test_backward_accepts_sparse_input(rng, to_csr):
+def test_backward_accepts_sparse_input(rng, to_csr, native_paths):
     params = tiny_params(d=4, hidden=(6,))
     X = rng.normal(size=(5, 5))
     X[np.abs(X) < 0.7] = 0.0
     raw = rng.random((5, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
     loss_d, grad_d = backward(params, X, targets)
-    loss_s, grad_s = backward(params, to_csr(X), targets)
-    assert loss_s == pytest.approx(loss_d, abs=1e-12)
-    for (name, g_d), (_, g_s) in zip(param_items(params, grad_d), param_items(params, grad_s)):
-        assert np.allclose(g_d, g_s, atol=1e-12), name
+    for path in native_paths():
+        loss_s, grad_s = backward(params, to_csr(X), targets)
+        assert loss_s == pytest.approx(loss_d, abs=1e-12), path
+        for (name, g_d), (_, g_s) in zip(param_items(params, grad_d), param_items(params, grad_s)):
+            assert np.allclose(g_d, g_s, atol=1e-12), (path, name)
 
 
-def test_backward_first_layer_rows_outside_the_batch_are_positive_zero(rng, to_csr):
+def test_backward_first_layer_rows_outside_the_batch_are_positive_zero(rng, to_csr, native_paths):
     params = tiny_params(d=4, hidden=(6,))
     X = rng.normal(size=(7, 5))
     X[:, [1, 3]] = 0.0  # two features the batch never uses
     X[np.abs(X) < 0.5] = 0.0
     raw = rng.random((7, 3))
     X_csr = to_csr(X)
-    _, grad = backward(params, X_csr, raw / raw.sum(axis=1, keepdims=True))
-    W = dict(param_items(params, grad))["encoder.0.W"]
-    unused = np.setdiff1d(np.arange(W.shape[0]), np.unique(X_csr.indices))
-    assert {1, 3} <= set(unused.tolist())
-    assert np.array_equal(W[unused].view(np.int64), np.zeros((unused.size, W.shape[1]), dtype=np.int64))
+    for path in native_paths():
+        _, grad = backward(params, X_csr, raw / raw.sum(axis=1, keepdims=True))
+        W = dict(param_items(params, grad))["encoder.0.W"]
+        unused = np.setdiff1d(np.arange(W.shape[0]), np.unique(X_csr.indices))
+        assert {1, 3} <= set(unused.tolist())
+        assert np.array_equal(W[unused].view(np.int64), np.zeros((unused.size, W.shape[1]), dtype=np.int64)), path
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_backward_non_finite_first_layer_row_names_it(to_csr):
+def test_backward_non_finite_first_layer_row_names_it(to_csr, native_paths):
     # feature 2 adds nothing to the forward pass (its weights are zero), but its
     # 1e308 input times a large upstream gradient overflows its gradient row
     params = tiny_params(d=4)
@@ -349,8 +355,33 @@ def test_backward_non_finite_first_layer_row_names_it(to_csr):
     X[:, 2] = 1e308
     X[0, 0] = X[1, 4] = 1.0
     targets = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(NumericalError, match=r"non-finite gradient in encoder\.0\.W"):
-        backward(params, to_csr(X), targets)
+    for _ in native_paths():
+        with pytest.raises(NumericalError, match=r"non-finite gradient in encoder\.0\.W"):
+            backward(params, to_csr(X), targets)
+
+
+def test_backward_reused_buffer_is_bitwise_fresh_buffers(rng, to_csr, native_paths):
+    # The used columns of successive batches overlap, are disjoint, are none at
+    # all, and are every column (a dense batch): a first-layer row that the last
+    # batch wrote and this one does not must read +0.0 again.
+    n_features = 12
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
+    params = init_params(n_features, mapping, EncoderConfig(hidden=(6,), dim=4), rng=np.random.default_rng(5))
+    columns = [[0, 1, 2, 3], [2, 3, 4], [7, 8], [], list(range(n_features)), [5], [0, 11]]
+    for path in native_paths():
+        buffer = GradientBuffer(np.zeros_like(params.theta))
+        for i, cols in enumerate(columns):
+            X = np.zeros((3, n_features))
+            X[:, cols] = rng.normal(size=(3, len(cols)))
+            X[1, cols[:1]] = 0.0
+            batch = X if i == 4 else to_csr(X)
+            raw = rng.random((3, 3))
+            targets = raw / raw.sum(axis=1, keepdims=True)
+            loss, grad = backward(params, batch, targets, out=buffer)
+            fresh_loss, fresh = backward(params, batch, targets)
+            assert grad is buffer.flat
+            assert loss == fresh_loss
+            assert np.array_equal(grad.view(np.int64), fresh.view(np.int64)), (path, cols)
 
 
 # ---------------------------------------------------------------------------

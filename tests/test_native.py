@@ -1,19 +1,30 @@
-"""The compiled AdamW kernel: where it is cached, that it is built where a
-compiler exists, that every failure falls back to the numpy step with the same
-artifacts, and that commands which never train never build it."""
+"""The compiled kernels: where they are cached, that they are built where a
+compiler exists, that every clone target gives numpy's bits, that every failure
+falls back to the numpy paths with the same artifacts, and that commands which
+never train never build them."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import child_env
 
 from sepll import native
 from sepll.cli import main
+from sepll.data import MappingMatrix
+from sepll.encoder import EncoderConfig
+from sepll.model import init_params
+from sepll.nnet import CSRMatrix
+from sepll.trainer import TrainConfig, adamw_step, init_optimizer
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 CONFIG = """\
 [data]
@@ -36,9 +47,9 @@ seed = 0
 
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
-    """An undecided kernel and an empty cache directory; returns the directory
+    """Undecided kernels and an empty cache directory; returns the directory
     the library would be built in."""
-    monkeypatch.setattr(native, "_adamw", native._UNSET)
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "sepll"
 
@@ -62,15 +73,16 @@ def test_library_path_is_keyed_by_source_under_the_cache_home(monkeypatch, tmp_p
     assert native.library_path().name != path.name
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@needs_cc
 def test_kernel_is_built_and_loaded_where_a_compiler_exists(fresh):
     # a silent fallback here would hide the lost speed
-    assert native.adamw() is not None
+    assert native.loaded() is None
+    assert native.load() is not None
     assert [p.name for p in fresh.iterdir()] == [native.library_path().name]
-    assert native.adamw() is native.adamw()  # decided once per process
+    assert native.load() is native.load() is native.loaded()  # decided once per process
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@needs_cc
 def test_kernel_source_compiles_without_warnings():
     # -Wextra names a parameter the kernel no longer reads, among others
     proc = subprocess.run(
@@ -91,25 +103,36 @@ def break_build(case: str, monkeypatch, tmp_path) -> None:
     elif case == "not a library":
         native.library_path().parent.mkdir(parents=True)
         native.library_path().write_text("not a shared object")
+    elif case == "library without the kernels":
+        # loads, but sepll_adamw and sepll_row_sums are undefined symbols
+        native.library_path().parent.mkdir(parents=True)
+        subprocess.run(
+            ["cc", *native.FLAGS, "-x", "c", "-", "-o", str(native.library_path())],
+            input="int sepll_other(void) { return 0; }\n", text=True, check=True, timeout=native.COMPILE_TIMEOUT_S,
+        )
 
 
-@pytest.mark.parametrize("case", ["no compiler", "compile error", "cache is a file", "not a library"])
+@pytest.mark.parametrize(
+    "case", ["no compiler", "compile error", "cache is a file", "not a library", "library without the kernels"]
+)
 def test_a_failed_build_falls_back_to_identical_numpy_training(fresh, monkeypatch, tmp_path, case):
+    if case == "library without the kernels" and shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
     # weight decay 0 too: the kernel still adds theta * 0.0, which numpy skips
     configs = {"decay": CONFIG, "no decay": CONFIG + "weight_decay = 0.0\n"}
     reference = {k: train_bytes(tmp_path, f"reference {k}", c) for k, c in configs.items()}
-    assert (native._adamw is None) == (shutil.which("cc") is None)
-    monkeypatch.setattr(native, "_adamw", native._UNSET)
+    assert (native._kernels is None) == (shutil.which("cc") is None)
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "broken"))
     break_build(case, monkeypatch, tmp_path)
     assert {k: train_bytes(tmp_path, f"fallback {k}", c) for k, c in configs.items()} == reference
-    assert native._adamw is None
-    assert not list(native.library_path().parent.glob(".adamw-*"))  # no temp file left
+    assert native._kernels is None  # both kernels off
+    assert not list(native.library_path().parent.glob(".kernels-*"))  # no temp file left
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@needs_cc
 def test_two_commands_building_at_once_both_load_the_kernel(fresh):
-    code = "from sepll import native; print(native.adamw() is not None)"
+    code = "from sepll import native; print(native.load() is not None)"
     procs = [
         subprocess.Popen([sys.executable, "-c", code], env=child_env(), stdout=subprocess.PIPE, text=True)
         for _ in range(2)
@@ -122,7 +145,7 @@ def test_two_commands_building_at_once_both_load_the_kernel(fresh):
 
 def test_importing_the_cli_builds_nothing(fresh):
     # nor imports subprocess, which only a build needs
-    code = "import sys, sepll.cli, sepll.native as n; print(n._adamw is n._UNSET, 'subprocess' in sys.modules)"
+    code = "import sys, sepll.cli, sepll.native as n; print(n._kernels is n._UNSET, 'subprocess' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120, check=True
     )
@@ -135,11 +158,89 @@ def test_commands_that_do_not_train_build_nothing(tmp_path, monkeypatch):
     cfg.write_text(CONFIG, encoding="utf-8")
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    monkeypatch.setattr(native, "_adamw", native._UNSET)
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     checkpoint = ["--checkpoint", str(run / "checkpoint.sepll"), "--config", str(cfg)]
     assert main(["eval", *checkpoint, "--split", "test", "--out", str(tmp_path / "eval")]) == 0
     assert main(["analyze", *checkpoint, "--which", "memorization", "--out", str(tmp_path / "an")]) == 0
     assert main(["stats", "--config", str(cfg), "--out", str(tmp_path / "stats")]) == 0
-    assert native._adamw is native._UNSET
+    assert native._kernels is native._UNSET
     assert not (tmp_path / "cache").exists()
+
+
+def cpu_runs(target: str) -> bool:
+    """Whether this CPU runs the clone ``target`` of ``native.DISPATCH``."""
+    if target == "default":
+        return True
+    try:
+        return target in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+def build_for(target: str, tmp_path) -> native.Kernels:
+    """``native.SOURCE`` compiled for ``target`` alone, without the dispatch."""
+    assert native.SOURCE.count(native.DISPATCH) == 1
+    path = tmp_path / f"{target}.so"
+    subprocess.run(
+        ["cc", *native.FLAGS, *([] if target == "default" else [f"-m{target}"]), "-x", "c", "-", "-o", str(path)],
+        input=native.SOURCE.replace(native.DISPATCH, ""), text=True, check=True, timeout=native.COMPILE_TIMEOUT_S,
+    )
+    return native.bind(ctypes.CDLL(str(path)))
+
+
+def awkward(rng, shape) -> np.ndarray:
+    """Normal values of every magnitude with +0.0, -0.0 and subnormals of both
+    signs mixed in."""
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    pick = rng.random(shape)
+    out[pick < 0.1] = 0.0
+    out[(0.1 <= pick) & (pick < 0.2)] = -0.0
+    subnormal = (0.2 <= pick) & (pick < 0.3)
+    out[subnormal] = np.nextafter(0.0, 1.0) * rng.integers(-1000, 1000, size=int(subnormal.sum()))
+    return out
+
+
+def on_each_path(kernels, monkeypatch, run) -> list:
+    """``run()``'s arrays as int64 bit patterns on ``kernels``, then on numpy."""
+    bits = []
+    for path in (kernels, None):
+        monkeypatch.setattr(native, "_kernels", path)
+        bits.append([np.ascontiguousarray(a).view(np.int64) for a in run()])
+    return bits
+
+
+@needs_cc
+@pytest.mark.parametrize("target", ["avx512f", "avx2", "default"])
+def test_each_clone_target_is_bitwise_numpy(target, tmp_path, monkeypatch):
+    # The loader picks the widest target this CPU runs, so every target must
+    # give numpy's bits: vector width must not let a fused multiply-add or a
+    # reordered sum in.
+    if not cpu_runs(target):
+        pytest.skip(f"this CPU does not run {target}")
+    kernels = build_for(target, tmp_path)
+    rng = np.random.default_rng(21)
+
+    def adamw_run(weight_decay):
+        mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
+        params = init_params(700, mapping, EncoderConfig(hidden=(), dim=16), rng=np.random.default_rng(2))
+        state = init_optimizer(params)
+        steps = np.random.default_rng(3)
+        for lr in (0.05, 0.01, 0.002):
+            adamw_step(params, awkward(steps, params.theta.shape), state, TrainConfig(weight_decay=weight_decay), lr)
+        return params.theta, state.m, state.v
+
+    for weight_decay in (0.0, 0.01):
+        kernel, numpy = on_each_path(kernels, monkeypatch, lambda: adamw_run(weight_decay))
+        assert all(np.array_equal(a, b) for a, b in zip(kernel, numpy)), ("adamw", weight_decay)
+
+    for n, f, width in [(40, 30, 64), (25, 300, 5), (7, 3, 1), (12, 9, 0), (0, 12, 8), (3, 0, 4)]:
+        dense = awkward(rng, (n, f)) * (rng.random((n, f)) < 0.4)
+        dense[: n // 3] = 0.0  # empty rows
+        rows, cols = np.nonzero(dense)
+        data = dense[rows, cols]
+        data[::5] = -0.0  # stored -0.0 entries
+        X = CSRMatrix(data, cols, np.searchsorted(rows, np.arange(n + 1)), (n, f))
+        W, D = awkward(rng, (f, width)), awkward(rng, (n, width))
+        kernel, numpy = on_each_path(kernels, monkeypatch, lambda: (X @ W, *X.transpose_product(D)[1:]))
+        assert all(np.array_equal(a, b) for a, b in zip(kernel, numpy)), ("row sums", n, f, width)

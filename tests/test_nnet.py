@@ -1,4 +1,5 @@
-"""CSRMatrix checked bit for bit against scipy.sparse.csr_array."""
+"""CSRMatrix checked bit for bit against scipy.sparse.csr_array, on the compiled
+kernel where it could be built and on numpy."""
 
 from __future__ import annotations
 
@@ -69,21 +70,22 @@ def test_row_selection_matches_scipy(rng, n, f, empty):
 
 @pytest.mark.parametrize("width", [1, 5, 64])
 @pytest.mark.parametrize("n, f, empty", SHAPES)
-def test_products_match_scipy_bitwise(rng, row_block, n, f, empty, width):
+def test_products_match_scipy_bitwise(rng, row_block, native_paths, n, f, empty, width):
     X, ref = random_pair(rng, n, f, empty_rows=empty)
     W = signed_zeros(rng, (f, width))
     D = signed_zeros(rng, (n, width))
-    assert np.array_equal(bits(X @ W), bits(ref @ W))
-    assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D))
-    if empty:
-        rows = np.array(list(empty))  # an all-empty batch: no used columns
-        D_rows = signed_zeros(rng, (rows.size, width))
-        assert np.array_equal(bits(X[rows] @ W), bits(ref[rows] @ W))
-        assert X[rows].transpose_product(D_rows)[0].size == 0
-        assert np.array_equal(bits(transpose_product_dense(X[rows], D_rows)), bits(ref[rows].T @ D_rows))
+    for path in native_paths():
+        assert np.array_equal(bits(X @ W), bits(ref @ W)), path
+        assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D)), path
+        if empty:
+            rows = np.array(list(empty))  # an all-empty batch: no used columns
+            D_rows = signed_zeros(rng, (rows.size, width))
+            assert np.array_equal(bits(X[rows] @ W), bits(ref[rows] @ W)), path
+            assert X[rows].transpose_product(D_rows)[0].size == 0
+            assert np.array_equal(bits(transpose_product_dense(X[rows], D_rows)), bits(ref[rows].T @ D_rows)), path
 
 
-def test_products_match_scipy_on_long_and_skewed_rows(rng, row_block):
+def test_products_match_scipy_on_long_and_skewed_rows(rng, row_block, native_paths):
     # rows of very different lengths, with near-cancelling terms: any change of
     # summation order shows up in the low bits
     n, f = 50, 400
@@ -95,16 +97,47 @@ def test_products_match_scipy_on_long_and_skewed_rows(rng, row_block):
     X = CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
     W = rng.normal(size=(f, 17)) * 10.0 ** rng.integers(-8, 8, size=(f, 17))
     D = rng.normal(size=(n, 17))
-    assert np.array_equal(bits(X @ W), bits(ref @ W))
-    assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D))
+    for path in native_paths():
+        assert np.array_equal(bits(X @ W), bits(ref @ W)), path
+        assert np.array_equal(bits(transpose_product_dense(X, D)), bits(ref.T @ D)), path
 
 
-def test_products_reject_mismatched_shapes(rng):
+def test_products_reject_mismatched_shapes(rng, native_paths):
     X, _ = random_pair(rng, 4, 3)
-    with pytest.raises(ValueError):
-        X @ np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        X.transpose_product(np.zeros((3, 2)))
+    for _ in native_paths():
+        with pytest.raises(ValueError):
+            X @ np.zeros((4, 2))
+        with pytest.raises(ValueError):
+            X.transpose_product(np.zeros((3, 2)))
+
+
+def malformed(X: CSRMatrix, case: str) -> CSRMatrix:
+    """``X`` with one index that points outside its arrays."""
+    indices, indptr = X.indices.copy(), X.indptr.copy()
+    if case == "column past the end":
+        indices[-1] = X.shape[1]
+    elif case == "negative column":
+        indices[0] = -1  # numpy indexing would wrap it round silently
+    elif case == "decreasing row pointers":
+        indptr[2] = indptr[3] + 1
+    elif case == "row pointers past the data":
+        indptr[3:] += 1000
+    return CSRMatrix(X.data, indices, indptr, X.shape)
+
+
+@pytest.mark.parametrize(
+    "case", ["column past the end", "negative column", "decreasing row pointers", "row pointers past the data"]
+)
+def test_products_reject_indices_outside_the_arrays(rng, native_paths, case):
+    # the kernel reads wherever an index points, so the check comes first, and
+    # both paths raise the same error
+    X, _ = random_pair(rng, 6, 5, density=0.6)
+    bad = malformed(X, case)
+    for path in native_paths():
+        with pytest.raises(ValueError):
+            bad @ np.ones((5, 3))
+        with pytest.raises(ValueError):
+            bad.transpose_product(np.ones((6, 3)))
 
 
 def test_row_selection_is_bounds_checked(rng):

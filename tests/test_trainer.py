@@ -91,52 +91,55 @@ def zero_grads(params):
     return grad, dict(param_items(params, grad))
 
 
-def test_adamw_first_step_frozen_value():
+def test_adamw_first_step_frozen_value(native_paths):
     # g=1, lr=0.1, wd=0: bias-corrected m-hat = v-hat = 1, so the update is
     # exactly lr / (1 + eps)
-    params = zeroed_tiny_params()
-    grad, grads = zero_grads(params)
-    grads["task.0.b"][0] = 1.0
-    state = init_optimizer(params)
-    adamw_step(params, grad, state, TrainConfig(weight_decay=0.0), current_lr=0.1)
-    assert params.task_head[0].b[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-18)
-    # untouched parameters stay exactly zero
-    assert params.lf_head[0].b[0] == 0.0
-    assert np.all(params.encoder[0].W == 0.0)
-
-
-def test_adamw_weight_decay_uses_pre_update_theta():
-    # zero gradient, wd=0.01, lr=0.1, theta=1 -> theta - lr*wd*theta = 0.999
-    params = zeroed_tiny_params()
-    params.task_head[0].b[0] = 1.0
-    state = init_optimizer(params)
-    adamw_step(params, zero_grads(params)[0], state, TrainConfig(weight_decay=0.01), current_lr=0.1)
-    assert params.task_head[0].b[0] == pytest.approx(0.999, abs=1e-15)
-
-
-def test_adamw_two_steps_match_reference_loop():
-    params = zeroed_tiny_params()
-    state = init_optimizer(params)
-    cfg = TrainConfig(weight_decay=0.01)
-    lr = 0.05
-    gs = [0.7, -1.3]
-    theta_ref, m_ref, v_ref = 0.0, 0.0, 0.0
-    for t, g in enumerate(gs, start=1):
+    for path in native_paths():
+        params = zeroed_tiny_params()
         grad, grads = zero_grads(params)
-        grads["lf.0.b"][1] = g
-        adamw_step(params, grad, state, cfg, current_lr=lr)
-        m_ref = 0.9 * m_ref + 0.1 * g
-        v_ref = 0.999 * v_ref + 0.001 * g * g
-        m_hat = m_ref / (1 - 0.9**t)
-        v_hat = v_ref / (1 - 0.999**t)
-        theta_ref -= lr * m_hat / (np.sqrt(v_hat) + 1e-8) + lr * 0.01 * theta_ref
-    assert params.lf_head[0].b[1] == pytest.approx(theta_ref, abs=1e-16)
-    assert state.step == 2
+        grads["task.0.b"][0] = 1.0
+        state = init_optimizer(params)
+        adamw_step(params, grad, state, TrainConfig(weight_decay=0.0), current_lr=0.1)
+        assert params.task_head[0].b[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-18), path
+        # untouched parameters stay exactly zero
+        assert params.lf_head[0].b[0] == 0.0
+        assert np.all(params.encoder[0].W == 0.0)
+
+
+def test_adamw_weight_decay_uses_pre_update_theta(native_paths):
+    # zero gradient, wd=0.01, lr=0.1, theta=1 -> theta - lr*wd*theta = 0.999
+    for path in native_paths():
+        params = zeroed_tiny_params()
+        params.task_head[0].b[0] = 1.0
+        state = init_optimizer(params)
+        adamw_step(params, zero_grads(params)[0], state, TrainConfig(weight_decay=0.01), current_lr=0.1)
+        assert params.task_head[0].b[0] == pytest.approx(0.999, abs=1e-15), path
+
+
+def test_adamw_two_steps_match_reference_loop(native_paths):
+    for path in native_paths():
+        params = zeroed_tiny_params()
+        state = init_optimizer(params)
+        cfg = TrainConfig(weight_decay=0.01)
+        lr = 0.05
+        gs = [0.7, -1.3]
+        theta_ref, m_ref, v_ref = 0.0, 0.0, 0.0
+        for t, g in enumerate(gs, start=1):
+            grad, grads = zero_grads(params)
+            grads["lf.0.b"][1] = g
+            adamw_step(params, grad, state, cfg, current_lr=lr)
+            m_ref = 0.9 * m_ref + 0.1 * g
+            v_ref = 0.999 * v_ref + 0.001 * g * g
+            m_hat = m_ref / (1 - 0.9**t)
+            v_hat = v_ref / (1 - 0.999**t)
+            theta_ref -= lr * m_hat / (np.sqrt(v_hat) + 1e-8) + lr * 0.01 * theta_ref
+        assert params.lf_head[0].b[1] == pytest.approx(theta_ref, abs=1e-16), path
+        assert state.step == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_adamw_rejects_non_finite_update(adamw_paths):
-    for _ in adamw_paths():
+def test_adamw_rejects_non_finite_update(native_paths):
+    for _ in native_paths():
         params = zeroed_tiny_params()
         grad, grads = zero_grads(params)
         grads["task.0.b"][0] = np.inf
@@ -225,12 +228,12 @@ def row_sparse_grad(params, rng):
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adamw_blocked_step_is_bitwise_reference(weight_decay, adamw_paths):
+def test_adamw_blocked_step_is_bitwise_reference(weight_decay, native_paths):
     gradients = {
         "normal": lambda params, rng: rng.normal(size=params.theta.shape),
         "row-sparse": row_sparse_grad,
     }
-    for path in adamw_paths():
+    for path in native_paths():
         for kind, make_grad in gradients.items():
             params = multi_block_params()
             ref = multi_block_params()
@@ -249,11 +252,11 @@ def test_adamw_blocked_step_is_bitwise_reference(weight_decay, adamw_paths):
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, adamw_paths):
+def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, native_paths):
     # the numpy step is the kernel's oracle: same inputs, same bits, also where
     # the kernel adds theta * 0.0 that numpy skips at weight decay 0
     finals = {}
-    for path in adamw_paths():
+    for path in native_paths():
         params = multi_block_params()
         state = init_optimizer(params)
         rng = np.random.default_rng(14)
@@ -266,7 +269,7 @@ def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, adamw_paths):
         assert np.array_equal(kernel, numpy)
 
 
-def test_adamw_first_moment_is_never_negative_zero(adamw_paths):
+def test_adamw_first_moment_is_never_negative_zero(native_paths):
     # The first-layer rows a batch does not touch get +0.0 gradient terms; adding
     # them keeps those rows' moments bit for bit only because m never holds -0.0:
     # it starts at +0.0, a rounded sum is -0.0 only if both terms are, and
@@ -274,7 +277,7 @@ def test_adamw_first_moment_is_never_negative_zero(adamw_paths):
     tiny = -np.nextafter(0.0, 1.0)
     assert np.signbit(tiny * 0.9) and tiny * 0.9 == tiny  # rounds away from zero
     assert tiny * 0.1 == 0.0 and np.signbit(tiny * 0.1)  # the gradient term can be -0.0
-    for path in adamw_paths():
+    for path in native_paths():
         params = multi_block_params()
         state = init_optimizer(params)
         rng = np.random.default_rng(13)
@@ -286,8 +289,8 @@ def test_adamw_first_moment_is_never_negative_zero(adamw_paths):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_adamw_rejects_non_finite_update_in_last_block(adamw_paths):
-    for _ in adamw_paths():
+def test_adamw_rejects_non_finite_update_in_last_block(native_paths):
+    for _ in native_paths():
         params = multi_block_params()
         grad, grads = zero_grads(params)
         grads["encoder.0.W"].reshape(-1)[-1] = np.inf
