@@ -51,6 +51,12 @@ import numpy as np
 # sepll_row_sums: every output element adds its terms left to right from 0.0,
 # the order of numpy's blocked loop in nnet._row_sums and of scipy's CSR
 # products. Its caller has checked every index it reads.
+#
+# AVX2 carries most of the dispatch's gain. Each kernel built for one target
+# alone, at wide-vocab shapes (1,042,264 parameters; a 16-row batch, 256 wide),
+# on a 2-vCPU 2.1 GHz Xeon with AVX-512, median of three runs: AdamW step
+# 6.0 / 4.6 / 4.4 ms and forward row sums 106 / 91 / 87 us for the baseline,
+# AVX2 and AVX-512F builds. So an AVX2-only CPU gains nearly as much as this one.
 CHUNK = 4096  # elements whose updates are checked before any of them is applied
 DISPATCH = '__attribute__((target_clones("avx512f", "avx2", "default")))'
 SOURCE = f"#define CHUNK {CHUNK}\n" + r"""

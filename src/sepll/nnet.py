@@ -29,8 +29,9 @@ class CSRMatrix:
     terms left to right, starting from 0.0: ``X @ W`` over a row's nonzeros in
     storage order, ``X.T @ D`` over a column's nonzeros in row order. That is
     the summation order of scipy's CSR products, so results are bitwise equal
-    to ``scipy.sparse.csr_array``'s. Both products first check the structure
-    and raise ``ValueError`` where it would index outside the arrays.
+    to ``scipy.sparse.csr_array``'s. The constructor raises ``ValueError``
+    where the structure would index outside the arrays, so the products can
+    read every index unchecked.
     """
 
     def __init__(self, data, indices, indptr, shape: tuple[int, int]):
@@ -38,25 +39,6 @@ class CSRMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
-
-    def __getitem__(self, rows) -> CSRMatrix:
-        rows = np.arange(self.shape[0])[rows]  # bounds-checked; accepts slices and masks
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return CSRMatrix(self.data[pos], self.indices[pos], indptr, (rows.size, self.shape[1]))
-
-    def __matmul__(self, W: np.ndarray) -> np.ndarray:
-        if W.ndim != 2 or W.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
-        self._check()
-        return _row_sums(self.data, self.indices, self.indptr, W)
-
-    def _check(self) -> None:
-        """Raise ValueError unless ``indptr`` runs from 0 to the number of
-        nonzeros without decreasing, and every column index is in range."""
         n, f = self.shape
         ptr, nnz = self.indptr, self.data.size
         if (
@@ -70,6 +52,20 @@ class CSRMatrix:
         if nnz and not (self.indices.min() >= 0 and self.indices.max() < f):
             raise ValueError(f"column index outside [0, {f})")
 
+    def __getitem__(self, rows) -> CSRMatrix:
+        rows = np.arange(self.shape[0])[rows]  # bounds-checked; accepts slices and masks
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[pos], self.indices[pos], indptr, (rows.size, self.shape[1]))
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        if W.ndim != 2 or W.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
+        return _row_sums(self.data, self.indices, self.indptr, W)
+
     def used_columns(self) -> np.ndarray:
         """The columns that hold a nonzero in some row, ascending."""
         return np.flatnonzero(np.bincount(self.indices, minlength=self.shape[1]))
@@ -80,7 +76,6 @@ class CSRMatrix:
         Every other row of ``X.T @ D`` is +0.0."""
         if D.ndim != 2 or D.shape[0] != self.shape[0]:
             raise ValueError(f"cannot multiply a {self.shape[::-1]} matrix by one of shape {D.shape}")
-        self._check()
         # Regroup the nonzeros by column, keeping row order within a column: the
         # used columns become the rows of a CSR matrix over this matrix's rows.
         order = np.argsort(self.indices, kind="stable")

@@ -59,6 +59,13 @@ def kernel_cache(tmp_path_factory):
         yield
 
 
+@pytest.fixture(autouse=True)
+def undecided_kernels(monkeypatch):
+    """Start every test with the native kernels undecided, and put that back
+    after it, so that no test runs on kernels another test loaded."""
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
+
+
 @pytest.fixture
 def native_paths(monkeypatch):
     """Iterate over the paths of the AdamW step and the sparse products by name,

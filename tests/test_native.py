@@ -47,9 +47,8 @@ seed = 0
 
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
-    """Undecided kernels and an empty cache directory; returns the directory
-    the library would be built in."""
-    monkeypatch.setattr(native, "_kernels", native._UNSET)
+    """An empty cache directory; returns the directory the library would be
+    built in."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "sepll"
 
