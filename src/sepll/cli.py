@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical failur
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -40,12 +39,11 @@ from .evaluation import (
     task_metrics,
     train_test_gap,
     write_bar_chart_svg,
-    write_json,
 )
 from .lf_engine import apply_lfs, compute_stats, mapping_from_lfs, parse_lf_entries
-from .manifest import build_manifest, write_manifest
+from .manifest import build_manifest
 from .model import load_checkpoint, predict_batch, save_checkpoint
-from .serialize import write_csv
+from .serialize import to_json, write_csv, write_json
 from .trainer import VARIANT_ORDER, run_ablation, train
 
 
@@ -97,7 +95,7 @@ def _finish(
     out_dir: Path, seed: int, echo: dict, inputs: dict[str, Path], artifacts: dict[str, Path]
 ) -> None:
     """Write ``out_dir/manifest.json`` over the inputs read and the artifacts written."""
-    write_manifest(out_dir / "manifest.json", build_manifest(seed, echo, inputs, artifacts))
+    write_json(out_dir / "manifest.json", build_manifest(seed, echo, inputs, artifacts))
 
 
 def _build_matrices(
@@ -188,13 +186,13 @@ def stats(config_path: str, out: str | None, seed: int | None) -> None:
             continue
         gold = [s.gold_label for s in samples]
         gold_arg = gold if all(g is not None for g in gold) else None
-        payload[name] = compute_stats(match[name], mapping, gold_arg).to_json_dict()
+        payload[name] = compute_stats(match[name], mapping, gold_arg)
     if out is None:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(to_json(payload))
         return
     out_dir = _out_dir(out)
     stats_file = out_dir / "stats.json"
-    write_json(payload, stats_file)
+    write_json(stats_file, payload)
     _finish(out_dir, run.seed, run.echo(), run.inputs, {"stats": stats_file})
     click.echo(f"wrote {stats_file}")
 
@@ -321,11 +319,11 @@ def eval_cmd(
         split=split,
     )
     if out is None:
-        click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        click.echo(to_json(report))
         return
     out_dir = _out_dir(out)
     json_file = out_dir / "report.json"
-    write_json(report.to_json_dict(), json_file)
+    write_json(json_file, report)
     csv_file = out_dir / "report.csv"
     report_to_csv(report.cells(), csv_file)
     _finish(out_dir, run.seed, echo, run.inputs, {"report_json": json_file, "report_csv": csv_file})
@@ -367,23 +365,18 @@ def analyze(
             n_classes=params.mapping.c,
             positive_class=run.cfg.train.positive_class,
         )
-        payload = {str(c): {"value": g.value, "support": g.support} for c, g in table.items()}
+        payload = {str(c): g for c, g in table.items()}  # str keys sort as text: "10" < "2"
     elif which == "memorization":
         X, _ = _split_features_gold(run.splits, vocab, split)
-        report = memorization_report(params, X, match[split], k=k)
-        payload = report.to_json_dict()
+        payload = report = memorization_report(params, X, match[split], k=k)
     else:  # gap
         gap_reports = {}
         for part in ("train", "test"):
             X, _ = _split_features_gold(run.splits, vocab, part)
             gap_reports[part] = memorization_report(params, X, match[part], k=k)
-        payload = {
-            "cells": train_test_gap(gap_reports["train"], gap_reports["test"]),
-            "train": gap_reports["train"].to_json_dict(),
-            "test": gap_reports["test"].to_json_dict(),
-        }
+        payload = {"cells": train_test_gap(gap_reports["train"], gap_reports["test"]), **gap_reports}
     if out is None:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(to_json(payload))
         return
 
     out_dir = _out_dir(out)
@@ -401,7 +394,7 @@ def analyze(
             )
     else:
         artifacts = {which: out_dir / f"{which}.json"}
-        write_json(payload, artifacts[which])
+        write_json(artifacts[which], payload)
     if plot and which == "memorization":
         paths = list(report.paths)
         artifacts["memorization_scores_svg"] = out_dir / "memorization_scores.svg"
@@ -473,7 +466,7 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
         rows.append([variant, *(repr(v) for v in row), repr(float(np.mean(row)))])
     write_csv(csv_file, rows)
     json_file = out_dir / "ablation.json"
-    write_json(results, json_file)
+    write_json(json_file, results)
     echo = run_cfg.to_echo_dict()  # no class names: the datasets may differ in them
     echo["train"]["seed"] = run.seed
     _finish(out_dir, run.seed, echo, inputs, {"csv": csv_file, "json": json_file})

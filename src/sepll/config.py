@@ -120,6 +120,8 @@ def parse_config(path: str | Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: file is not UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .seeds import stream
-from .serialize import write_text
+from .serialize import read_json, read_text, write_text
 
 SPLIT_NAMES = ("train", "dev", "test")
 ABSTAIN = -1
@@ -344,22 +344,6 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SplitSet:
 # dataset file formats
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: file is not UTF-8: {exc}") from None
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(_read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except RecursionError:
-        raise DataError(f"{path}: JSON nested too deeply") from None
-
-
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -405,7 +389,7 @@ def _parse_split(entries, wrench: bool) -> tuple[tuple[Sample, ...], np.ndarray]
 
 
 def _load_wrench_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
-    obj = _read_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object keyed by sample id")
     try:
@@ -417,7 +401,7 @@ def _load_wrench_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
 
 def _load_jsonl_split(path: Path) -> tuple[tuple[Sample, ...], np.ndarray]:
     entries = []
-    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -479,7 +463,7 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
 
     label_file = root / "label.json"
     if label_file.exists():
-        names_obj = _read_json(label_file)
+        names_obj = read_json(label_file)
         if not isinstance(names_obj, dict):
             raise DataError(f"{label_file}: expected an object mapping index to name")
         try:

@@ -1,5 +1,5 @@
 """Task metrics, thresholded LF predictions, memorization analysis, and the
-match-count / train-test breakdowns, plus JSON/CSV/SVG report output.
+match-count / train-test breakdowns, plus CSV/SVG report output.
 
 The memorization analysis compares three prediction distributions over LF
 columns: softmax of the LF head alone ("lf_latent"), softmax of the combined
@@ -10,7 +10,6 @@ predicted match (k small, default 4).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -42,18 +41,6 @@ class EvalReport:
             out[f"recall_{k}"] = self.per_class_recall[k]
             out[f"f1_{k}"] = self.per_class_f1[k]
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "metric": self.metric,
-            "value": self.value,
-            "accuracy": self.accuracy,
-            "per_class_precision": list(self.per_class_precision),
-            "per_class_recall": list(self.per_class_recall),
-            "per_class_f1": list(self.per_class_f1),
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-        }
 
 
 def _precision_recall_f1(confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,21 +147,6 @@ class MemorizationReport:
         out["uniform.cross_entropy"] = self.uniform_ce
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "paths": {
-                name: {
-                    "accuracy": p.accuracy,
-                    "macro_f1": p.macro_f1,
-                    "cross_entropy": p.cross_entropy,
-                }
-                for name, p in self.paths.items()
-            },
-            "uniform_ce": self.uniform_ce,
-            "threshold_k": self.threshold_k,
-            "m": self.m,
-        }
-
 
 def _binary_cells_macro_f1(pred: np.ndarray, true: np.ndarray) -> float:
     """Macro F1 over the two cell classes (no-match, match), flattened."""
@@ -280,10 +252,6 @@ def report_to_csv(cells: Mapping[str, float], path) -> None:
 def breakdown_to_csv(table: Mapping[int, MatchGroup], metric: str, path) -> None:
     rows = [[count, repr(float(table[count].value)), table[count].support] for count in sorted(table)]
     write_csv(path, [["match_count", metric, "support"], *rows])
-
-
-def write_json(obj: dict, path) -> None:
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 _PALETTE = ("#4878a8", "#e49444", "#5ba053", "#b65d60", "#8a7bb0", "#77706a")

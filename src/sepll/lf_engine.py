@@ -154,17 +154,6 @@ class LfStats:
     mean_matches_per_matched: float
     conflict_rate: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "mean_matches_per_matched": self.mean_matches_per_matched,
-            "conflict_rate": self.conflict_rate,
-            "per_lf": [
-                {"coverage": p.coverage, "hits": p.hits, "precision": p.precision}
-                for p in self.per_lf
-            ],
-        }
-
 
 def compute_stats(
     match: MatchMatrix, mapping: MappingMatrix, gold: Sequence[int] | None = None

@@ -4,13 +4,12 @@ and produced artifacts. Timestamp-free so identical runs write identical files."
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 from . import __version__
 from .errors import DataError
 from .seeds import STREAM_IDS
-from .serialize import write_text
+from .serialize import read_json
 
 
 def file_digest(path) -> str:
@@ -43,26 +42,28 @@ def build_manifest(
     }
 
 
-def write_manifest(path, manifest: dict) -> None:
-    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def load_manifest(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-
-
 def verify_manifest(path) -> list[str]:
-    """Recompute every digest; returns a list of mismatch descriptions."""
-    manifest = load_manifest(path)
+    """Recompute every digest; returns a list of mismatch descriptions, in which a
+    group or entry of the wrong shape is one more problem."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest is not a JSON object")
     problems = []
     for group in ("inputs", "artifacts"):
-        for name, entry in manifest.get(group, {}).items():
+        entries = manifest.get(group, {})
+        if not isinstance(entries, dict):
+            problems.append(f"{group}: not a JSON object")
+            continue
+        for name, entry in entries.items():
+            if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("path", "sha256"))):
+                problems.append(f'{group}/{name}: not {{"path": str, "sha256": str}}')
+                continue
             target = Path(entry["path"])
-            if not target.exists():
+            try:
+                digest = file_digest(target)
+            except (OSError, ValueError):  # ValueError: the path holds a NUL byte
                 problems.append(f"{group}/{name}: missing file {target}")
-            elif file_digest(target) != entry["sha256"]:
+                continue
+            if digest != entry["sha256"]:
                 problems.append(f"{group}/{name}: digest mismatch for {target}")
     return problems

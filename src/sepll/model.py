@@ -315,6 +315,17 @@ def save_checkpoint(
     write_container(path, header, arrays)
 
 
+def _field(obj: dict, key: str, kind: type, listed: bool = False):
+    """``obj[key]``, of exactly the type ``kind`` (a list of them when ``listed``): json
+    gives true/false as bool, which isinstance(..., int) accepts."""
+    value = obj[key]
+    if listed and (type(value) is not list or any(type(v) is not kind for v in value)):
+        raise TypeError(f"{key!r} must be a list of {kind.__name__}")
+    if not listed and type(value) is not kind:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     header, arrays = read_container(path)
     if header.get("kind") != "sepll-model":
@@ -323,7 +334,7 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     def widths_of(prefix: str, n_in: int | None) -> tuple[int, ...]:
         """Layer widths of one path, after checking that its shapes chain from
         an input ``n_in`` wide (any width when None)."""
-        count = int(header[f"{prefix}_layers"])
+        count = _field(header, f"{prefix}_layers", int)
         if count < 1:
             raise DataError(f"{prefix}_layers must be at least 1, got {count}")
         widths = [n_in]
@@ -344,8 +355,8 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
 
     try:
         mapping = MappingMatrix(
-            c=int(header["n_classes"]),
-            class_of=np.asarray(header["class_of"], dtype=np.int64),
+            c=_field(header, "n_classes", int),
+            class_of=np.asarray(_field(header, "class_of", int, listed=True), dtype=np.int64),
         )
         encoder = widths_of("encoder", None)
         dims = (encoder, widths_of("task", encoder[-1]), widths_of("lf", encoder[-1]))
@@ -355,14 +366,14 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
                 raise DataError(f"unknown nonlinearity {name!r}")
         v = header["vocab"]
         vocab = Vocabulary(
-            tokens=tuple(v["tokens"]),
-            df=np.asarray(v["df"], dtype=np.int64),
-            n_docs=int(v["n_docs"]),
-            lowercase=bool(v["lowercase"]),
+            tokens=tuple(_field(v, "tokens", str, listed=True)),
+            df=np.asarray(_field(v, "df", int, listed=True), dtype=np.int64),
+            n_docs=_field(v, "n_docs", int),
+            lowercase=_field(v, "lowercase", bool),
         )
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     except DataError as exc:  # layer counts and shapes, and MappingMatrix's own checks
         raise DataError(f"{path}: {exc}") from exc

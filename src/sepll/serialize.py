@@ -1,5 +1,9 @@
-"""Self-describing binary container: magic line, one JSON header line, packed arrays.
+"""Artifact formats: JSON reports, CSV tables, and the binary container.
 
+A JSON artifact is indented, key-sorted JSON and a newline; a dataclass in it
+is written as its fields, an ndarray as nested lists.
+
+The binary container is a magic line, one JSON header line, and packed arrays.
 The header carries an ``arrays`` index of (name, shape) in write order; the
 payload is the concatenation of those arrays as row-major little-endian
 float64. Everything non-numeric lives in the header.
@@ -11,6 +15,7 @@ reader sees either the previous file or the complete new one.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -45,6 +50,43 @@ def write_text(path, text: str) -> None:
     """``text`` as UTF-8, through :func:`atomic_open`."""
     with atomic_open(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; :class:`DataError` naming the file for other bytes."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8: {exc}") from None
+
+
+def _json_default(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj) -> str:
+    """``obj`` in the JSON artifact format, without the trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+
+
+def write_json(path, obj) -> None:
+    """:func:`to_json` of ``obj`` plus a newline, through :func:`atomic_open`."""
+    write_text(path, to_json(obj) + "\n")
+
+
+def read_json(path):
+    """The JSON value in ``path``; :class:`DataError` naming the file when it is
+    not UTF-8, not JSON, or nested too deeply to decode."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply") from None
 
 
 def write_csv(path, rows: Iterable[Sequence]) -> None:

@@ -33,7 +33,7 @@ from .model import (
 )
 from .nnet import CSRMatrix
 from .seeds import stream
-from .serialize import write_text
+from .serialize import write_csv
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,8 @@ class TrainHistory:
     stopped_early: bool = False
 
     def to_csv(self, path) -> None:
-        lines = ["epoch,train_loss,dev_metric,lr"]
-        lines += [
-            f"{r.epoch},{r.train_loss!r},{r.dev_metric!r},{r.lr!r}" for r in self.epochs
-        ]
-        write_text(path, "\n".join(lines) + "\n")
+        names = [f.name for f in dataclasses.fields(EpochRecord)]
+        write_csv(path, [names, *([repr(getattr(r, name)) for name in names] for r in self.epochs)])
 
 
 def _dev_metric(params, X, gold, config: TrainConfig, n_classes: int) -> float:

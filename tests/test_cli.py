@@ -17,7 +17,8 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 from sepll.cli import main
-from sepll.manifest import load_manifest, verify_manifest
+from sepll.manifest import verify_manifest
+from sepll.serialize import read_json
 from sepll.trainer import VARIANT_ORDER
 
 SYNTH_CONFIG = """\
@@ -166,7 +167,7 @@ def test_train_writes_artifacts(trained, capsys):
     history = (out / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_loss,dev_metric,lr"
     assert len(history) > 1
-    manifest = load_manifest(out / "manifest.json")
+    manifest = read_json(out / "manifest.json")
     assert manifest["config"]["train"]["seed"] == 0
     assert verify_manifest(out / "manifest.json") == []
 
@@ -178,7 +179,7 @@ def test_train_seed_override_is_deterministic(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(b), "--seed", "7"]) == 0
     assert digest(a / "checkpoint.sepll") == digest(b / "checkpoint.sepll")
     assert digest(a / "history.csv") == digest(b / "history.csv")
-    manifest = load_manifest(a / "manifest.json")
+    manifest = read_json(a / "manifest.json")
     assert manifest["seed"] == 7
     assert manifest["config"]["train"]["seed"] == 7
 
@@ -188,6 +189,15 @@ def test_train_missing_dev_split_exits_2(tmp_path, capsys):
     code = main(["train", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "dev split required for early stopping" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_1_naming_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[train]\nseed = \xff\xfe\n")
+    assert main(["stats", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: file is not UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_train_bad_config_exits_1(tmp_path, capsys):
@@ -403,6 +413,60 @@ def test_analyze_gap_json(trained, tmp_path):
     assert all(v >= 0 for v in blob["cells"].values())
 
 
+# what ``analyze --which matches`` prints, byte for byte: count keys sort as text
+MATCHES_JSON = """{
+  "0": {
+    "support": 8,
+    "value": 0.25
+  },
+  "10": {
+    "support": 1,
+    "value": 1.0
+  },
+  "2": {
+    "support": 4,
+    "value": 0.5
+  }
+}
+"""
+
+
+def test_analyze_matches_stdout_golden(trained, capsys, monkeypatch):
+    import sepll.cli
+    from sepll.evaluation import MatchGroup
+
+    table = {2: MatchGroup(0.5, 4), 10: MatchGroup(1.0, 1), 0: MatchGroup(0.25, 8)}
+    monkeypatch.setattr(sepll.cli, "match_count_breakdown", lambda *args, **kwargs: table)
+    cfg, run_dir = trained
+    code = main(
+        ["analyze", "--checkpoint", str(run_dir / "checkpoint.sepll"), "--config", cfg,
+         "--which", "matches"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == MATCHES_JSON
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["stats"], "stats.json"),
+        (["eval", "--metric", "macro_f1"], "report.json"),
+        (["analyze", "--which", "memorization"], "memorization.json"),
+        (["analyze", "--which", "gap"], "gap.json"),
+    ],
+    ids=["stats", "eval", "analyze-memorization", "analyze-gap"],
+)
+def test_stdout_without_out_is_the_written_json(trained, tmp_path, capsys, argv, name):
+    cfg, run_dir = trained
+    argv = [*argv, "--config", cfg]
+    if argv[0] != "stats":
+        argv += ["--checkpoint", str(run_dir / "checkpoint.sepll")]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert printed == (tmp_path / "out" / name).read_text(encoding="utf-8")
+
+
 def test_analyze_stdout_without_out(trained, capsys):
     cfg, run_dir = trained
     code = main(
@@ -596,7 +660,7 @@ def test_every_out_command_manifest_lists_exactly_its_files(tmp_path):
             assert main([*argv, "--out", str(out)]) == 0, name
         manifest = out / "manifest.json"
         assert verify_manifest(manifest) == [], name
-        listed = [Path(entry["path"]).resolve() for entry in load_manifest(manifest)["artifacts"].values()]
+        listed = [Path(entry["path"]).resolve() for entry in read_json(manifest)["artifacts"].values()]
         written = [f.resolve() for f in out.iterdir() if f.name != "manifest.json"]
         assert sorted(listed) == sorted(written), name
 

@@ -1,26 +1,26 @@
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import match_from_dense
+from hypothesis import given, settings, strategies as st
 
 import sepll.serialize
+from sepll import config
 from sepll.config import parse_config
 from sepll.data import SynthSpec, write_triplets
 from sepll.encoder import EncoderConfig
 from sepll.errors import ConfigError, DataError
 from sepll.model import ModelConfig
-from sepll.manifest import (
-    build_manifest,
-    file_digest,
-    load_manifest,
-    verify_manifest,
-    write_manifest,
-)
-from sepll.serialize import atomic_open, read_container, write_container
+from sepll.lf_engine import PerLfStats
+from sepll.manifest import build_manifest, file_digest, verify_manifest
+from sepll.serialize import atomic_open, read_container, read_json, to_json, write_container, write_json
 from sepll.trainer import EpochRecord, TrainConfig, TrainHistory
 
 FULL_CONFIG = """\
@@ -204,6 +204,23 @@ def test_config_echo_dict_is_json_safe(tmp_path):
     assert blob["data"]["synth"]["n_train"] == 50
 
 
+def test_readme_config_reference_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Configuration\n.*?^```ini\n(.*?)^```", readme, re.S | re.M).group(1)
+    parser = configparser.ConfigParser(
+        interpolation=None, delimiters=("=",), comment_prefixes=(";",), inline_comment_prefixes=(";",)
+    )
+    parser.optionxform = str
+    parser.read_string(block)
+    for section, cls in (("encoder", EncoderConfig), ("model", ModelConfig), ("train", TrainConfig)):
+        schema = config._schema(cls)
+        assert set(parser[section]) == set(schema), section
+        # the values shown are the defaults
+        defaults = cls()
+        for key, raw in parser[section].items():
+            assert config._PARSERS[schema[key]](section, key, raw) == getattr(defaults, key), (section, key)
+
+
 # ---------------------------------------------------------------------------
 # binary container
 
@@ -331,6 +348,34 @@ def test_container_header_is_one_sorted_json_line(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# JSON artifacts
+
+
+@pytest.mark.parametrize(
+    "obj", [object(), {1, 2}, PerLfStats, {"x": b"bytes"}], ids=["object", "set", "class", "bytes"]
+)
+def test_to_json_rejects_other_objects(obj):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        to_json(obj)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"a": "\xff"}', "file is not UTF-8"),
+        (b'{\n  "a": 1,\n}\n', "3: Expecting property name"),
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+    ],
+    ids=["not_utf8", "bad_json", "nested_too_deeply"],
+)
+def test_read_json_errors_name_the_file(tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=re.escape(f"{path}:") + ".*" + re.escape(message)):
+        read_json(path)
+
+
+# ---------------------------------------------------------------------------
 # manifest
 
 
@@ -349,8 +394,8 @@ def test_manifest_build_and_verify(tmp_path):
     assert "timestamp" not in json.dumps(manifest).lower()
     assert manifest["inputs"]["input.txt"]["sha256"] == file_digest(src)
     path = tmp_path / "manifest.json"
-    write_manifest(path, manifest)
-    assert load_manifest(path) == manifest
+    write_json(path, manifest)
+    assert read_json(path) == manifest
     assert verify_manifest(path) == []
 
 
@@ -359,7 +404,7 @@ def test_manifest_detects_tampering(tmp_path):
     src.write_text("hello")
     manifest = build_manifest(seed=0, config_echo={}, inputs={"input.txt": src}, artifacts={})
     path = tmp_path / "manifest.json"
-    write_manifest(path, manifest)
+    write_json(path, manifest)
     src.write_text("tampered")
     problems = verify_manifest(path)
     assert len(problems) == 1
@@ -371,7 +416,7 @@ def test_manifest_detects_missing_artifact(tmp_path):
     art.write_bytes(b"x")
     manifest = build_manifest(seed=0, config_echo={}, inputs={}, artifacts={"gone.bin": art})
     path = tmp_path / "manifest.json"
-    write_manifest(path, manifest)
+    write_json(path, manifest)
     art.unlink()
     problems = verify_manifest(path)
     assert problems and "gone.bin" in problems[0]
@@ -389,3 +434,92 @@ def test_manifest_records_seed_streams(tmp_path):
     from sepll.seeds import STREAM_IDS
 
     assert manifest["seed_streams"] == dict(STREAM_IDS)
+
+
+def test_verify_manifest_not_json_object_is_data_error(tmp_path):
+    path = tmp_path / "manifest.json"
+    for raw in (b"[" * 100000, b"[]", b'"inputs"'):
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            verify_manifest(path)
+
+
+def test_verify_manifest_reports_malformed_entries(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_json(path, {"inputs": {"a": 3, "b": {"path": 5, "sha256": "0"}}, "artifacts": [1]})
+    assert verify_manifest(path) == [
+        'inputs/a: not {"path": str, "sha256": str}',
+        'inputs/b: not {"path": str, "sha256": str}',
+        "artifacts: not a JSON object",
+    ]
+    write_json(path, {"inputs": {"dir": {"path": str(tmp_path), "sha256": "0"}}})
+    assert verify_manifest(path) == [f"inputs/dir: missing file {tmp_path}"]
+
+
+# a JSON string, number or literal: the unit a "swap" mutation replaces
+JSON_VALUE = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+|true|false|null')
+
+# a mutation: (kind, position as a fraction of the bytes or of the JSON values, bytes);
+# a swap puts a JSON value in place of another, so its result is often still JSON
+MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["replace", "delete", "insert"]),
+            st.floats(0, 1, exclude_max=True),
+            st.one_of(
+                st.binary(min_size=1, max_size=4),
+                st.sampled_from([b"[", b"]", b"{", b"}", b'"', b":", b",", b"\xff"]),
+            ),
+        ),
+        st.tuples(
+            st.just("swap"),
+            st.floats(0, 1, exclude_max=True),
+            st.sampled_from([b"3", b"null", b"true", b"[]", b"{}", b'"x"', b'{"x": 1}']),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(raw: bytes, mutations) -> bytes:
+    for kind, frac, chunk in mutations:
+        if kind == "swap":
+            values = list(JSON_VALUE.finditer(raw))
+            if values:
+                value = values[int(frac * len(values))]
+                raw = raw[: value.start()] + chunk + raw[value.end() :]
+            continue
+        pos = int(frac * len(raw))
+        if kind == "replace":
+            raw = raw[:pos] + chunk + raw[pos + len(chunk) :]
+        elif kind == "delete":
+            raw = raw[:pos] + raw[pos + len(chunk) :]
+        else:
+            raw = raw[:pos] + chunk + raw[pos:]
+    return raw
+
+
+def test_verify_manifest_on_mutated_bytes_gives_problems_or_data_error(tmp_path):
+    src = tmp_path / "input.txt"
+    src.write_text("hello")
+    out = tmp_path / "output.bin"
+    out.write_bytes(b"\x00\x01")
+    inputs = {f"input{k}.txt": src for k in range(3)}
+    artifacts = {f"output{k}.bin": out for k in range(3)}
+    path = tmp_path / "manifest.json"
+    write_json(path, build_manifest(3, {"train": {"seed": 3}}, inputs, artifacts))
+    raw = path.read_bytes()
+
+    @settings(max_examples=400)
+    @given(MUTATIONS)
+    def check(mutations):
+        path.write_bytes(mutate(raw, mutations))
+        try:
+            problems = verify_manifest(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+    check()

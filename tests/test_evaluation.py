@@ -20,9 +20,9 @@ from sepll.evaluation import (
     task_metrics,
     train_test_gap,
     write_bar_chart_svg,
-    write_json,
 )
 from sepll.model import ModelConfig, init_params
+from sepll.serialize import to_json, write_json
 
 F1_FROZEN = 0.6666666666666666  # TP=2 FP=1 FN=1
 
@@ -91,10 +91,42 @@ def test_confusion_rows_sum_to_gold_counts(pairs):
     assert 0.0 <= report.accuracy <= 1.0
 
 
+# report.json of this report, byte for byte: renaming a field of EvalReport
+# must not silently change the artifact
+EVAL_REPORT_JSON = """{
+  "accuracy": 0.6666666666666666,
+  "confusion": [
+    [
+      1,
+      1
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "metric": "macro_f1",
+  "per_class_f1": [
+    0.6666666666666666,
+    0.6666666666666666
+  ],
+  "per_class_precision": [
+    1.0,
+    0.5
+  ],
+  "per_class_recall": [
+    0.5,
+    1.0
+  ],
+  "split": "dev",
+  "value": 0.6666666666666666
+}"""
+
+
 def test_eval_report_json_round_trip():
     report = task_metrics([0, 1, 1], [0, 1, 0], metric="macro_f1", split="dev")
-    blob = json.loads(json.dumps(report.to_json_dict()))
-    assert blob == report.to_json_dict()
+    assert to_json(report) == EVAL_REPORT_JSON
+    blob = json.loads(to_json(report))
     assert blob["split"] == "dev" and blob["metric"] == "macro_f1"
     assert blob["value"] == report.value and blob["accuracy"] == report.accuracy
     assert blob["confusion"] == report.confusion.tolist()
@@ -208,11 +240,35 @@ def test_memorization_validation():
         memorization_report(params, np.eye(8), MatchMatrix(n=8, m=8, pairs=np.empty((0, 2), dtype=np.int64)))
 
 
+MEMORIZATION_REPORT_JSON = """{
+  "m": 8,
+  "paths": {
+    "full": {
+      "accuracy": 1.0,
+      "cross_entropy": -0.0,
+      "macro_f1": 1.0
+    },
+    "lf_latent": {
+      "accuracy": 1.0,
+      "cross_entropy": -0.0,
+      "macro_f1": 1.0
+    },
+    "task_mapped": {
+      "accuracy": 0.875,
+      "cross_entropy": 2.0794415416798357,
+      "macro_f1": 0.4666666666666667
+    }
+  },
+  "threshold_k": 4,
+  "uniform_ce": 2.0794415416798357
+}"""
+
+
 def test_memorization_report_json_round_trip():
     params = perfect_memorizer(m=8)
     report = memorization_report(params, np.eye(8), match_from_dense(np.eye(8, dtype=np.int64)))
-    blob = json.loads(json.dumps(report.to_json_dict()))
-    assert blob == report.to_json_dict()
+    assert to_json(report) == MEMORIZATION_REPORT_JSON
+    blob = json.loads(to_json(report))
     assert blob["m"] == report.m and blob["threshold_k"] == report.threshold_k
     cells = report.cells()
     for path in ("lf_latent", "full", "task_mapped"):
@@ -292,8 +348,9 @@ def test_breakdown_to_csv(tmp_path):
 
 def test_write_json_sorted_and_trailing_newline(tmp_path):
     path = tmp_path / "x.json"
-    write_json({"b": 1, "a": 2}, path)
+    write_json(path, {"b": 1, "a": 2})
     text = path.read_text()
+    assert text == to_json({"b": 1, "a": 2}) + "\n"
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
 

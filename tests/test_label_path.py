@@ -9,7 +9,6 @@ consumed exactly as before.
 
 from __future__ import annotations
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -21,6 +20,7 @@ from sepll.data import MappingMatrix, MatchMatrix, TargetDistribution, build_tar
 from sepll.errors import ConfigError, DataError
 from sepll.lf_engine import LfStats, PerLfStats, compute_stats, majority_vote
 from sepll.seeds import stream
+from sepll.serialize import to_json
 from sepll.trainer import inject_noise
 
 
@@ -131,8 +131,8 @@ def assert_label_path_matches_reference(match, mapping, gold, seed, lam, include
     assert_same_arrays(preds, ref_preds)
     assert state == ref_state
     for labels in (None, gold):
-        got = json.dumps(compute_stats(match, mapping, labels).to_json_dict())
-        want = json.dumps(dense_compute_stats(match, mapping, labels).to_json_dict())
+        got = to_json(compute_stats(match, mapping, labels))
+        want = to_json(dense_compute_stats(match, mapping, labels))
         assert got == want
 
     rng, ref_rng = stream(seed, "noise"), stream(seed, "noise")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from sepll.lf_engine import (
     mapping_from_lfs,
     parse_lf_entries,
 )
+from sepll.serialize import to_json
 from sepll.text import tokenize
 
 
@@ -322,8 +324,39 @@ def test_stats_json_dict():
     match = match_from_dense(np.array([[1, 1]]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1]))
     stats = compute_stats(match, mapping, gold=[0])
-    blob = stats.to_json_dict()
+    blob = json.loads(to_json(stats))
     assert blob["coverage"] == 1.0
     assert len(blob["per_lf"]) == 2
     assert blob["per_lf"][0]["precision"] == 1.0
     assert blob["per_lf"][1]["precision"] == 0.0
+
+
+# the stats.json entry of one split, byte for byte
+LF_STATS_JSON = """{
+  "conflict_rate": 0.5,
+  "coverage": 0.6666666666666666,
+  "mean_matches_per_matched": 1.5,
+  "per_lf": [
+    {
+      "coverage": 0.6666666666666666,
+      "hits": 2,
+      "precision": 0.5
+    },
+    {
+      "coverage": 0.3333333333333333,
+      "hits": 1,
+      "precision": 0.0
+    },
+    {
+      "coverage": 0.0,
+      "hits": 0,
+      "precision": null
+    }
+  ]
+}"""
+
+
+def test_stats_json_golden():
+    match = match_from_dense(np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
+    assert to_json(compute_stats(match, mapping, gold=[0, 1, 1])) == LF_STATS_JSON

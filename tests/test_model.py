@@ -479,6 +479,16 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         ("n_classes", 0, "mapping needs at least one class"),
         ("class_of", [0, 1, 7], "mapping class index out of range"),
         ("head_nonlinearity", "swish", "unknown nonlinearity 'swish'"),
+        # JSON types are checked, not coerced: int() would read 1.0 and True as 1
+        ("n_classes", True, "malformed checkpoint header: 'n_classes' must be int, got bool"),
+        ("task_layers", 1.0, "malformed checkpoint header: 'task_layers' must be int, got float"),
+        ("vocab.n_docs", "6", "malformed checkpoint header: 'n_docs' must be int, got str"),
+        ("class_of", [0.5, 1.5, 1.5], "malformed checkpoint header: 'class_of' must be a list of int"),
+        ("vocab.df", [1, 1, 1, 1, True], "malformed checkpoint header: 'df' must be a list of int"),
+        ("vocab.df", [1, 1, 1, 1, 2**70], "malformed checkpoint header: Python int too large"),
+        ("vocab.tokens", "abcde", "malformed checkpoint header: 'tokens' must be a list of str"),
+        ("vocab.lowercase", "false", "malformed checkpoint header: 'lowercase' must be bool, got str"),
+        ("vocab.lowercase", 0, "malformed checkpoint header: 'lowercase' must be bool, got int"),
     ],
     ids=[
         "n_classes",
@@ -490,10 +500,25 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         "n_classes_zero",
         "class_of_out_of_range",
         "head_nonlinearity",
+        "int_is_bool",
+        "int_is_float",
+        "int_is_str",
+        "int_list_holds_floats",
+        "int_list_holds_bool",
+        "int_list_overflows_int64",
+        "str_list_is_a_string",
+        "bool_is_str",
+        "bool_is_int",
     ],
 )
 def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
-    path = edited_checkpoint(tmp_path, lambda h: h.update({key: value}))
+    def edit(header):
+        *parents, last = key.split(".")
+        for parent in parents:
+            header = header[parent]
+        header[last] = value
+
+    path = edited_checkpoint(tmp_path, edit)
     with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
         load_checkpoint(path)
 
