@@ -274,11 +274,11 @@ def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None, names
     for what, key in (("LF dimension", "m"), ("class count", "c")):
         have, got = getattr(params.mapping, key), getattr(mapping, key)
         if have != got:
-            raise DataError(f"{what} mismatch: checkpoint has {key}={have}, data yields {key}={got}")
+            raise DataError(f"{checkpoint}: {what} mismatch: checkpoint has {key}={have}, data yields {key}={got}")
     if not np.array_equal(mapping.class_of, params.mapping.class_of):
         j = int(np.argmax(mapping.class_of != params.mapping.class_of))
         raise DataError(
-            f"LF class mismatch: checkpoint maps LF {j} to class {params.mapping.class_of[j]}, "
+            f"{checkpoint}: LF class mismatch: checkpoint maps LF {j} to class {params.mapping.class_of[j]}, "
             f"data yields class {mapping.class_of[j]}"
         )
     return run, params, vocab, echo, match

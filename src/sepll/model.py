@@ -371,6 +371,13 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
             n_docs=_field(v, "n_docs", int),
             lowercase=_field(v, "lowercase", bool),
         )
+        if len(vocab.index) != len(vocab):
+            repeated = next(t for i, t in enumerate(vocab.tokens) if vocab.index[t] != i)
+            raise DataError(f"vocabulary repeats the token {repeated!r}")
+        if vocab.df.shape != (len(vocab),):
+            raise DataError(f"vocabulary has {len(vocab)} tokens but {vocab.df.size} document frequencies")
+        if not (vocab.n_docs >= 0 and np.all((vocab.df >= 0) & (vocab.df <= vocab.n_docs))):
+            raise DataError(f"vocabulary document frequencies are not all in [0, n_docs = {vocab.n_docs}]")
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -390,4 +397,7 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     params = SepLLParams(np.empty(_size(dims)), dims, mapping, *nonlinearities)
     for name, view in param_items(params):
         view[...] = arrays[name]
+    finite = np.isfinite(params.theta)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite value in {param_name_at(params, int(np.argmin(finite)))}")
     return params, vocab, header.get("config", {})

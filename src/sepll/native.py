@@ -1,6 +1,6 @@
 """The training step's inner loops in C: the fused AdamW step and the sparse
 row sums behind the first layer's products, compiled into one library with the
-system C compiler and loaded through ctypes.
+system C compiler and loaded through ctypes, with their numpy equivalents.
 
 The shared library is cached in ``$XDG_CACHE_HOME/sepll`` (``~/.cache/sepll``
 when the variable is unset) under a name derived from the sha256 of the
@@ -14,12 +14,14 @@ On x86-64 with glibc each kernel is compiled once per instruction set in
 cache key needs no CPU model, and one cached library runs on any x86-64
 machine. Elsewhere the kernels are compiled for the compiler's default target.
 
+Callers use :func:`adamw` and :func:`row_sums`, which run the kernel where
+:func:`load` has loaded it in this process and numpy otherwise; both paths give
+every element the same operations in the same order, so the same bits.
 Training calls :func:`load` before its first step. It builds the library if
 needed and decides for the whole process: where the compiler is missing, the
 build or the load fails, the library lacks a kernel, or the cache directory
-cannot be written, both kernels are off and their callers use numpy. Callers
-ask :func:`loaded`, which never builds, so commands that never train build
-and load nothing and keep the numpy paths.
+cannot be written, both kernels are off. Nothing else builds, so commands that
+never train build and load nothing and keep the numpy paths.
 """
 
 from __future__ import annotations
@@ -42,14 +44,16 @@ import numpy as np
 # an element's result.
 #
 # sepll_adamw: updates of a chunk are checked in a pass of their own, which
-# keeps the arithmetic loop free of exits and so vectorized.
-# The decay term is added even when weight decay is 0, so that theta streams
-# through the arithmetic loop. For a finite theta, theta * 0.0 is a signed zero
-# that can only turn an update of -0.0 into +0.0, where theta >= +0.0, and
-# theta minus either zero gives the same bits.
+# keeps the arithmetic loop free of exits and so vectorized. Its scratch for
+# one chunk's updates lives on the stack.
+# Both paths add the decay term even when weight decay is 0, so that theta
+# streams through the arithmetic loop and an overflowed theta fails the check.
+# For a finite theta, theta * 0.0 is a signed zero that can only turn an update
+# of -0.0 into +0.0, where theta >= +0.0, and theta minus either zero gives the
+# same bits.
 #
 # sepll_row_sums: every output element adds its terms left to right from 0.0,
-# the order of numpy's blocked loop in nnet._row_sums and of scipy's CSR
+# the order of numpy's blocked loop in row_sums and of scipy's CSR
 # products. Its caller has checked every index it reads.
 #
 # AVX2 carries most of the dispatch's gain. Each kernel built for one target
@@ -71,16 +75,16 @@ SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 #define SEPLL_DISPATCH
 #endif
 
-/* One AdamW step over n elements, in place on theta, m and v; u is scratch of
-   at least CHUNK doubles. Returns -1, or the index of the first non-finite
-   update: m and v then hold the step up to the end of its chunk, theta up to
-   the start of it. */
+/* One AdamW step over n elements, in place on theta, m and v. Returns -1, or
+   the index of the first non-finite update: m and v then hold the step up to
+   the end of its chunk, theta up to the start of it. */
 SEPLL_DISPATCH
 long long sepll_adamw(double *theta, const double *grad, double *m, double *v,
-                      double *u, long long n, double beta1, double one_minus_beta1,
+                      long long n, double beta1, double one_minus_beta1,
                       double beta2, double one_minus_beta2, double bc1, double bc2,
                       double lr, double eps, double decay)
 {
+    double u[CHUNK];
     for (long long lo = 0; lo < n; lo += CHUNK) {
         long long k = n - lo < CHUNK ? n - lo : CHUNK;
         double *th = theta + lo, *mm = m + lo, *vv = v + lo;
@@ -154,6 +158,101 @@ def loaded() -> Kernels | None:
     return None if _kernels is _UNSET else _kernels
 
 
+# AdamW's moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Elements per block of numpy's AdamW step: 32768 float64 are 256 KiB per
+# operand, so one block of theta, grad, m, v and two scratch buffers fits a 2 MiB
+# L2 cache, where whole-layer temporaries (8 MB for a 4000x256 first layer)
+# stream through main memory once per operation.
+BLOCK = 32768
+# float64 elements in one row block of numpy's sparse product output (512 KiB)
+ROW_BLOCK = 65536
+
+
+def adamw(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float, decay: float) -> int:
+    """Step ``step`` (from 1) of decoupled-weight-decay Adam, in place on
+    ``theta`` and its moments ``m`` and ``v``; ``decay`` is ``lr`` times the
+    weight decay. Each element's result is bitwise the whole-array formula
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + decay * theta``.
+
+    Returns -1, or the index of the first non-finite update; the arrays are
+    then left partly updated. Arrays that disagree in shape raise
+    ``ValueError`` before any of them is written.
+    """
+    shapes = {a.shape for a in (theta, grad, m, v)}
+    if len(shapes) != 1:
+        raise ValueError(f"AdamW arrays disagree in shape: {shapes}")
+    bc1 = 1.0 - BETA1**step
+    bc2 = 1.0 - BETA2**step
+    kernels = loaded()
+    if kernels is not None:
+        return kernels.adamw(
+            theta, grad, m, v, theta.size, BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, lr, EPS, decay
+        )
+    # numpy walks the arrays together in blocks, with out= and in-place ufuncs
+    # into one block's scratch
+    scratch, finite_scratch = np.empty((2, BLOCK)), np.empty(BLOCK, dtype=bool)
+    for lo in range(0, theta.size, BLOCK):
+        th, g, mm, vv = (a[lo : lo + BLOCK] for a in (theta, grad, m, v))
+        u, w = scratch[:, : th.size]
+        finite = finite_scratch[: th.size]
+        mm *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=u)
+        mm += u
+        vv *= BETA2
+        np.multiply(g, g, out=u)
+        u *= 1.0 - BETA2
+        vv += u
+        np.divide(mm, bc1, out=u)
+        u *= lr
+        np.divide(vv, bc2, out=w)
+        np.sqrt(w, out=w)
+        w += EPS
+        u /= w
+        np.multiply(th, decay, out=w)
+        u += w
+        if not np.isfinite(u, out=finite).all():
+            return lo + int(np.argmin(finite))
+        th -= u
+    return -1
+
+
+def row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_k data[k] * V[indices[k]]`` over row ``i``'s nonzeros ``k``,
+    added left to right from 0.0, for a structure its caller has checked.
+
+    Without the kernel, numpy works through blocks of rows small enough to stay
+    cache-resident. Within a block, step ``j`` adds the ``j``-th term of every
+    row that has one; rows go longest first, so the rows still active at step
+    ``j`` are a prefix.
+    """
+    n = indptr.size - 1
+    out = np.empty((n, V.shape[1]))
+    kernels = loaded()
+    if kernels is not None:
+        data, indices, indptr, V = map(np.ascontiguousarray, (data, indices, indptr, V))
+        kernels.row_sums(data, indices, indptr, n, V, V.shape[1], out)
+        return out
+    block = max(1, ROW_BLOCK // max(V.shape[1], 1))
+    for lo in range(0, n, block):
+        ptr = indptr[lo : lo + block + 1]
+        lengths = np.diff(ptr)
+        order = np.argsort(-lengths, kind="stable")
+        active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # active[j] = #rows longer than j
+        # The block's terms in step order: step j holds term j of rows order[:active[j]].
+        step = np.repeat(np.arange(active.size), active)
+        first = np.cumsum(active) - active  # where each step's terms start
+        pos = ptr[:-1][order][np.arange(step.size) - first[step]] + step
+        cols, coef = indices[pos], data[pos, None]
+        sums = np.zeros((lengths.size, V.shape[1]))
+        for f, k in zip(first.tolist(), active.tolist()):
+            terms = V[cols[f : f + k]]
+            terms *= coef[f : f + k]
+            sums[:k] += terms
+        out[lo + order] = sums
+    return out
+
+
 def library_path() -> Path:
     """Where the shared library is cached, named by source, flags and machine."""
     key = hashlib.sha256("\0".join([SOURCE, *FLAGS, platform.machine()]).encode())
@@ -166,7 +265,7 @@ def bind(library: ctypes.CDLL) -> Kernels:
     doubles = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     longs = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     adamw, row_sums = library.sepll_adamw, library.sepll_row_sums
-    adamw.argtypes = [doubles] * 5 + [ctypes.c_longlong] + [ctypes.c_double] * 9
+    adamw.argtypes = [doubles] * 4 + [ctypes.c_longlong] + [ctypes.c_double] * 9
     adamw.restype = ctypes.c_longlong
     row_sums.argtypes = [doubles, longs, longs, ctypes.c_longlong, doubles, ctypes.c_longlong, doubles]
     row_sums.restype = None

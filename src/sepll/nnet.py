@@ -15,9 +15,6 @@ import numpy as np
 from . import native
 from .errors import NumericalError
 
-# float64 elements in one row block of a sparse product's output (512 KiB)
-ROW_BLOCK = 65536
-
 
 class CSRMatrix:
     """Row-compressed sparse float64 matrix, the first-layer input of a stack.
@@ -64,7 +61,7 @@ class CSRMatrix:
     def __matmul__(self, W: np.ndarray) -> np.ndarray:
         if W.ndim != 2 or W.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
-        return _row_sums(self.data, self.indices, self.indptr, W)
+        return native.row_sums(self.data, self.indices, self.indptr, W)
 
     def used_columns(self) -> np.ndarray:
         """The columns that hold a nonzero in some row, ascending."""
@@ -84,43 +81,7 @@ class CSRMatrix:
         new_col = np.ones(cols.size, dtype=bool)
         new_col[1:] = cols[1:] != cols[:-1]
         indptr = np.append(np.flatnonzero(new_col), cols.size)
-        return cols[new_col], _row_sums(self.data[order], row_of, indptr, D)
-
-
-def _row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``out[i] = sum_k data[k] * V[indices[k]]`` over row ``i``'s nonzeros ``k``,
-    added left to right from 0.0, for a structure its caller has checked.
-
-    Runs the compiled kernel where :mod:`sepll.native` is loaded. Otherwise numpy
-    works through blocks of rows small enough to stay cache-resident. Within a
-    block, step ``j`` adds the ``j``-th term of every row that has one; rows go
-    longest first, so the rows still active at step ``j`` are a prefix.
-    """
-    n = indptr.size - 1
-    out = np.empty((n, V.shape[1]))
-    kernels = native.loaded()
-    if kernels is not None:
-        data, indices, indptr, V = map(np.ascontiguousarray, (data, indices, indptr, V))
-        kernels.row_sums(data, indices, indptr, n, V, V.shape[1], out)
-        return out
-    block = max(1, ROW_BLOCK // max(V.shape[1], 1))
-    for lo in range(0, n, block):
-        ptr = indptr[lo : lo + block + 1]
-        lengths = np.diff(ptr)
-        order = np.argsort(-lengths, kind="stable")
-        active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # active[j] = #rows longer than j
-        # The block's terms in step order: step j holds term j of rows order[:active[j]].
-        step = np.repeat(np.arange(active.size), active)
-        first = np.cumsum(active) - active  # where each step's terms start
-        pos = ptr[:-1][order][np.arange(step.size) - first[step]] + step
-        cols, coef = indices[pos], data[pos, None]
-        sums = np.zeros((lengths.size, V.shape[1]))
-        for f, k in zip(first.tolist(), active.tolist()):
-            terms = V[cols[f : f + k]]
-            terms *= coef[f : f + k]
-            sums[:k] += terms
-        out[lo + order] = sums
-    return out
+        return cols[new_col], native.row_sums(self.data[order], row_of, indptr, D)
 
 
 @dataclass

@@ -82,34 +82,15 @@ def lr_schedule(step: int, warmup_steps: int, base_lr: float) -> float:
     return base_lr * step / warmup_steps
 
 
-# Elements per optimizer block: 32768 float64 are 256 KiB per operand, so one
-# block of theta, g, m, v and the two scratch buffers fits a 2 MiB L2 cache,
-# where whole-layer temporaries (8 MB for a 4000x256 first layer) stream
-# through main memory once per operation.
-BLOCK = 32768
-# AdamW's moment decay rates and denominator offset
-BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-
-
 @dataclass
 class OptimizerState:
     m: np.ndarray  # first and second moments, with theta's layout
     v: np.ndarray
-    # per-block scratch that adamw_step writes into instead of allocating
-    u: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
-    finite: np.ndarray = field(repr=False, compare=False)
     step: int = 0
 
 
 def init_optimizer(params: SepLLParams) -> OptimizerState:
-    return OptimizerState(
-        m=np.zeros_like(params.theta),
-        v=np.zeros_like(params.theta),
-        u=np.empty(BLOCK),
-        w=np.empty(BLOCK),
-        finite=np.empty(BLOCK, dtype=bool),
-    )
+    return OptimizerState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
 def adamw_step(
@@ -119,71 +100,18 @@ def adamw_step(
     config: TrainConfig,
     current_lr: float,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place on ``params.theta``.
+    """One decoupled-weight-decay Adam update, in place on ``params.theta``,
+    through :func:`sepll.native.adamw`.
 
-    ``grad`` has theta's layout. Results are bitwise equal to the whole-array
-    formula ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + lr * wd * theta``
-    on both paths below: both apply the same per-element operations in the
-    same order, with every constant computed here once.
-
-    - The compiled kernel, where :mod:`sepll.native` is loaded.
-    - Otherwise numpy walks theta, ``grad`` and the moments together in blocks
-      of ``BLOCK`` elements, with ``out=`` and in-place ufuncs into the state's
-      scratch buffers.
-
-    A non-finite update raises ``NumericalError`` naming the parameter. By
-    then the moments of its chunk and the chunks before it have been updated,
-    and theta has been updated on the earlier chunks: ``native.CHUNK``
-    elements each on the kernel path, ``BLOCK`` on the numpy path. Only a
-    theta that has itself overflowed tells the paths apart at weight decay 0:
-    the kernel still adds ``theta * 0.0`` and raises here, while numpy skips
-    that term and leaves it to the logits check of a later forward pass that
-    uses it.
+    ``grad`` has theta's layout. A non-finite update raises ``NumericalError``
+    naming the parameter, with theta and the moments left partly updated.
     """
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
-    decay = current_lr * config.weight_decay
-    kernels = native.loaded()
-    if kernels is not None:
-        shapes = {a.shape for a in (params.theta, grad, state.m, state.v)}
-        if len(shapes) != 1 or state.u.size < native.CHUNK:
-            raise ValueError(f"AdamW arrays disagree in shape: {shapes}, scratch {state.u.size}")
-        bad = kernels.adamw(
-            params.theta, grad, state.m, state.v, state.u, params.theta.size,
-            BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, current_lr, EPS, decay,
-        )
-        if bad >= 0:
-            raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
-        return
-    for lo in range(0, params.theta.size, BLOCK):
-        th = params.theta[lo : lo + BLOCK]
-        g = grad[lo : lo + BLOCK]
-        m = state.m[lo : lo + BLOCK]
-        v = state.v[lo : lo + BLOCK]
-        k = th.size
-        u, w, finite = state.u[:k], state.w[:k], state.finite[:k]
-        m *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=u)
-        m += u
-        v *= BETA2
-        np.multiply(g, g, out=u)
-        u *= 1.0 - BETA2
-        v += u
-        np.divide(m, bc1, out=u)
-        u *= current_lr
-        np.divide(v, bc2, out=w)
-        np.sqrt(w, out=w)
-        w += EPS
-        u /= w
-        if config.weight_decay:
-            np.multiply(th, decay, out=w)
-            u += w
-        if not np.isfinite(u, out=finite).all():
-            name = param_name_at(params, lo + int(np.argmin(finite)))
-            raise NumericalError(f"non-finite optimizer update for {name}")
-        th -= u
+    bad = native.adamw(
+        params.theta, grad, state.m, state.v, state.step, current_lr, current_lr * config.weight_decay
+    )
+    if bad >= 0:
+        raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
 
 
 def inject_noise(

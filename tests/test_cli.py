@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -8,8 +9,10 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import child_env
+from hypothesis import given, settings, strategies as st
 
 try:
     import tomllib
@@ -17,8 +20,10 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 from sepll.cli import main
+from sepll.errors import DataError
 from sepll.manifest import verify_manifest
-from sepll.serialize import read_json
+from sepll.model import load_checkpoint
+from sepll.serialize import MAGIC, read_json
 from sepll.trainer import VARIANT_ORDER
 
 SYNTH_CONFIG = """\
@@ -266,9 +271,85 @@ def test_eval_malformed_checkpoint_exits_2_naming_file(trained, capsys):
     assert "Traceback" not in err
 
 
-def test_eval_checkpoint_shapes_that_do_not_chain_exit_2(trained, capsys):
-    import numpy as np
+# What a header mutation may put in place of a value: every JSON type, ints
+# at and past the int64 range, and (by "copy") another value of the same header.
+HEADER_VALUES = [-1, 0, 1, 7, 2**63, -(2**70), 0.5, 1e308, True, False, None, "", "x", [], [0], [-1], {}, {"x": 1}]
+FRACTION = st.floats(0, 1, exclude_max=True)
+CHECKPOINT_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("header"), FRACTION, st.sampled_from(HEADER_VALUES)),
+        st.tuples(st.just("copy"), FRACTION, FRACTION),
+        # the second pair puts an exponent of all ones into a float64's top bytes
+        st.tuples(
+            st.just("payload"), FRACTION, st.one_of(st.binary(min_size=1, max_size=2), st.sampled_from([b"\xf8\x7f", b"\xf0\xff"]))
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
 
+
+def json_slots(node):
+    """Every ``(container, key)`` inside a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from json_slots(child)
+
+
+def mutate_checkpoint(raw: bytes, mutations) -> bytes:
+    """``raw`` with each mutation applied to its header's values or its payload bytes."""
+    end = raw.index(b"\n", len(MAGIC))
+    header, payload = json.loads(raw[len(MAGIC) : end]), bytearray(raw[end + 1 :])
+    for kind, frac, arg in mutations:
+        if kind == "payload":
+            pos = int(frac * len(payload))
+            payload[pos : pos + len(arg)] = arg
+            continue
+        slots = list(json_slots(header))
+        node, key = slots[int(frac * len(slots))]
+        if kind == "copy":
+            source, source_key = slots[int(arg * len(slots))]
+            arg = source[source_key]
+        node[key] = copy.deepcopy(arg)
+    return MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + bytes(payload)
+
+
+def test_mutated_checkpoint_loads_or_is_data_error_and_eval_exits_cleanly(trained, tmp_path, capsys):
+    cfg, run_dir = trained
+    raw = (run_dir / "checkpoint.sepll").read_bytes()
+    assert mutate_checkpoint(raw, []) == raw
+    path = tmp_path / "mutated.sepll"
+
+    @settings(max_examples=300)
+    @given(CHECKPOINT_MUTATIONS)
+    def check(mutations):
+        path.write_bytes(mutate_checkpoint(raw, mutations))
+        try:
+            params, vocab, _ = load_checkpoint(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            rejected = True
+        else:
+            rejected = False
+            # valid data: what training could have written
+            assert np.isfinite(params.theta).all()
+            assert len(set(vocab.tokens)) == len(vocab) == vocab.df.size
+            assert vocab.n_docs >= 0 and np.all((vocab.df >= 0) & (vocab.df <= vocab.n_docs))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--config", cfg])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # a checkpoint that loads may still disagree with the data (exit 2) or
+        # overflow the logits with finite weights (exit 3)
+        assert code == 2 if rejected else code in (0, 2, 3)
+        if code == 2:
+            assert str(path) in err
+
+    check()
+
+
+def test_eval_checkpoint_shapes_that_do_not_chain_exit_2(trained, capsys):
     from sepll.serialize import read_container, write_container
 
     cfg, run_dir = trained

@@ -489,6 +489,11 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         ("vocab.tokens", "abcde", "malformed checkpoint header: 'tokens' must be a list of str"),
         ("vocab.lowercase", "false", "malformed checkpoint header: 'lowercase' must be bool, got str"),
         ("vocab.lowercase", 0, "malformed checkpoint header: 'lowercase' must be bool, got int"),
+        ("vocab.tokens", ["a", "b", "a", "d", "e"], "vocabulary repeats the token 'a'"),
+        ("vocab.df", [1, 1, 1, 1], "vocabulary has 5 tokens but 4 document frequencies"),
+        ("vocab.n_docs", -5, r"vocabulary document frequencies are not all in \[0, n_docs = -5\]"),
+        ("vocab.df", [1, 1, -3, 1, 1], r"vocabulary document frequencies are not all in \[0, n_docs = 6\]"),
+        ("vocab.df", [1, 1, 7, 1, 1], r"vocabulary document frequencies are not all in \[0, n_docs = 6\]"),
     ],
     ids=[
         "n_classes",
@@ -509,6 +514,11 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         "str_list_is_a_string",
         "bool_is_str",
         "bool_is_int",
+        "repeated_token",
+        "df_length",
+        "n_docs_negative",
+        "df_negative",
+        "df_above_n_docs",
     ],
 )
 def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
@@ -544,6 +554,20 @@ def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message
 def test_checkpoint_bad_array_shape_is_data_error(tmp_path, new_arrays, message):
     path = edited_checkpoint(tmp_path, lambda h: None, new_arrays)
     with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["encoder.0.W", "task.0.b", "lf.0.b"])
+def test_checkpoint_non_finite_weight_is_data_error(tmp_path, name, value):
+    # training never saves a non-finite parameter, so such a file is corrupt
+    from sepll.serialize import read_container, write_container
+
+    path = edited_checkpoint(tmp_path, lambda h: None)
+    header, arrays = read_container(path)
+    arrays[name].reshape(-1)[-1] = value
+    write_container(path, header, arrays)
+    with pytest.raises(DataError, match=rf"model\.sepll: non-finite value in {name}"):
         load_checkpoint(path)
 
 

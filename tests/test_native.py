@@ -83,9 +83,12 @@ def test_kernel_is_built_and_loaded_where_a_compiler_exists(fresh):
 
 @needs_cc
 def test_kernel_source_compiles_without_warnings():
-    # -Wextra names a parameter the kernel no longer reads, among others
+    # -Wextra names a parameter the kernel no longer reads, among others; a
+    # real compile under the build's flags lets -Wstack-usage bound the AdamW
+    # kernel's stack scratch (one chunk of doubles) in every clone
     proc = subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+        ["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-Wstack-usage=65536", "-x", "c", "-",
+         "-c", "-o", "/dev/null"],
         input=native.SOURCE, capture_output=True, text=True, timeout=native.COMPILE_TIMEOUT_S,
     )
     assert proc.returncode == 0, proc.stderr
@@ -117,7 +120,6 @@ def break_build(case: str, monkeypatch, tmp_path) -> None:
 def test_a_failed_build_falls_back_to_identical_numpy_training(fresh, monkeypatch, tmp_path, case):
     if case == "library without the kernels" and shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    # weight decay 0 too: the kernel still adds theta * 0.0, which numpy skips
     configs = {"decay": CONFIG, "no decay": CONFIG + "weight_decay = 0.0\n"}
     reference = {k: train_bytes(tmp_path, f"reference {k}", c) for k, c in configs.items()}
     assert (native._kernels is None) == (shutil.which("cc") is None)

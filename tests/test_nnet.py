@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import sepll.nnet
+import sepll.native
 from sepll.nnet import CSRMatrix
 
 
@@ -51,7 +51,7 @@ def transpose_product_dense(X: CSRMatrix, D: np.ndarray) -> np.ndarray:
 def row_block(request, monkeypatch):
     """Run each product with the default row blocks and with blocks of a few rows."""
     if request.param is not None:
-        monkeypatch.setattr(sepll.nnet, "ROW_BLOCK", request.param)
+        monkeypatch.setattr(sepll.native, "ROW_BLOCK", request.param)
 
 
 @pytest.mark.parametrize("n, f, empty", SHAPES)

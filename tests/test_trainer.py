@@ -18,8 +18,8 @@ from sepll.errors import ConfigError, DataError, NumericalError
 from sepll.evaluation import task_metrics
 from sepll.lf_engine import majority_vote
 from sepll.model import backward, init_params, param_items, predict_batch
+from sepll.native import BLOCK
 from sepll.trainer import (
-    BLOCK,
     VARIANT_ORDER,
     TrainConfig,
     TrainHistory,
@@ -253,8 +253,7 @@ def test_adamw_blocked_step_is_bitwise_reference(weight_decay, native_paths):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adamw_kernel_is_bitwise_numpy_step(weight_decay, native_paths):
-    # the numpy step is the kernel's oracle: same inputs, same bits, also where
-    # the kernel adds theta * 0.0 that numpy skips at weight decay 0
+    # the numpy step is the kernel's oracle: same inputs, same bits
     finals = {}
     for path in native_paths():
         params = multi_block_params()
@@ -297,6 +296,36 @@ def test_adamw_rejects_non_finite_update_in_last_block(native_paths):
         state = init_optimizer(params)
         with pytest.raises(NumericalError, match="encoder.0.W"):
             adamw_step(params, grad, state, TrainConfig(), current_lr=0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["encoder.0.W", "lf.0.b"])
+def test_adamw_overflowed_theta_raises_at_zero_weight_decay(name, value, native_paths):
+    # theta * 0.0 of an overflowed theta is NaN, on both paths alike
+    for path in native_paths():
+        params = multi_block_params()
+        dict(param_items(params))[name].reshape(-1)[-1] = value
+        state = init_optimizer(params)
+        with pytest.raises(NumericalError, match=name):
+            adamw_step(params, zero_grads(params)[0], state, TrainConfig(weight_decay=0.0), current_lr=0.1)
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "column"])
+def test_adamw_wrong_gradient_shape_writes_nothing(shape, native_paths):
+    for path in native_paths():
+        params = multi_block_params()
+        state = init_optimizer(params)
+        rng = np.random.default_rng(15)
+        for lr in (0.05, 0.01):  # moments that a stray update would change
+            adamw_step(params, rng.normal(size=params.theta.shape), state, TrainConfig(), lr)
+        size = params.theta.size
+        grad = rng.normal(size={"short": (size - 1,), "long": (size + 1,), "column": (size, 1)}[shape])
+        before = [a.copy() for a in (params.theta, state.m, state.v)]
+        with pytest.raises(ValueError, match="disagree in shape"):
+            adamw_step(params, grad, state, TrainConfig(), current_lr=0.03)
+        for old, new in zip(before, (params.theta, state.m, state.v)):
+            assert np.array_equal(old.view(np.int64), new.view(np.int64)), (path, shape)
 
 
 # ---------------------------------------------------------------------------
