@@ -47,6 +47,9 @@ from .serialize import to_json, write_csv, write_json
 from .trainer import VARIANT_ORDER, run_ablation, train
 
 
+_SEED = click.IntRange(min=0)  # numpy takes only non-negative integers as seeds
+
+
 @click.group(name="sepll")
 @click.version_option(__version__)
 def cli() -> None:
@@ -158,7 +161,7 @@ def convert(in_path: str, fmt: str, out: str) -> None:
 @cli.command("apply-lfs")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
     """Apply config-defined labeling functions and write match matrices."""
     run_cfg = parse_config(config_path)
@@ -174,7 +177,7 @@ def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def stats(config_path: str, out: str | None, seed: int | None) -> None:
     """Per-LF and dataset-level match statistics for every split."""
     run = _load_run(parse_config(config_path), config_path, seed)
@@ -199,7 +202,7 @@ def stats(config_path: str, out: str | None, seed: int | None) -> None:
 
 @cli.command()
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_SEED, default=0)
 @click.option("--classes", type=int, default=2)
 @click.option("--lfs-per-class", type=int, default=3)
 @click.option("--n-train", type=int, default=2000)
@@ -240,7 +243,7 @@ def synth(
 @cli.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     """Train the two-path model and write checkpoint, history, manifest."""
     run = _load_run(parse_config(config_path), config_path, seed)
@@ -301,7 +304,7 @@ def _split_features_gold(splits: SplitSet, vocab, split: str, need_gold: bool = 
 @click.option("--split", type=click.Choice(["train", "dev", "test"]), default="test")
 @click.option("--metric", type=click.Choice(["accuracy", "binary_f1", "macro_f1"]), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def eval_cmd(
     checkpoint: str, config_path: str, split: str, metric: str | None, out: str | None, seed: int | None
 ) -> None:
@@ -338,7 +341,7 @@ def eval_cmd(
 @click.option("--threshold-k", type=click.Choice(["2", "3", "4"]), default="4")
 @click.option("--plot", is_flag=True, default=False)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def analyze(
     checkpoint: str,
     config_path: str,
@@ -422,7 +425,7 @@ def analyze(
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--datasets", default=None, help="comma-separated dataset directories")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None, help="root seed override")
+@click.option("--seed", type=_SEED, default=None, help="root seed override")
 def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -> None:
     """Train all six routing variants; test metric per dataset plus average."""
     run_cfg = parse_config(config_path)

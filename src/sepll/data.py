@@ -184,40 +184,16 @@ class MappingMatrix:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class TargetDistribution:
-    """Per-sample distributions over LF columns used as training targets."""
-
-    rows: np.ndarray  # (n, m) float64, each row sums to 1
-    unlabeled_mask: np.ndarray  # (n,) bool, true where the sample had no match
-    include_unlabeled: bool = True
-
-    def training_indices(self) -> np.ndarray:
-        """Rows that enter the training stream under the current policy."""
-        if self.include_unlabeled:
-            return np.arange(self.rows.shape[0], dtype=np.int64)
-        return np.flatnonzero(~self.unlabeled_mask).astype(np.int64)
-
-
-def build_targets(match: MatchMatrix, include_unlabeled: bool = True) -> TargetDistribution:
-    """Row-normalize the match matrix; unmatched rows become uniform 1/m.
-
-    ``include_unlabeled`` does not change the rows, only which of them
-    :meth:`TargetDistribution.training_indices` exposes.
-    """
+def build_targets(match: MatchMatrix) -> np.ndarray:
+    """Frozen (n, m) target rows: 1/count on each of a row's matches, 1/m on an unmatched row."""
     if match.m < 1:
         raise DataError("cannot build targets with zero LF columns")
     counts = match.row_counts()
-    unlabeled = counts == 0
     rows = np.zeros((match.n, match.m))
-    rows[unlabeled] = 1.0 / match.m
+    rows[counts == 0] = 1.0 / match.m
     i, j = match.pairs.T
     rows[i, j] = 1.0 / counts[i]
-    return TargetDistribution(
-        rows=_frozen(rows),
-        unlabeled_mask=_frozen(unlabeled),
-        include_unlabeled=include_unlabeled,
-    )
+    return _frozen(rows)
 
 
 @dataclass(frozen=True)
@@ -553,7 +529,7 @@ def write_triplets(match: MatchMatrix, path: str | Path) -> None:
 
 def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
     """(line number, a, b) for every non-blank line of a two-integer text file;
-    the first row is the header."""
+    the first row is the header. Every integer fits int64."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -567,6 +543,8 @@ def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
             a, b = map(int, parts)
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
+        if a not in _INT64 or b not in _INT64:
+            raise DataError(f"{path}:{lineno}: integer outside the 64-bit range in {line!r}")
         rows.append((lineno, a, b))
     if not rows:
         raise DataError(f"{path}:1: empty {kind} file")
@@ -576,7 +554,10 @@ def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
 def read_triplets(path: str | Path) -> MatchMatrix:
     (_, n, m), *rows = _read_int_pairs(path, "triplet")
     arr = np.asarray([(i, j) for _, i, j in rows], dtype=np.int64).reshape(-1, 2)
-    return MatchMatrix(n=n, m=m, pairs=arr)
+    try:
+        return MatchMatrix(n=n, m=m, pairs=arr)
+    except DataError as exc:  # dimensions, index ranges and repeated pairs
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_mapping(mapping: MappingMatrix, path: str | Path) -> None:
@@ -590,6 +571,10 @@ def read_mapping(path: str | Path) -> MappingMatrix:
     (head_line, m, c), *rows = _read_int_pairs(path, "mapping")
     if m < 0 or c < 1:
         raise DataError(f"{path}:{head_line}: need m >= 0 and c >= 1, got m={m}, c={c}")
+    # m entries are allocated only once that many rows follow; the loop then puts
+    # each row in a distinct column of [0, m), so every column gets a class
+    if m > len(rows):
+        raise DataError(f"{path}:{head_line}: header says m={m} columns but only {len(rows)} follow")
     class_of = np.full(m, -1, dtype=np.int64)
     for lineno, j, cls in rows:
         if not (0 <= j < m):
@@ -599,6 +584,4 @@ def read_mapping(path: str | Path) -> MappingMatrix:
         if class_of[j] >= 0:
             raise DataError(f"{path}:{lineno}: column {j} listed twice")
         class_of[j] = cls
-    if (class_of < 0).any():
-        raise DataError(f"{path}: missing class for some columns")
     return MappingMatrix(c=c, class_of=class_of)

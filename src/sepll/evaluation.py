@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import MatchMatrix
+from .data import MatchMatrix, build_targets
 from .errors import ConfigError, DataError
-from .model import LOG_CLAMP, SepLLParams, forward_batch
+from .model import SepLLParams, ce_loss, forward_batch
 from .nnet import softmax
 from .serialize import write_csv, write_text
 
@@ -105,7 +105,7 @@ def task_metrics(
 
 
 def lf_match_predict(prob_rows: np.ndarray, k: int = 4) -> np.ndarray:
-    """Binary match predictions: probability strictly above k/m.
+    """Binary (n, m) match predictions from (n, m) probability rows: above k/m.
 
     With m <= k no probability can clear the threshold; that degenerate regime
     is the caller's to avoid (k is meant to sit well below m).
@@ -113,8 +113,8 @@ def lf_match_predict(prob_rows: np.ndarray, k: int = 4) -> np.ndarray:
     if not isinstance(k, (int, np.integer)) or k <= 0:
         raise ConfigError("threshold k must be a positive integer")
     rows = np.asarray(prob_rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
+    if rows.ndim != 2:
+        raise DataError(f"probability rows must be 2-D (n, m), got shape {rows.shape}")
     m = rows.shape[1]
     if m < 1:
         raise DataError("probability rows need at least one column")
@@ -168,8 +168,8 @@ def memorization_report(
     """Score the three prediction paths against the true match matrix.
 
     Accuracy and macro F1 treat every (sample, LF) cell as a binary decision;
-    cross-entropy against the row-normalized match distribution is restricted
-    to samples with at least one true match, where it is well defined.
+    cross-entropy against the :func:`build_targets` rows is restricted to
+    samples with at least one true match, where it is well defined.
     """
     trace = forward_batch(params, X)
     if trace.lf_logits.shape[0] != match.n:
@@ -187,15 +187,14 @@ def memorization_report(
     matched = match.row_counts() > 0
     if not matched.any():
         raise DataError("memorization analysis needs at least one matched sample")
-    p_rows = true[matched] / true[matched].sum(axis=1, keepdims=True)
+    p_rows = build_targets(match)[matched]
     paths = {}
     for name, pr in probs.items():
         binary = lf_match_predict(pr, k)
-        ce = float(-(p_rows * np.log(np.clip(pr[matched], LOG_CLAMP, None))).sum(axis=1).mean())
         paths[name] = PathMemorization(
             accuracy=float((binary == true).mean()),
             macro_f1=_binary_cells_macro_f1(binary, true),
-            cross_entropy=ce,
+            cross_entropy=ce_loss(pr[matched], p_rows),
         )
     uniform_ce = float(-(p_rows * math.log(1.0 / match.m)).sum(axis=1).mean())
     return MemorizationReport(paths=paths, uniform_ce=uniform_ce, threshold_k=int(k), m=match.m)

@@ -184,18 +184,19 @@ def forward_batch(params: SepLLParams, X) -> ForwardTrace:
 
 
 def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over the batch of -sum_j P_ij log Q_ij, with log clamped at 1e-12."""
+    """Mean over the (n, m) batch of -sum_j P_ij log Q_ij, with log clamped at 1e-12."""
     q = np.asarray(q, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
-        targets = targets[None, :]
+    if q.ndim != 2:
+        raise DataError(f"Q must be 2-D (n, m), got shape {q.shape}")
     if q.shape != targets.shape:
         raise DataError(f"shape mismatch between Q {q.shape} and targets {targets.shape}")
     if q.shape[0] == 0:
         raise DataError("cannot take a loss over an empty batch")
-    logs = np.log(np.clip(q, LOG_CLAMP, None))
-    return float(-(targets * logs).sum(axis=1).mean())
+    logs = np.clip(q, LOG_CLAMP, None)  # the one array of q's size made here; the rest is in place
+    np.log(logs, out=logs)
+    logs *= targets
+    return float(-logs.sum(axis=1).mean())
 
 
 def predict_batch(params: SepLLParams, X) -> np.ndarray:
@@ -233,18 +234,14 @@ def backward(
     exactly +0.0.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[None, :]
-    n = targets.shape[0]
-    if n == 0:
-        raise DataError("cannot take gradients over an empty batch")
     z, task_logits, lf_logits, combined, enc_cache, task_cache, lf_cache = _forward_with_caches(
         params, X
     )
-    if combined.shape != targets.shape:
+    if combined.shape != targets.shape:  # the logits are 2-D, so this rejects other targets
         raise DataError(f"shape mismatch between logits {combined.shape} and targets {targets.shape}")
+    n = targets.shape[0]
     q = softmax(combined)
-    loss = ce_loss(q, targets)
+    loss = ce_loss(q, targets)  # rejects an empty batch
     if lf_activation_penalty:
         loss += lf_activation_penalty * float((lf_logits**2).sum()) / n
 
@@ -326,6 +323,17 @@ def _field(obj: dict, key: str, kind: type, listed: bool = False):
     return value
 
 
+# the sections of the config echo that ``train`` writes: (type, list of that type)
+_ECHO_SECTIONS = {
+    "encoder": (dict, False),
+    "model": (dict, False),
+    "train": (dict, False),
+    "data": (dict, False),
+    "lfs": (list, False),
+    "class_names": (str, True),
+}
+
+
 def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     header, arrays = read_container(path)
     if header.get("kind") != "sepll-model":
@@ -378,6 +386,11 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
             raise DataError(f"vocabulary has {len(vocab)} tokens but {vocab.df.size} document frequencies")
         if not (vocab.n_docs >= 0 and np.all((vocab.df >= 0) & (vocab.df <= vocab.n_docs))):
             raise DataError(f"vocabulary document frequencies are not all in [0, n_docs = {vocab.n_docs}]")
+        echo = _field({"config": header.get("config", {})}, "config", dict)
+        for key in echo:
+            if key not in _ECHO_SECTIONS:
+                raise DataError(f"config echo has an unknown section {key!r}")
+            _field(echo, key, *_ECHO_SECTIONS[key])
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -400,4 +413,4 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
     finite = np.isfinite(params.theta)
     if not finite.all():
         raise DataError(f"{path}: non-finite value in {param_name_at(params, int(np.argmin(finite)))}")
-    return params, vocab, header.get("config", {})
+    return params, vocab, echo

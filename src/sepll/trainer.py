@@ -53,6 +53,9 @@ class TrainConfig:
     l2_lf_target: str = "parameters"  # or "activations"
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "l2_lf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -67,6 +70,8 @@ class TrainConfig:
             raise ConfigError("max_epochs must be at least 1")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.metric not in ("accuracy", "binary_f1", "macro_f1"):
             raise ConfigError(f"unknown dev metric {self.metric!r}")
         if self.l2_lf_target not in ("parameters", "activations"):
@@ -217,12 +222,17 @@ def _fit(
     encoder_config: EncoderConfig,
     model_config: ModelConfig | None,
 ) -> tuple[SepLLParams, TrainHistory]:
-    """The training loop of :func:`train`, on features built by :func:`_featurize`."""
+    """The training loop of :func:`train`, on features built by :func:`_featurize`. The rows
+    that train (all, or the matched ones without ``use_unlabeled``) are fixed once, ascending."""
     rng_init = stream(config.seed, "init")
     rng_shuffle = stream(config.seed, "shuffle")
     rng_noise = stream(config.seed, "noise")
     native.load()  # the kernels run from here on, where they could be built
     params = init_params(X_train.shape[1], mapping, encoder_config, model_config, rng_init)
+    # noise only adds matches to rows that already have one, so no epoch changes this set
+    train_rows = np.arange(match_train.n) if config.use_unlabeled else np.flatnonzero(match_train.row_counts())
+    if train_rows.size == 0:
+        raise DataError("no training rows: every sample is unmatched and use_unlabeled is off")
     state = init_optimizer(params)
     grad_buffer = GradientBuffer(np.zeros_like(params.theta))  # every batch's gradient
     history = TrainHistory()
@@ -235,10 +245,8 @@ def _fit(
     try:
         for epoch in range(config.max_epochs):
             noised = inject_noise(match_train, mapping, config.noise_lambda, rng_noise)
-            targets = build_targets(noised, include_unlabeled=config.use_unlabeled)
-            order = targets.training_indices().copy()
-            if order.size == 0:
-                raise DataError("no training rows: every sample is unmatched and use_unlabeled is off")
+            targets = build_targets(noised)
+            order = train_rows.copy()
             rng_shuffle.shuffle(order)
             losses = []
             for start in range(0, order.size, config.batch_size):
@@ -248,7 +256,7 @@ def _fit(
                 loss, grad = backward(
                     params,
                     X_train[batch],
-                    targets.rows[batch],
+                    targets[batch],
                     lf_activation_penalty=activation_penalty,
                     out=grad_buffer,
                 )

@@ -298,11 +298,11 @@ def test_criterion_7_invariants():
         n, m = int(rng.integers(1, 20)), int(rng.integers(1, 10))
         dense = (rng.random((n, m)) < 0.4).astype(np.int64)
         targets = build_targets(match_from_dense(dense))
-        if not np.allclose(targets.rows.sum(axis=1), 1.0, atol=1e-9):
+        if not np.allclose(targets.sum(axis=1), 1.0, atol=1e-9):
             failures.append("row-normalization")
             break
         unmatched = dense.sum(axis=1) == 0
-        if not np.all(targets.rows[unmatched] == 1.0 / m):
+        if not np.all(targets[unmatched] == 1.0 / m):
             failures.append("uniform-unmatched")
             break
 

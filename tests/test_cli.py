@@ -211,6 +211,76 @@ def test_train_bad_config_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def _train_with(old, new, *extra):
+    """A case that trains on SYNTH_CONFIG with ``old`` replaced by ``new``."""
+
+    def case(tmp_path, request):
+        assert old in SYNTH_CONFIG
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace(old, new))
+        return ["train", "--config", cfg, "--out", str(tmp_path / "x"), *extra]
+
+    return case
+
+
+def _command(*argv):
+    """A case that runs ``argv`` with ``{cfg}`` and ``{tmp}`` filled in."""
+
+    def case(tmp_path, request):
+        cfg = write_config(tmp_path)
+        return [arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]
+
+    return case
+
+
+def _eval_with_echo(echo):
+    """A case that evaluates a trained checkpoint whose config echo is ``echo``."""
+
+    def case(tmp_path, request):
+        from sepll.serialize import read_container, write_container
+
+        cfg, run_dir = request.getfixturevalue("trained")
+        ckpt = run_dir / "checkpoint.sepll"
+        header, arrays = read_container(ckpt)
+        header["config"] = echo
+        del header["arrays"]
+        write_container(ckpt, header, arrays)
+        return ["eval", "--checkpoint", str(ckpt), "--config", cfg, "--out", str(tmp_path / "e")]
+
+    return case
+
+
+# One row per malformed input that used to end in a traceback, a wrong exit
+# code or a silent success: case -> (argv builder, exit code, text that stderr
+# must hold, with {tmp} for the test's directory). Exit 1 is a config or usage
+# error, exit 2 a data error.
+MALFORMED_INPUTS = {
+    "learning_rate is nan": (_train_with("max_epochs", "learning_rate = nan\nmax_epochs"), 1, "learning_rate"),
+    "learning_rate is inf": (_train_with("max_epochs", "learning_rate = inf\nmax_epochs"), 1, "learning_rate"),
+    "weight_decay is inf": (_train_with("max_epochs", "weight_decay = inf\nmax_epochs"), 1, "weight_decay"),
+    "l2_lf is nan": (_train_with("max_epochs", "l2_lf = nan\nmax_epochs"), 1, "l2_lf"),
+    "config seed is negative": (_train_with("seed = 0", "seed = -1"), 1, "seed must be non-negative"),
+    "train --seed is negative": (_train_with("seed = 0", "seed = 0", "--seed", "-3"), 1, "--seed"),
+    "synth --seed is negative": (_command("synth", "--out", "{tmp}/s", "--seed", "-3"), 1, "--seed"),
+    "stats --seed is negative": (_command("stats", "--config", "{cfg}", "--seed", "-3", "--out", "{tmp}/d"), 1, "--seed"),
+    "checkpoint echo is a number": (_eval_with_echo(5), 2, "{tmp}/run/checkpoint.sepll: "),
+    "checkpoint echo section is a number": (_eval_with_echo({"train": 5}), 2, "{tmp}/run/checkpoint.sepll: "),
+    "checkpoint echo is a list": (_eval_with_echo(["x"]), 2, "{tmp}/run/checkpoint.sepll: "),
+    "checkpoint echo has an unknown section": (_eval_with_echo({"x": {}}), 2, "{tmp}/run/checkpoint.sepll: "),
+    "checkpoint class names are not strings": (_eval_with_echo({"class_names": [0]}), 2, "{tmp}/run/checkpoint.sepll: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_its_code_naming_it(tmp_path, capsys, request, case):
+    build, code, named = MALFORMED_INPUTS[case]
+    argv = build(tmp_path, request)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -326,7 +396,7 @@ def test_mutated_checkpoint_loads_or_is_data_error_and_eval_exits_cleanly(traine
     def check(mutations):
         path.write_bytes(mutate_checkpoint(raw, mutations))
         try:
-            params, vocab, _ = load_checkpoint(path)
+            params, vocab, echo = load_checkpoint(path)
         except DataError as exc:
             assert str(path) in str(exc)
             rejected = True
@@ -336,6 +406,10 @@ def test_mutated_checkpoint_loads_or_is_data_error_and_eval_exits_cleanly(traine
             assert np.isfinite(params.theta).all()
             assert len(set(vocab.tokens)) == len(vocab) == vocab.df.size
             assert vocab.n_docs >= 0 and np.all((vocab.df >= 0) & (vocab.df <= vocab.n_docs))
+            assert type(echo) is dict and set(echo) <= {"encoder", "model", "train", "data", "lfs", "class_names"}
+            assert all(type(echo[key]) is dict for key in ("encoder", "model", "train", "data") if key in echo)
+            assert type(echo.get("lfs", [])) is list
+            assert type(echo.get("class_names", [])) is list and all(type(v) is str for v in echo.get("class_names", []))
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--config", cfg])
         err = capsys.readouterr().err
@@ -689,6 +763,64 @@ def test_apply_lfs_writes_match_matrices(tmp_path):
     assert header == "120 3"
     assert (out / "T.classof").read_text().splitlines()[0] == "3 2"
     assert verify_manifest(out / "manifest.json") == []
+
+
+# What a text mutation may put into a triplet or mapping file: digits, signs,
+# separators, integers at and past the int64 range, a header-sized column
+# count, and bytes that are not UTF-8 or not ASCII.
+TEXT_TOKENS = [
+    b"0", b"1", b"7", b"-", b"+", b"_", b" ", b"\n", b"\r", b"\t", b"x", b"\x00", b"\xff", b"\xc2\x85", b"1e3",
+    b"9223372036854775807", b"9223372036854775808", b"-9223372036854775809", b"99999999999999999999999",
+    b"1000000000",
+]
+TEXT_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]), FRACTION, st.sampled_from(TEXT_TOKENS)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate_text(raw: bytes, mutations) -> bytes:
+    out = bytearray(raw)
+    for kind, frac, token in mutations:
+        pos = int(frac * len(out))
+        if kind == "insert":
+            out[pos:pos] = token
+        else:
+            out[pos : pos + len(token)] = token if kind == "replace" else b""
+    return bytes(out)
+
+
+def test_mutated_triplets_and_mapping_load_or_are_data_error(tmp_path):
+    from sepll.data import read_mapping, read_triplets
+
+    cfg = write_config(tmp_path, LF_CONFIG)
+    out = tmp_path / "lfs"
+    assert main(["apply-lfs", "--config", cfg, "--out", str(out)]) == 0
+    files = {name: (out / name).read_bytes() for name in ("L_train.triplets", "T.classof")}
+    path = tmp_path / "mutated"
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(sorted(files)), TEXT_MUTATIONS)
+    def check(name, mutations):
+        path.write_bytes(mutate_text(files[name], mutations))
+        try:
+            loaded = read_triplets(path) if name.endswith(".triplets") else read_mapping(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            return
+        # valid data: what apply-lfs could have written
+        if name.endswith(".triplets"):
+            pairs = loaded.pairs
+            assert loaded.n >= 0 and loaded.m >= 0 and pairs.dtype == np.int64
+            assert np.all((pairs >= 0) & (pairs < [loaded.n, loaded.m]))
+            rows, cols = np.diff(pairs[:, 0]), np.diff(pairs[:, 1])
+            assert np.all((rows > 0) | ((rows == 0) & (cols > 0)))  # sorted, no repeats
+        else:
+            assert loaded.c >= 1 and loaded.class_of.dtype == np.int64
+            assert np.all((loaded.class_of >= 0) & (loaded.class_of < loaded.c))
+
+    check()
 
 
 def test_apply_lfs_without_section_exits_1(tmp_path, capsys):

@@ -403,19 +403,14 @@ def test_one_class_conversion_is_lossless(args):
 def test_build_targets_normalizes_matched_rows():
     match = match_from_dense(np.array([[1, 0, 1, 0]]))
     targets = build_targets(match)
-    assert targets.rows.tolist() == [[0.5, 0.0, 0.5, 0.0]]
-    assert not targets.unlabeled_mask[0]
+    assert targets.tolist() == [[0.5, 0.0, 0.5, 0.0]]
+    assert not targets.flags.writeable
 
 
 def test_build_targets_uniform_unmatched_and_mask():
     match = match_from_dense(np.array([[0, 0], [1, 0]]))
-    targets = build_targets(match, include_unlabeled=True)
-    assert targets.rows[0].tolist() == [0.5, 0.5]
-    assert targets.unlabeled_mask.tolist() == [True, False]
-    assert targets.training_indices().tolist() == [0, 1]
-    excluded = build_targets(match, include_unlabeled=False)
-    assert excluded.unlabeled_mask.tolist() == [True, False]
-    assert excluded.training_indices().tolist() == [1]
+    targets = build_targets(match)
+    assert targets.tolist() == [[0.5, 0.5], [1.0, 0.0]]
 
 
 def test_build_targets_zero_lfs_errors():
@@ -433,12 +428,13 @@ def test_build_targets_zero_lfs_errors():
 def test_build_targets_rows_sum_to_one(rows):
     dense = np.asarray(rows, dtype=float)
     targets = build_targets(match_from_dense(dense))
-    sums = targets.rows.sum(axis=1)
+    sums = targets.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-9)
     unmatched = dense.sum(axis=1) == 0
-    assert np.array_equal(targets.unlabeled_mask, unmatched)
-    # unlabeled rows exactly uniform
-    assert np.all(targets.rows[unmatched] == 1.0 / dense.shape[1])
+    # unlabeled rows exactly uniform, matched rows exactly the normalized matches
+    assert np.all(targets[unmatched] == 1.0 / dense.shape[1])
+    matched = dense[~unmatched]
+    assert np.array_equal(targets[~unmatched], matched / matched.sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +479,24 @@ def test_triplet_bad_line(tmp_path):
         read_triplets(f)
 
 
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ("3 2\n99999999999999999999999 1\n", r"L\.triplets:2: integer outside the 64-bit range"),
+        ("3 99999999999999999999999\n", r"L\.triplets:1: integer outside the 64-bit range"),
+        ("3 2\n3 1\n", r"L\.triplets: match row index out of range"),
+        ("3 2\n0 1\n0 1\n", r"L\.triplets: duplicate \(sample, LF\) match pair"),
+        ("-1 2\n", r"L\.triplets: matrix dimensions must be non-negative"),
+    ],
+    ids=["row-past-int64", "m-past-int64", "row-range", "repeated-pair", "negative-n"],
+)
+def test_triplets_bad_file_names_it(tmp_path, content, where):
+    f = tmp_path / "L.triplets"
+    f.write_text(content)
+    with pytest.raises(DataError, match=where):
+        read_triplets(f)
+
+
 def test_mapping_file_round_trip(tmp_path):
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 0]))
     f = tmp_path / "T.classof"
@@ -501,10 +515,15 @@ def test_mapping_file_round_trip(tmp_path):
         ("2 2\n0 0\n1 2\n", r"T\.classof:3: class index out of range"),
         ("2 2\n\n0 0\n1 x\n", r"T\.classof:4: expected two integers"),
         (b"2 2\n0 \xff\n", r"T\.classof: mapping file is not UTF-8"),
+        ("99999999999999999999999 2\n", r"T\.classof:1: integer outside the 64-bit range"),
+        ("2 2\n0 -9223372036854775809\n", r"T\.classof:2: integer outside the 64-bit range"),
+        ("1000000000 2\n0 0\n", r"T\.classof:1: header says m=1000000000 columns but only 1 follow"),
+        ("3 2\n0 0\n1 1\n", r"T\.classof:1: header says m=3 columns but only 2 follow"),
     ],
     ids=[
         "non-integer-header", "non-integer-pair", "duplicate-column", "negative-m",
-        "class-range", "blank-line-counted", "not-utf8",
+        "class-range", "blank-line-counted", "not-utf8", "m-past-int64", "class-past-int64",
+        "m-past-rows", "missing-column",
     ],
 )
 def test_mapping_bad_file_names_line(tmp_path, content, where):

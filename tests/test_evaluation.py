@@ -166,9 +166,10 @@ def test_lf_match_predict_validation():
         lf_match_predict(np.array([[0.9, 0.9]]), k=1)
 
 
-def test_lf_match_predict_accepts_single_row():
-    out = lf_match_predict(np.array([0.8, 0.1, 0.1]), k=2)
-    assert out.tolist() == [[1, 0, 0]]
+@pytest.mark.parametrize("rows", [np.array([0.8, 0.1, 0.1]), np.float64(1.0), np.ones((1, 1, 2)) / 2])
+def test_lf_match_predict_rejects_rows_that_are_not_2d(rows):
+    with pytest.raises(DataError, match="2-D"):
+        lf_match_predict(rows, k=2)
 
 
 # ---------------------------------------------------------------------------

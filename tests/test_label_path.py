@@ -16,7 +16,7 @@ import pytest
 from conftest import match_from_dense
 from hypothesis import given, strategies as st
 
-from sepll.data import MappingMatrix, MatchMatrix, TargetDistribution, build_targets
+from sepll.data import MappingMatrix, MatchMatrix, build_targets
 from sepll.errors import ConfigError, DataError
 from sepll.lf_engine import LfStats, PerLfStats, compute_stats, majority_vote
 from sepll.seeds import stream
@@ -107,7 +107,7 @@ def dense_inject_noise(match, mapping, noise_lambda, rng) -> MatchMatrix:
     return match_from_dense(dense | (eligible & draws))
 
 
-def dense_build_targets(match: MatchMatrix, include_unlabeled: bool = True) -> TargetDistribution:
+def dense_build_targets(match: MatchMatrix) -> np.ndarray:
     if match.m < 1:
         raise DataError("cannot build targets with zero LF columns")
     dense = match.to_dense()
@@ -117,7 +117,7 @@ def dense_build_targets(match: MatchMatrix, include_unlabeled: bool = True) -> T
     rows[unlabeled] = 1.0 / match.m
     matched = ~unlabeled
     rows[matched] = dense[matched] / counts[matched, None]
-    return TargetDistribution(rows=rows, unlabeled_mask=unlabeled, include_unlabeled=include_unlabeled)
+    return rows
 
 
 def assert_same_arrays(a: np.ndarray, b: np.ndarray) -> None:
@@ -125,7 +125,7 @@ def assert_same_arrays(a: np.ndarray, b: np.ndarray) -> None:
     assert a.tobytes() == b.tobytes()
 
 
-def assert_label_path_matches_reference(match, mapping, gold, seed, lam, include_unlabeled):
+def assert_label_path_matches_reference(match, mapping, gold, seed, lam):
     preds, state = majority_vote_and_state(match, mapping, seed)
     ref_preds, ref_state = dense_majority_vote(match, mapping, seed)
     assert_same_arrays(preds, ref_preds)
@@ -144,11 +144,7 @@ def assert_label_path_matches_reference(match, mapping, gold, seed, lam, include
 
     if match.m:
         for source in (match, noised):
-            got = build_targets(source, include_unlabeled)
-            want = dense_build_targets(source, include_unlabeled)
-            assert_same_arrays(got.rows, want.rows)
-            assert_same_arrays(got.unlabeled_mask, want.unlabeled_mask)
-            assert_same_arrays(got.training_indices(), want.training_indices())
+            assert_same_arrays(build_targets(source), dense_build_targets(source))
 
 
 @st.composite
@@ -174,11 +170,10 @@ def label_cases(draw):
     label_cases(),
     st.integers(0, 2**32 - 1),
     st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
-    st.booleans(),
 )
-def test_label_path_bitwise_equals_dense_reference(case, seed, lam, include_unlabeled):
+def test_label_path_bitwise_equals_dense_reference(case, seed, lam):
     match, mapping, gold = case
-    assert_label_path_matches_reference(match, mapping, gold, seed, lam, include_unlabeled)
+    assert_label_path_matches_reference(match, mapping, gold, seed, lam)
 
 
 def _case(dense, class_of, c):
@@ -207,8 +202,7 @@ def test_label_path_corner_cases_equal_dense_reference(name, seed):
     match, mapping = CORNER_CASES[name]
     gold = [k % mapping.c for k in range(match.n)]
     for lam in (0.0, 0.3, 1.0):
-        for include_unlabeled in (True, False):
-            assert_label_path_matches_reference(match, mapping, gold, seed, lam, include_unlabeled)
+        assert_label_path_matches_reference(match, mapping, gold, seed, lam)
 
 
 @pytest.mark.parametrize("c", [2, 3, 8])

@@ -173,6 +173,18 @@ def test_ce_loss_shape_mismatch():
         ce_loss(np.empty((0, 3)), np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3)])
+def test_ce_loss_and_backward_reject_input_that_is_not_2d(shape):
+    q = np.full(shape, 1.0 / 3)
+    with pytest.raises(DataError, match="2-D"):
+        ce_loss(q, q)
+    params = tiny_params()
+    with pytest.raises(DataError, match="shape mismatch"):
+        backward(params, np.ones((1, params.dims[0][0])), q)
+    with pytest.raises(DataError, match="empty batch"):
+        backward(params, np.ones((0, params.dims[0][0])), np.ones((0, 3)))
+
+
 # ---------------------------------------------------------------------------
 # prediction
 

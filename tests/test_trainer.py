@@ -19,6 +19,7 @@ from sepll.evaluation import task_metrics
 from sepll.lf_engine import majority_vote
 from sepll.model import backward, init_params, param_items, predict_batch
 from sepll.native import BLOCK
+from sepll.nnet import CSRMatrix
 from sepll.trainer import (
     VARIANT_ORDER,
     TrainConfig,
@@ -156,9 +157,7 @@ def test_adamw_descends_on_fixed_batch(rng):
         rng=np.random.default_rng(3),
     )
     X = rng.normal(size=(8, 6))
-    targets = build_targets(
-        match_from_dense((rng.random((8, 4)) < 0.5).astype(int))
-    ).rows
+    targets = build_targets(match_from_dense((rng.random((8, 4)) < 0.5).astype(int)))
     state = init_optimizer(params)
     cfg = TrainConfig(weight_decay=0.0)
     first, _ = backward(params, X, targets)
@@ -432,6 +431,19 @@ def test_train_config_validation():
         TrainConfig(warmup_steps=-1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "l2_lf"])
+def test_train_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -501,6 +513,58 @@ def test_train_rejects_mismatched_matrix():
     bad = MatchMatrix(n=3, m=conv.mapping.m, pairs=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(DataError, match="train split"):
         train(splits, bad, conv.mapping, fast_config(), SMALL_ENC)
+
+
+def spy_on_backward(monkeypatch):
+    """Record the X and targets of every batch that reaches ``trainer.backward``."""
+    import sepll.trainer
+
+    batches = []
+
+    def spy(params, X, targets, **kwargs):
+        batches.append((X, targets))
+        return backward(params, X, targets, **kwargs)
+
+    monkeypatch.setattr(sepll.trainer, "backward", spy)
+    return batches
+
+
+def test_train_without_unlabeled_and_no_matches_raises_before_any_step(monkeypatch):
+    splits, conv = small_splits(seed=0)
+    unmatched = MatchMatrix(n=len(splits.train), m=conv.mapping.m, pairs=np.empty((0, 2), dtype=np.int64))
+    batches = spy_on_backward(monkeypatch)
+    with pytest.raises(DataError, match="no training rows"):
+        train(splits, unmatched, conv.mapping, fast_config(use_unlabeled=False), SMALL_ENC)
+    assert batches == []
+    # with unlabeled rows on, the same matches train every row toward uniform
+    train(splits, unmatched, conv.mapping, fast_config(max_epochs=1), SMALL_ENC)
+    assert sum(X.shape[0] for X, _ in batches) == len(splits.train)
+    assert all(np.all(targets == 1.0 / conv.mapping.m) for _, targets in batches)
+
+
+@pytest.mark.parametrize("noise_lambda", [0.0, 0.5])
+def test_train_without_unlabeled_batches_only_matched_rows(monkeypatch, noise_lambda):
+    from sepll.trainer import _fit
+
+    splits, conv = small_splits(seed=0)
+    match = conv.match["train"]
+    matched = np.flatnonzero(match.row_counts())
+    assert 0 < matched.size < match.n
+    n, n_dev = match.n, len(splits.dev)
+
+    def one_hot_rows(k):  # row i has its one nonzero in column i, which names it
+        return CSRMatrix(np.ones(k), np.arange(k), np.arange(k + 1), (k, n))
+
+    dev_gold = np.array([s.gold_label for s in splits.dev])
+    batches = spy_on_backward(monkeypatch)
+    cfg = fast_config(use_unlabeled=False, noise_lambda=noise_lambda, max_epochs=3, patience=3, batch_size=7)
+    _, history = _fit(one_hot_rows(n), one_hot_rows(n_dev), dev_gold, match, conv.mapping, cfg, SMALL_ENC, None)
+    assert len(history.epochs) == 3
+    seen = np.concatenate([X.indices for X, _ in batches])
+    # every epoch trains each matched row exactly once, and no other row
+    assert seen.size == 3 * matched.size
+    for epoch in np.split(seen, 3):
+        assert np.array_equal(np.sort(epoch), matched)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
