@@ -10,6 +10,7 @@ exactly one class.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,14 +125,25 @@ class MatchMatrix:
                 raise DataError("duplicate (sample, LF) match pair")
         object.__setattr__(self, "pairs", _frozen(pairs))
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.m), dtype=np.float64)
-        if self.pairs.size:
-            out[self.pairs[:, 0], self.pairs[:, 1]] = 1.0
-        return out
-
     def row_counts(self) -> np.ndarray:
         return np.bincount(self.pairs[:, 0], minlength=self.n)
+
+    @functools.cached_property
+    def row_starts(self) -> np.ndarray:
+        """(n + 1,) int64: row i's matches are ``pairs[row_starts[i]:row_starts[i + 1]]``."""
+        return _frozen(np.searchsorted(self.pairs[:, 0], np.arange(self.n + 1)))
+
+    def take(self, rows) -> MatchMatrix:
+        """The matches of ``rows`` (row indices, a slice or a mask), as the matrix
+        whose row r is row ``rows[r]`` of this one."""
+        rows = np.arange(self.n)[rows]  # bounds-checked
+        starts = self.row_starts[rows]
+        lengths = self.row_starts[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        local = np.repeat(np.arange(rows.size), lengths)
+        return MatchMatrix(rows.size, self.m, np.stack([local, self.pairs[pos, 1]], axis=1))
 
     def class_votes(self, mapping: MappingMatrix) -> np.ndarray:
         """(n, c) int64: how many of each row's matches vote for each class."""
@@ -223,7 +235,8 @@ def to_one_class_lfs(splits: SplitSet) -> ConversionResult:
     for j in range(m0):
         values = [splits.raw_weak_labels[name][:, j] for name in SPLIT_NAMES]
         col = np.concatenate(values) if values else np.empty(0, dtype=np.int64)
-        emitted.append(np.unique(col[col != ABSTAIN]))
+        # the classes this LF emits, ascending (every label is in [-1, c), checked by SplitSet)
+        emitted.append(np.flatnonzero(np.bincount(col[col != ABSTAIN], minlength=splits.n_classes)))
     columns = [(j, int(cls)) for j in range(m0) for cls in emitted[j]]
     dropped = tuple(j for j in range(m0) if emitted[j].size == 0)
     class_of = np.array([cls for _, cls in columns], dtype=np.int64)
@@ -454,7 +467,10 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     else:
         observed = {x.gold_label for s in SPLIT_NAMES for x in parts[s] if x.gold_label is not None}
         for s in SPLIT_NAMES:
-            observed.update(np.unique(weak[s]).tolist())
+            values = np.sort(weak[s], axis=None)  # not yet bounded, so not a bincount
+            first = np.ones(values.size, dtype=bool)
+            first[1:] = values[1:] != values[:-1]
+            observed.update(values[first].tolist())
         classes = sorted(v for v in observed if v >= 0)
         if not classes:
             raise DataError(f"{root}: cannot infer class count (no labels anywhere)")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import MatchMatrix, build_targets
 from .errors import ConfigError, DataError
-from .model import SepLLParams, ce_loss, forward_batch
+from .model import ForwardTrace, SepLLParams, forward_chunks, row_log_likelihoods
 from .nnet import softmax
 from .serialize import write_csv, write_text
 
@@ -148,20 +148,6 @@ class MemorizationReport:
         return out
 
 
-def _binary_cells_macro_f1(pred: np.ndarray, true: np.ndarray) -> float:
-    """Macro F1 over the two cell classes (no-match, match), flattened."""
-    pred = pred.reshape(-1)
-    true = true.reshape(-1)
-    f1s = []
-    for cls in (0, 1):
-        tp = float(((pred == cls) & (true == cls)).sum())
-        fp = float(((pred == cls) & (true != cls)).sum())
-        fn = float(((pred != cls) & (true == cls)).sum())
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s))
-
-
 def memorization_report(
     params: SepLLParams, X, match: MatchMatrix, k: int = 4
 ) -> MemorizationReport:
@@ -170,34 +156,61 @@ def memorization_report(
     Accuracy and macro F1 treat every (sample, LF) cell as a binary decision;
     cross-entropy against the :func:`build_targets` rows is restricted to
     samples with at least one true match, where it is well defined.
+
+    The model runs through :func:`forward_chunks`, so nothing here is n x m:
+    the cells come from integer counts and each cross-entropy from per-row
+    sums whose mean is taken once, as one pass over all rows would take it.
     """
-    trace = forward_batch(params, X)
-    if trace.lf_logits.shape[0] != match.n:
+    if X.shape[0] != match.n:
         raise DataError("feature matrix and match matrix disagree on sample count")
-    if trace.lf_logits.shape[1] != match.m:
-        raise DataError(
-            f"LF dimension mismatch: model has m={trace.lf_logits.shape[1]}, matches m={match.m}"
-        )
-    probs = {
-        "lf_latent": softmax(trace.lf_logits),
-        "full": trace.q,
-        "task_mapped": softmax(trace.task_logits[:, params.mapping.class_of]),
-    }
-    true = match.to_dense()
-    matched = match.row_counts() > 0
-    if not matched.any():
+    if params.mapping.m != match.m:
+        raise DataError(f"LF dimension mismatch: model has m={params.mapping.m}, matches m={match.m}")
+    if not match.pairs.size:
         raise DataError("memorization analysis needs at least one matched sample")
-    p_rows = build_targets(match)[matched]
+    chunks = forward_chunks(
+        params, X, lambda rows, trace: _chunk_scores(trace, match.take(rows), params.mapping.class_of, k)
+    )
+    cells, true = match.n * match.m, match.pairs.shape[0]
     paths = {}
-    for name, pr in probs.items():
-        binary = lf_match_predict(pr, k)
+    for p, name in enumerate(("lf_latent", "full", "task_mapped")):
+        predicted, hits, log_likelihoods = zip(*(scores[p] for scores, _ in chunks))
+        tp = sum(hits)
+        fp, fn = sum(predicted) - tp, true - tp
+        tn = cells - tp - fp - fn
         paths[name] = PathMemorization(
-            accuracy=float((binary == true).mean()),
-            macro_f1=_binary_cells_macro_f1(binary, true),
-            cross_entropy=ce_loss(pr[matched], p_rows),
+            accuracy=(tp + tn) / cells,
+            # the no-match class's false positives are the match class's false negatives
+            macro_f1=float(np.mean([_f1(tn, fn, fp), _f1(tp, fp, fn)])),
+            cross_entropy=float(-np.concatenate(log_likelihoods).mean()),
         )
-    uniform_ce = float(-(p_rows * math.log(1.0 / match.m)).sum(axis=1).mean())
+    uniform_ce = float(-np.concatenate([uniform for _, uniform in chunks]).mean())
     return MemorizationReport(paths=paths, uniform_ce=uniform_ce, threshold_k=int(k), m=match.m)
+
+
+def _chunk_scores(trace: ForwardTrace, part: MatchMatrix, class_of: np.ndarray, k: int):
+    """One row chunk's share of :func:`memorization_report`, whose true matches are
+    ``part``. For each path in report order: the cells predicted to match, how
+    many of them truly match, and the log-likelihoods of the matched rows'
+    targets; then those rows' log-likelihoods under uniform predictions."""
+    matched = part.row_counts() > 0
+    targets = build_targets(part)[matched]
+    i, j = part.pairs.T
+
+    def paths():  # one probability array at a time
+        yield softmax(trace.lf_logits)
+        yield trace.q
+        yield softmax(trace.task_logits[:, class_of])
+
+    scores = []
+    for probs in paths():
+        binary = lf_match_predict(probs, k)
+        scores.append((int(binary.sum()), int(binary[i, j].sum()), row_log_likelihoods(probs[matched], targets)))
+    return scores, (targets * math.log(1.0 / part.m)).sum(axis=1)
+
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom > 0 else 0.0
 
 
 @dataclass(frozen=True)

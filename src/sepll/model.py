@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -21,6 +21,22 @@ from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_bac
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
+
+T = TypeVar("T")
+
+# Rows per forward pass when the model runs over a whole split (eval, analyze,
+# the dev metric); a multiple of 256, see :func:`row_chunks`. A chunk gives each
+# row the bits of one pass over the split only where BLAS runs the same kernel
+# for both. The CSR first layer always does. For a dense layer, numpy sends a
+# one-row product to a matrix-vector kernel, and OpenBLAS (scipy-openblas
+# 0.3.31, AVX-512) sends a product of rows * N * K <= 10**6 multiply-adds to
+# its small-matrix kernel; these kernels round differently for some shapes.
+# Measured: chunks of ROW_CHUNK rows or more matched one pass on the benchmark
+# workloads' models, but not once a split's one pass through an N x K head
+# leaves the small-matrix kernel, which its chunks still use: a 64 -> 4 head
+# from 3,907 rows on, a 16 -> 2 head from 31,251. One summation order for
+# every product would remove both dependences.
+ROW_CHUNK = 1024
 
 # parameter-name prefixes of the encoder, class and LF paths, in theta order
 PATHS = ("encoder", "task", "lf")
@@ -183,26 +199,48 @@ def forward_batch(params: SepLLParams, X) -> ForwardTrace:
     )
 
 
-def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over the (n, m) batch of -sum_j P_ij log Q_ij, with log clamped at 1e-12."""
+def row_chunks(n: int) -> Iterator[slice]:
+    """Consecutive slices that cover ``range(n)``: :data:`ROW_CHUNK` rows each, the
+    last one taking the rest too, so that only a split shorter than ROW_CHUNK
+    has a shorter chunk. One empty slice when ``n`` is 0."""
+    for lo in range(0, max(n // ROW_CHUNK, 1) * ROW_CHUNK, ROW_CHUNK):
+        yield slice(lo, lo + ROW_CHUNK if lo + 2 * ROW_CHUNK <= n else n)
+
+
+def forward_chunks(params: SepLLParams, X, fn: Callable[[slice, ForwardTrace], T]) -> list[T]:
+    """``fn(rows, trace)`` for each :func:`row_chunks` slice ``rows`` of ``X``, where
+    ``trace`` is :func:`forward_batch` of those rows; the results in row order.
+    Each trace is dropped once ``fn`` returns, so one chunk's outputs are alive at a time."""
+    return [fn(rows, forward_batch(params, X[rows])) for rows in row_chunks(X.shape[0])]
+
+
+def row_log_likelihoods(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """sum_j P_ij log Q_ij of each row of the (n, m) batch, with log clamped at
+    1e-12: minus each row's cross-entropy."""
     q = np.asarray(q, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if q.ndim != 2:
         raise DataError(f"Q must be 2-D (n, m), got shape {q.shape}")
     if q.shape != targets.shape:
         raise DataError(f"shape mismatch between Q {q.shape} and targets {targets.shape}")
-    if q.shape[0] == 0:
-        raise DataError("cannot take a loss over an empty batch")
     logs = np.clip(q, LOG_CLAMP, None)  # the one array of q's size made here; the rest is in place
     np.log(logs, out=logs)
     logs *= targets
-    return float(-logs.sum(axis=1).mean())
+    return logs.sum(axis=1)
+
+
+def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over the (n, m) batch of -sum_j P_ij log Q_ij, with log clamped at 1e-12."""
+    rows = row_log_likelihoods(q, targets)
+    if rows.size == 0:
+        raise DataError("cannot take a loss over an empty batch")
+    return float(-rows.mean())
 
 
 def predict_batch(params: SepLLParams, X) -> np.ndarray:
-    """Argmax class per row from the task head alone; ties go to the lowest index."""
-    trace = forward_batch(params, X)
-    return np.argmax(trace.task_logits, axis=1)
+    """Argmax class per row from the task head alone, through :func:`forward_chunks`;
+    ties go to the lowest index."""
+    return np.concatenate(forward_chunks(params, X, lambda rows, trace: np.argmax(trace.task_logits, axis=1)))
 
 
 @dataclass

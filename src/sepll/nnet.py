@@ -182,9 +182,10 @@ def mlp_backward(
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    out = logits - np.max(logits, axis=axis, keepdims=True)  # the one array made here
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def check_finite(name: str, *arrays: np.ndarray) -> None:

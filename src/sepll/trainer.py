@@ -30,6 +30,7 @@ from .model import (
     init_params,
     param_name_at,
     predict_batch,
+    row_chunks,
 )
 from .nnet import CSRMatrix
 from .seeds import stream
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.metric not in ("accuracy", "binary_f1", "macro_f1"):
             raise ConfigError(f"unknown dev metric {self.metric!r}")
+        if self.positive_class not in (0, 1):
+            raise ConfigError(f"positive_class must be 0 or 1, got {self.positive_class}")
         if self.l2_lf_target not in ("parameters", "activations"):
             raise ConfigError("l2_lf_target must be 'parameters' or 'activations'")
 
@@ -127,17 +130,26 @@ def inject_noise(
 ) -> MatchMatrix:
     """For every sample and class with at least one match, each unmatched LF of
     that class independently gains a match with probability noise_lambda.
-    Existing matches are never removed."""
+    Existing matches are never removed.
+
+    The draws are one uniform per (sample, LF) cell in row-major order, made in
+    :func:`~sepll.model.row_chunks` of rows: the same stream as one (n, m) draw.
+    """
     class_hit = match.class_votes(mapping) > 0
     if not (0.0 <= noise_lambda <= 1.0):
         raise ConfigError("noise_lambda must be in [0, 1]")
     if noise_lambda == 0.0 or match.m == 0 or match.n == 0:
         return match
-    eligible = class_hit[:, mapping.class_of]
-    eligible[match.pairs[:, 0], match.pairs[:, 1]] = False
-    draws = rng.random((match.n, match.m)) < noise_lambda
-    added = np.argwhere(eligible & draws)
-    return MatchMatrix(match.n, match.m, np.concatenate([match.pairs, added]))
+    pairs = [match.pairs]
+    for rows in row_chunks(match.n):
+        eligible = class_hit[rows, mapping.class_of]
+        own = match.pairs[match.row_starts[rows.start] : match.row_starts[rows.stop]]
+        eligible[own[:, 0] - rows.start, own[:, 1]] = False
+        eligible &= rng.random(eligible.shape) < noise_lambda
+        hit = np.argwhere(eligible)
+        hit[:, 0] += rows.start
+        pairs.append(hit)
+    return MatchMatrix(match.n, match.m, np.concatenate(pairs))
 
 
 @dataclass(frozen=True)
@@ -182,9 +194,10 @@ def train(
     """Fit the two-path model; returns the best-dev parameters, the history, and
     the vocabulary fitted on the training split.
 
-    Each epoch re-samples noise injection, rebuilds targets, shuffles, then
-    sweeps mini-batches; early stopping keeps the parameters of the best dev
-    epoch and stops after ``patience`` epochs without improvement.
+    Each epoch re-samples noise injection, shuffles, then sweeps mini-batches,
+    each trained toward the targets of its own rows; early stopping keeps the
+    parameters of the best dev epoch and stops after ``patience`` epochs
+    without improvement.
     """
     encoder_config = encoder_config or EncoderConfig()
     vocab, X_train, X_dev, dev_gold = _featurize(splits, match_train, encoder_config)
@@ -223,7 +236,13 @@ def _fit(
     model_config: ModelConfig | None,
 ) -> tuple[SepLLParams, TrainHistory]:
     """The training loop of :func:`train`, on features built by :func:`_featurize`. The rows
-    that train (all, or the matched ones without ``use_unlabeled``) are fixed once, ascending."""
+    that train (all, or the matched ones without ``use_unlabeled``) are fixed once, ascending.
+
+    Besides theta, its gradient and the two moments, it holds one theta-sized array
+    (the best epoch's parameters, refilled in place) and no (n, m) array: each
+    batch builds the targets of its own rows."""
+    if config.metric == "binary_f1" and mapping.c != 2:
+        raise DataError(f"binary_f1 requires exactly 2 classes, got {mapping.c}")
     rng_init = stream(config.seed, "init")
     rng_shuffle = stream(config.seed, "shuffle")
     rng_noise = stream(config.seed, "noise")
@@ -236,7 +255,7 @@ def _fit(
     state = init_optimizer(params)
     grad_buffer = GradientBuffer(np.zeros_like(params.theta))  # every batch's gradient
     history = TrainHistory()
-    best_params = clone_params(params)
+    best_params = clone_params(params)  # the one copy; improving epochs refill it
     epochs_flat = 0
     global_step = 0
     activation_penalty = config.l2_lf if config.l2_lf_target == "activations" else 0.0
@@ -245,7 +264,6 @@ def _fit(
     try:
         for epoch in range(config.max_epochs):
             noised = inject_noise(match_train, mapping, config.noise_lambda, rng_noise)
-            targets = build_targets(noised)
             order = train_rows.copy()
             rng_shuffle.shuffle(order)
             losses = []
@@ -256,7 +274,7 @@ def _fit(
                 loss, grad = backward(
                     params,
                     X_train[batch],
-                    targets[batch],
+                    build_targets(noised.take(batch)),
                     lf_activation_penalty=activation_penalty,
                     out=grad_buffer,
                 )
@@ -273,7 +291,7 @@ def _fit(
             if dev_metric > history.best_dev_metric:
                 history.best_dev_metric = dev_metric
                 history.best_epoch = epoch
-                best_params = clone_params(params)
+                np.copyto(best_params.theta, params.theta)
                 epochs_flat = 0
             else:
                 epochs_flat += 1

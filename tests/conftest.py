@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,26 @@ def match_from_dense(dense) -> MatchMatrix:
     """The MatchMatrix with a match wherever the 2-d ``dense`` is nonzero."""
     dense = np.asarray(dense)
     return MatchMatrix(n=dense.shape[0], m=dense.shape[1], pairs=np.argwhere(dense != 0))
+
+
+def match_to_dense(match: MatchMatrix) -> np.ndarray:
+    """The (n, m) float64 0/1 array of ``match``."""
+    out = np.zeros((match.n, match.m))
+    out[match.pairs[:, 0], match.pairs[:, 1]] = 1.0
+    return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: ``peak`` is the most memory, in bytes, that
+    tracemalloc saw allocated at once while ``fn`` ran, over what was allocated
+    when it started. numpy reports its array buffers to tracemalloc, so they count."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def child_env() -> dict[str, str]:

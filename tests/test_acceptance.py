@@ -15,7 +15,7 @@ from pathlib import Path
 import conftest
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, match_to_dense
 
 from sepll.data import (
     MappingMatrix,
@@ -274,7 +274,7 @@ def test_criterion_6_noise_rate_monte_carlo():
     results = []
     ok = True
     for lam in (0.05, 0.1, 0.2):
-        out = inject_noise(match, mapping, lam, stream(17, "noise")).to_dense()
+        out = match_to_dense(inject_noise(match, mapping, lam, stream(17, "noise")))
         added = int(out[:, 1].sum())
         cross_class = int(out[:, 2:].sum())
         sigma = math.sqrt(n * lam * (1.0 - lam))

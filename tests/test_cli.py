@@ -267,6 +267,15 @@ MALFORMED_INPUTS = {
     "checkpoint echo is a list": (_eval_with_echo(["x"]), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint echo has an unknown section": (_eval_with_echo({"x": {}}), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint class names are not strings": (_eval_with_echo({"class_names": [0]}), 2, "{tmp}/run/checkpoint.sepll: "),
+    "positive_class is 5": (_train_with("max_epochs", "positive_class = 5\nmax_epochs"), 1, "positive_class must be 0 or 1"),
+    "binary_f1 on three classes": (
+        _train_with(
+            SYNTH_CONFIG,
+            SYNTH_CONFIG.replace("format = synth", "format = synth\nc = 3").replace("seed = 0", "seed = 0\nmetric = binary_f1"),
+        ),
+        2,
+        "binary_f1 requires exactly 2 classes, got 3",
+    ),
 }
 
 
@@ -921,6 +930,25 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "Weak-supervision" in proc.stdout
+
+
+def test_convert_and_train_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's unique() without return_counts imports numpy.ma, about 1 MB and 10 ms per command
+    from sepll.data import SynthSpec, save_dataset, synth_dataset
+
+    splits = synth_dataset(SynthSpec(n_train=40, n_dev=10, n_test=10), seed=0)
+    for fmt in ("jsonl", "wrench-json"):
+        save_dataset(splits, tmp_path / fmt, fmt=fmt)
+    (tmp_path / "jsonl" / "label.json").unlink()  # so that loading infers the classes
+    cfg = write_config(tmp_path, SYNTH_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+    for argv in (
+        ["convert", str(tmp_path / "jsonl"), "--format", "jsonl", "--out", str(tmp_path / "c1")],
+        ["convert", str(tmp_path / "wrench-json"), "--out", str(tmp_path / "c2")],
+        ["train", "--config", cfg, "--out", str(tmp_path / "t")],
+    ):
+        code = f"import sys; from sepll.cli import main; code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False", (argv[0], proc.stdout, proc.stderr)
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, match_to_dense
 from hypothesis import given, strategies as st
 
 from sepll.data import (
@@ -354,7 +354,7 @@ def test_one_class_split_and_order():
     assert conv.provenance.columns == ((0, 0), (0, 1), (1, 1))
     assert conv.provenance.dropped == (2,)
     assert conv.mapping.class_of.tolist() == [0, 1, 1]
-    dense = conv.match["train"].to_dense()
+    dense = match_to_dense(conv.match["train"])
     assert dense.tolist() == [[1, 0, 0], [0, 1, 1], [1, 0, 1]]
 
 
@@ -363,8 +363,8 @@ def test_one_class_inventory_spans_all_splits():
     splits = make_splits([[0]], weak_dev=[[1]])
     conv = to_one_class_lfs(splits)
     assert conv.provenance.columns == ((0, 0), (0, 1))
-    assert conv.match["train"].to_dense().tolist() == [[1, 0]]
-    assert conv.match["dev"].to_dense().tolist() == [[0, 1]]
+    assert match_to_dense(conv.match["train"]).tolist() == [[1, 0]]
+    assert match_to_dense(conv.match["dev"]).tolist() == [[0, 1]]
 
 
 @given(
@@ -383,7 +383,7 @@ def test_one_class_conversion_is_lossless(args):
     c, rows = args
     splits = make_splits(np.asarray(rows, dtype=np.int64), c=c)
     conv = to_one_class_lfs(splits)
-    dense = conv.match["train"].to_dense()
+    dense = match_to_dense(conv.match["train"])
     raw = splits.raw_weak_labels["train"]
     # grouping derived columns by original LF reconstructs the fire pattern
     rebuilt = np.full_like(raw, -1)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, traced_peak
 from hypothesis import given, strategies as st
 
 from sepll.data import MappingMatrix, MatchMatrix
@@ -22,6 +22,7 @@ from sepll.evaluation import (
     write_bar_chart_svg,
 )
 from sepll.model import ModelConfig, init_params
+from sepll.nnet import CSRMatrix
 from sepll.serialize import to_json, write_json
 
 F1_FROZEN = 0.6666666666666666  # TP=2 FP=1 FN=1
@@ -239,6 +240,19 @@ def test_memorization_validation():
         memorization_report(params, np.eye(8), MatchMatrix(n=4, m=8, pairs=np.empty((0, 2), dtype=np.int64)))
     with pytest.raises(DataError, match="at least one matched"):
         memorization_report(params, np.eye(8), MatchMatrix(n=8, m=8, pairs=np.empty((0, 2), dtype=np.int64)))
+
+
+def test_memorization_report_holds_no_n_by_m_array():
+    n, m, c, V, nnz = 20_000, 64, 4, 500, 3
+    mapping = MappingMatrix(c=c, class_of=np.arange(m) % c)
+    params = init_params(V, mapping, EncoderConfig(max_features=V, hidden=(16,), dim=8), rng=np.random.default_rng(0))
+    cols = (np.arange(n)[:, None] * 7 + np.arange(nnz) * 100) % V
+    X = CSRMatrix(np.full(n * nnz, 0.5), np.sort(cols, axis=1).ravel(), np.arange(0, n * nnz + 1, nnz), (n, V))
+    rows = np.flatnonzero(np.arange(n) % 5)  # every fifth row unmatched
+    match = MatchMatrix(n=n, m=m, pairs=np.concatenate([np.stack([rows, rows % m], 1), np.stack([rows, (rows + 3) % m], 1)]))
+    report, peak = traced_peak(memorization_report, params, X, match)
+    assert 0.0 < report.paths["full"].accuracy < 1.0
+    assert peak < n * m * 8, f"peak {peak / (n * m * 8):.2f} (n, m) float64 arrays"
 
 
 MEMORIZATION_REPORT_JSON = """{

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, match_to_dense, traced_peak
 from hypothesis import given, strategies as st
 
 from sepll.data import MappingMatrix, MatchMatrix, build_targets
@@ -32,7 +32,7 @@ def _check_dims(match: MatchMatrix, mapping: MappingMatrix) -> None:
 def dense_majority_vote(match: MatchMatrix, mapping: MappingMatrix, seed: int):
     """Predictions and the final tie-stream state of the per-row tie loop."""
     _check_dims(match, mapping)
-    votes = match.to_dense() @ mapping.to_dense()
+    votes = match_to_dense(match) @ mapping.to_dense()
     rng = stream(seed, "mv-ties")
     preds = np.empty(match.n, dtype=np.int64)
     for i in range(match.n):
@@ -58,7 +58,7 @@ def majority_vote_and_state(match: MatchMatrix, mapping: MappingMatrix, seed: in
 
 def dense_compute_stats(match: MatchMatrix, mapping: MappingMatrix, gold=None) -> LfStats:
     _check_dims(match, mapping)
-    dense = match.to_dense()
+    dense = match_to_dense(match)
     n = match.n
     hits = dense.sum(axis=0).astype(np.int64)
     gold_arr = None
@@ -94,7 +94,7 @@ def dense_inject_noise(match, mapping, noise_lambda, rng) -> MatchMatrix:
     _check_dims(match, mapping)
     if not (0.0 <= noise_lambda <= 1.0):
         raise ConfigError("noise_lambda must be in [0, 1]")
-    dense = match.to_dense() > 0
+    dense = match_to_dense(match) > 0
     if noise_lambda == 0.0 or match.m == 0 or match.n == 0:
         return match
     class_hit = np.zeros((match.n, mapping.c), dtype=bool)
@@ -110,7 +110,7 @@ def dense_inject_noise(match, mapping, noise_lambda, rng) -> MatchMatrix:
 def dense_build_targets(match: MatchMatrix) -> np.ndarray:
     if match.m < 1:
         raise DataError("cannot build targets with zero LF columns")
-    dense = match.to_dense()
+    dense = match_to_dense(match)
     counts = dense.sum(axis=1)
     unlabeled = counts == 0
     rows = np.empty_like(dense)
@@ -227,17 +227,22 @@ def test_all_tied_rows_consume_one_draw_each_in_row_order():
     assert majority_vote(match, mapping, seed=5).tolist() == expected
 
 
-def test_label_path_never_densifies_matches(monkeypatch):
-    match, mapping = CORNER_CASES["tied and unmatched rows"]
-
-    def refuse(self):
-        raise AssertionError("MatchMatrix.to_dense called on the label path")
-
-    monkeypatch.setattr(MatchMatrix, "to_dense", refuse)
-    majority_vote(match, mapping, seed=3)
-    compute_stats(match, mapping, gold=[0, 1, 2, 0, 1])
-    noised = inject_noise(match, mapping, 0.5, np.random.default_rng(3))
-    build_targets(noised)
+def test_label_path_never_densifies_matches():
+    """The label path reads the match pairs: no call holds an (n, m) array, so
+    each one's traced peak stays below one (n, m) float64 array."""
+    rng = np.random.default_rng(0)
+    n, m, c = 20_000, 100, 3
+    match = MatchMatrix(n=n, m=m, pairs=np.argwhere(rng.random((n, m)) < 0.02))
+    mapping = MappingMatrix(c=c, class_of=np.arange(m) % c)
+    gold = rng.integers(c, size=n)
+    calls = {
+        "majority_vote": lambda: majority_vote(match, mapping, seed=3),
+        "compute_stats": lambda: compute_stats(match, mapping, gold=gold),
+        "inject_noise": lambda: inject_noise(match, mapping, 0.05, np.random.default_rng(3)),
+    }
+    for name, call in calls.items():
+        _, peak = traced_peak(call)
+        assert peak < n * m * 8, f"{name}: peak {peak / (n * m * 8):.2f} (n, m) float64 arrays"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, match_to_dense
 from hypothesis import given, strategies as st
 
 import sepll.lf_engine as lf_engine
@@ -80,19 +80,19 @@ def test_lf_requires_payload():
 def test_keyword_matches_whole_tokens_only():
     lfs = parse_lf_entries(entries("keyword spam free"), class_names=("ham", "spam"))
     match = apply_lfs(lfs, samples("get it free now", "freedom of speech", "FREE stuff"))
-    assert match.to_dense()[:, 0].tolist() == [1, 0, 1]
+    assert match_to_dense(match)[:, 0].tolist() == [1, 0, 1]
 
 
 def test_keyword_multiword_term_requires_contiguous_run():
     lfs = parse_lf_entries(entries("keyword spam win money"), class_names=("ham", "spam"))
     match = apply_lfs(lfs, samples("you win money now", "win lots of money", "money win"))
-    assert match.to_dense()[:, 0].tolist() == [1, 0, 0]
+    assert match_to_dense(match)[:, 0].tolist() == [1, 0, 0]
 
 
 def test_regex_runs_on_raw_text():
     lfs = parse_lf_entries(entries("regex ham \\b(subscribe|sub)\\b"), class_names=("ham", "spam"))
     match = apply_lfs(lfs, samples("please subscribe", "my sub count", "subscriber"))
-    assert match.to_dense()[:, 0].tolist() == [1, 1, 0]
+    assert match_to_dense(match)[:, 0].tolist() == [1, 1, 0]
 
 
 def test_lfs_sharing_a_first_token_both_fire_and_pairs_are_sorted():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import match_from_dense
+from conftest import match_from_dense, match_to_dense, traced_peak
 from hypothesis import given, strategies as st
 
 from sepll.data import (
@@ -349,7 +349,7 @@ def test_inject_noise_lambda_one_completes_classes():
     out = inject_noise(match, mapping, 1.0, np.random.default_rng(0))
     # row 0: class 0 hit -> LF1 added, class 1 untouched; row 1: LF3 added;
     # row 2: nothing to seed from
-    assert out.to_dense().tolist() == [
+    assert match_to_dense(out).tolist() == [
         [1, 1, 0, 0],
         [0, 0, 1, 1],
         [0, 0, 0, 0],
@@ -364,7 +364,7 @@ def test_inject_noise_never_removes_and_respects_classes(seed, lam):
     class_of = rng.integers(0, c, size=m)
     match = match_from_dense(dense)
     mapping = MappingMatrix(c=c, class_of=class_of)
-    out = inject_noise(match, mapping, lam, np.random.default_rng(seed + 1)).to_dense()
+    out = match_to_dense(inject_noise(match, mapping, lam, np.random.default_rng(seed + 1)))
     assert np.all(out >= dense)
     added = (out > 0) & (dense == 0)
     class_hit = np.zeros((n, c), dtype=bool)
@@ -381,9 +381,7 @@ def test_inject_noise_rate_matches_bernoulli():
     dense[:, 0] = 1  # every row matches LF0; LF1 shares its class
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
     lam = 0.1
-    out = inject_noise(
-        match_from_dense(dense), mapping, lam, np.random.default_rng(99)
-    ).to_dense()
+    out = match_to_dense(inject_noise(match_from_dense(dense), mapping, lam, np.random.default_rng(99)))
     added = int(out[:, 1].sum())
     assert out[:, 2].sum() == 0 and out[:, 3].sum() == 0  # other class untouched
     sigma = np.sqrt(n * lam * (1 - lam))
@@ -442,6 +440,13 @@ def test_train_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         TrainConfig(seed=-1)
     assert TrainConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("value", [-1, 2, 5])
+def test_train_config_rejects_positive_class_outside_0_and_1(value):
+    with pytest.raises(ConfigError, match=f"positive_class must be 0 or 1, got {value}"):
+        TrainConfig(positive_class=value)
+    assert TrainConfig(positive_class=0).positive_class == 0
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +545,41 @@ def test_train_without_unlabeled_and_no_matches_raises_before_any_step(monkeypat
     train(splits, unmatched, conv.mapping, fast_config(max_epochs=1), SMALL_ENC)
     assert sum(X.shape[0] for X, _ in batches) == len(splits.train)
     assert all(np.all(targets == 1.0 / conv.mapping.m) for _, targets in batches)
+
+
+def test_train_binary_f1_on_three_classes_raises_before_any_step(monkeypatch):
+    splits = synth_dataset(SynthSpec(c=3, n_train=60, n_dev=20, n_test=0), seed=0)
+    conv = to_one_class_lfs(splits)
+    batches = spy_on_backward(monkeypatch)
+    with pytest.raises(DataError, match="binary_f1 requires exactly 2 classes, got 3"):
+        train(splits, conv.match["train"], conv.mapping, fast_config(metric="binary_f1"), SMALL_ENC)
+    assert batches == []
+
+
+def test_fit_holds_one_spare_copy_of_theta():
+    """AdamW holds theta, its gradient and the two moments; early stopping adds
+    one copy, refilled in place. The first layer is over 95 % of theta and the
+    data's other allocations stay far below half of it, so the traced peak of
+    ``_fit`` stays below 5.5 thetas; a fresh best-epoch copy made while the
+    previous one is alive would take it over 6."""
+    from sepll.trainer import _fit
+
+    n, n_dev, V, nnz = 64, 16, 20_000, 5
+    enc = EncoderConfig(max_features=V, hidden=(64,), dim=8)
+
+    def features(k):  # nnz distinct columns per row
+        cols = (np.arange(k)[:, None] * 37 + np.arange(nnz) * 4000) % V
+        return CSRMatrix(np.full(k * nnz, 0.5), np.sort(cols, axis=1).ravel(), np.arange(0, k * nnz + 1, nnz), (k, V))
+
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
+    match = MatchMatrix(n=n, m=4, pairs=np.stack([np.arange(n), np.arange(n) % 4], axis=1))
+    dev_gold = np.arange(n_dev) % 2
+    cfg = fast_config(max_epochs=3, patience=3, batch_size=16)
+    (params, history), peak = traced_peak(_fit, features(n), features(n_dev), dev_gold, match, mapping, cfg, enc, None)
+    theta = params.theta.nbytes
+    assert V * 64 >= 0.95 * params.theta.size
+    assert len(history.epochs) == 3
+    assert peak < 5.5 * theta, f"peak {peak / theta:.2f} thetas"
 
 
 @pytest.mark.parametrize("noise_lambda", [0.0, 0.5])
