@@ -101,6 +101,12 @@ class SplitSet:
         return int(self.raw_weak_labels["train"].shape[1])
 
 
+def _strictly_ascending(pairs: np.ndarray) -> bool:
+    """Whether the (i, j) pairs are in lexicographic order without repeats."""
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    return bool(np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))))
+
+
 @dataclass(frozen=True, eq=False)
 class MatchMatrix:
     """Binary n x m matrix stored as a sorted, duplicate-free (i, j) pair list."""
@@ -110,6 +116,8 @@ class MatchMatrix:
     pairs: np.ndarray  # (nnz, 2) int64, lexicographically sorted
 
     def __post_init__(self):
+        """Pairs in any order are sorted into a copy; pairs already in order are
+        kept, not copied, and frozen."""
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
         if self.n < 0 or self.m < 0:
             raise DataError("matrix dimensions must be non-negative")
@@ -118,11 +126,10 @@ class MatchMatrix:
                 raise DataError("match row index out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.m:
                 raise DataError("match column index out of range")
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            dup = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
-            if dup.any():
-                raise DataError("duplicate (sample, LF) match pair")
+            if not _strictly_ascending(pairs):
+                pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+                if not _strictly_ascending(pairs):
+                    raise DataError("duplicate (sample, LF) match pair")
         object.__setattr__(self, "pairs", _frozen(pairs))
 
     def row_counts(self) -> np.ndarray:
@@ -244,14 +251,20 @@ def to_one_class_lfs(splits: SplitSet) -> ConversionResult:
     match: dict[str, MatchMatrix] = {}
     for name in SPLIT_NAMES:
         raw = splits.raw_weak_labels[name]
-        pairs = []
-        for col_idx, (j, cls) in enumerate(columns):
-            rows = np.flatnonzero(raw[:, j] == cls)
-            pairs.append(np.stack([rows, np.full_like(rows, col_idx)], axis=1))
-        stacked = (
-            np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-        )
-        match[name] = MatchMatrix(n=raw.shape[0], m=len(columns), pairs=stacked)
+        hits = [np.flatnonzero(raw[:, j] == cls) for j, cls in columns]  # each column's rows, ascending
+        # A stable counting sort by row: each row's pairs get consecutive slots,
+        # filled in column order, so the pairs come out sorted and are made once.
+        slot = np.zeros(raw.shape[0] + 1, dtype=np.int64)
+        for rows in hits:
+            slot[rows + 1] += 1
+        np.cumsum(slot, out=slot)  # slot[i]: where row i's pairs start
+        pairs = np.empty((slot[-1], 2), dtype=np.int64)
+        for col_idx, rows in enumerate(hits):
+            at = slot[rows]
+            pairs[at, 0] = rows
+            pairs[at, 1] = col_idx
+            slot[rows] += 1
+        match[name] = MatchMatrix(n=raw.shape[0], m=len(columns), pairs=pairs)
     return ConversionResult(
         match=match,
         mapping=mapping,
@@ -314,11 +327,16 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SplitSet:
                 tokens.append(str(rng.choice(words[other])))
             order = rng.permutation(len(tokens))
             samples.append(Sample(id=i, text=" ".join(tokens[t] for t in order), gold_label=k))
+        # each draw whole, in stream order; the int64 offsets become the weak labels in place
         fires = rng.random((size, m0)) < spec.lf_coverage
         correct = rng.random((size, m0)) < spec.lf_accuracy
-        offsets = rng.integers(1, spec.c, size=(size, m0))
-        emitted = np.where(correct, labels[:, None], (labels[:, None] + offsets) % spec.c)
-        weak[name] = np.where(fires, emitted, ABSTAIN).astype(np.int64)
+        emitted = rng.integers(1, spec.c, size=(size, m0))
+        emitted += labels[:, None]
+        emitted %= spec.c  # a uniformly random wrong class
+        np.copyto(emitted, labels[:, None], where=correct)
+        np.logical_not(fires, out=fires)
+        np.copyto(emitted, ABSTAIN, where=fires)
+        weak[name] = emitted
         splits[name] = tuple(samples)
     return SplitSet(
         train=splits["train"],
@@ -429,6 +447,23 @@ def dataset_files(path: str | Path, fmt: str) -> list[Path]:
     return found
 
 
+def _read_class_names(path: Path) -> tuple[str, ...]:
+    """The names in a ``label.json``: an object that maps each class index of
+    0..c-1, written in decimal, to its name, a string."""
+    obj = read_json(path)
+    if not isinstance(obj, dict) or not obj:
+        raise DataError(f"{path}: expected a non-empty object mapping class index to name")
+    indices = {str(k) for k in range(len(obj))}
+    if set(obj) != indices:
+        odd = min(set(obj) - indices)
+        raise DataError(f"{path}: class indices must be 0..c-1 in decimal without gaps, got {json.dumps(odd)}")
+    names = tuple(obj[str(k)] for k in range(len(obj)))
+    for k, name in enumerate(names):
+        if type(name) is not str:
+            raise DataError(f"{path}: the name of class {k} must be a string, got {json.dumps(name)}")
+    return names
+
+
 def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     """Load a dataset directory in wrench-json or jsonl layout."""
     root = Path(path)
@@ -452,16 +487,13 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
 
     label_file = root / "label.json"
     if label_file.exists():
-        names_obj = read_json(label_file)
-        if not isinstance(names_obj, dict):
-            raise DataError(f"{label_file}: expected an object mapping index to name")
-        try:
-            items = sorted(((int(k), str(v)) for k, v in names_obj.items()))
-        except ValueError as exc:
-            raise DataError(f"{label_file}: class indices must be integers: {exc}") from exc
-        if [k for k, _ in items] != list(range(len(items))):
-            raise DataError(f"{label_file}: class indices must be 0..c-1 without gaps")
-        class_names = tuple(name for _, name in items)
+        class_names = _read_class_names(label_file)
+        golds = [x.gold_label for s in SPLIT_NAMES for x in parts[s] if x.gold_label is not None]
+        used = max([*golds, *(int(weak[s].max(initial=-1)) for s in SPLIT_NAMES)])
+        if used >= len(class_names):
+            raise DataError(
+                f"class index out of range: the data uses class {used}, but {label_file} names {len(class_names)}"
+            )
     elif fmt == "wrench-json":
         raise DataError(f"{root}: missing label.json companion file")
     else:

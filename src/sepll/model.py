@@ -8,6 +8,7 @@ Task predictions read the class head alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, TypeVar
@@ -17,7 +18,7 @@ import numpy as np
 from .data import MappingMatrix
 from .encoder import EncoderConfig, Vocabulary
 from .errors import ConfigError, DataError, NumericalError
-from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
+from .nnet import ACTIVATIONS, Layer, RowSparse, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
@@ -57,21 +58,27 @@ class ModelConfig:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
-def _views(flat: np.ndarray, dims) -> Iterator[tuple[str, np.ndarray]]:
-    """(name, view) of every parameter in ``flat``, which has theta's layout:
-    the paths in :data:`PATHS` order, each layer's W (row-major) then its b."""
-    lo = 0
+def _views(flat: np.ndarray, dims, start: int = 0) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, view) of every parameter in ``flat``, which has theta's layout from
+    element ``start`` on, a parameter boundary: the paths in :data:`PATHS` order,
+    each layer's W (row-major) then its b. Parameters before ``start`` are left out."""
+    lo = -start
     for prefix, widths in zip(PATHS, dims):
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
             for kind, shape in (("W", (n_in, n_out)), ("b", (n_out,))):
                 size = math.prod(shape)
-                yield f"{prefix}.{i}.{kind}", flat[lo : lo + size].reshape(shape)
+                if lo >= 0:
+                    yield f"{prefix}.{i}.{kind}", flat[lo : lo + size].reshape(shape)
                 lo += size
 
 
-def _layers(flat: np.ndarray, dims) -> tuple[list[Layer], ...]:
-    """One list of :class:`Layer` views into ``flat`` per path."""
-    views = (view for _, view in _views(flat, dims))
+def _layers(flat: np.ndarray, dims, first_W: RowSparse | None = None) -> tuple[list[Layer], ...]:
+    """One list of :class:`Layer` views into ``flat`` per path. With ``first_W``,
+    ``flat`` holds theta's layout after the first layer's weights, and
+    ``first_W`` stands in for them."""
+    views = (view for _, view in _views(flat, dims, 0 if first_W is None else dims[0][0] * dims[0][1]))
+    if first_W is not None:
+        views = itertools.chain([first_W], views)
     return tuple([Layer(W=next(views), b=next(views)) for _ in widths[1:]] for widths in dims)
 
 
@@ -105,6 +112,11 @@ class SepLLParams:
     def lf_slice(self) -> slice:
         """The LF path's part of ``theta``, its tail."""
         return slice(_size(self.dims[:2]), self.theta.size)
+
+    @property
+    def first_size(self) -> int:
+        """How many elements the first layer's weights take at the head of ``theta``."""
+        return self.dims[0][0] * self.dims[0][1]
 
 
 @dataclass(frozen=True)
@@ -244,14 +256,14 @@ def predict_batch(params: SepLLParams, X) -> np.ndarray:
 
 
 @dataclass
-class GradientBuffer:
-    """A gradient with theta's layout that :func:`backward` rewrites batch after
-    batch. A sparse batch writes only some rows of the first layer's gradient;
-    ``rows`` holds those of the last batch, which the next one re-zeroes before
-    writing its own. Every other part is overwritten whole."""
+class Gradient:
+    """A gradient with theta's layout, in two parts. ``first`` is the gradient of
+    the first layer's weights, ``encoder.0.W``: +0.0 outside ``first.rows``.
+    ``rest`` is the dense gradient of the rest of theta, from element
+    ``params.first_size`` on."""
 
-    flat: np.ndarray
-    rows: np.ndarray | slice = field(default_factory=lambda: slice(0))
+    first: RowSparse
+    rest: np.ndarray
 
 
 def backward(
@@ -259,17 +271,16 @@ def backward(
     X,
     targets: np.ndarray,
     lf_activation_penalty: float = 0.0,
-    out: GradientBuffer | None = None,
-):
+    out: np.ndarray | None = None,
+) -> tuple[float, Gradient]:
     """Loss and exact gradients of the batch-mean loss for every parameter.
 
     With ``lf_activation_penalty`` > 0 the loss gains
     penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
-    Returns ``(loss, grad)``: ``grad`` has theta's layout, so
-    ``param_items(params, grad)`` names its parts. It is ``out.flat`` when
-    ``out`` is given, a new array otherwise. For a :class:`CSRMatrix` batch,
-    the rows of ``encoder.0.W``'s gradient outside ``X.used_columns()`` are
-    exactly +0.0.
+    Returns ``(loss, grad)``, a :class:`Gradient`. ``grad.first`` holds the rows
+    of ``encoder.0.W``'s gradient that the batch can touch: for a
+    :class:`CSRMatrix` batch ``X.used_columns()``, for a dense one every row.
+    ``grad.rest`` is ``out`` when given, rewritten whole, and a new array otherwise.
     """
     targets = np.asarray(targets, dtype=np.float64)
     z, task_logits, lf_logits, combined, enc_cache, task_cache, lf_cache = _forward_with_caches(
@@ -289,15 +300,9 @@ def backward(
         d_lf += (2.0 * lf_activation_penalty / n) * lf_logits
     d_task = d_combined @ params.mapping.to_dense()
 
-    if out is None:
-        out = GradientBuffer(np.zeros(params.theta.shape))
-    grad = out.flat
-    enc_grads, task_grads, lf_grads = _layers(grad, params.dims)
-    # a sparse batch writes only its own rows of the first layer, so the rows
-    # the last one wrote go back to +0.0 first
-    first = enc_grads[0].W
-    first[out.rows] = 0.0
-    out.rows = X.used_columns() if isinstance(X, CSRMatrix) else slice(None)
+    first = RowSparse(np.empty(0, dtype=np.int64), np.empty((0, params.dims[0][1])))  # mlp_backward fills it
+    rest = np.empty(params.theta.size - params.first_size) if out is None else out
+    enc_grads, task_grads, lf_grads = _layers(rest, params.dims, first)
     dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, lf_grads, params.head_nonlinearity)
     dz_task = mlp_backward(params.task_head, task_cache, d_task, task_grads, params.head_nonlinearity)
     mlp_backward(
@@ -308,13 +313,13 @@ def backward(
         params.encoder_nonlinearity,
         need_input_grad=False,
     )
-    # the first layer's other rows are +0.0; everything after it is dense
-    if not np.isfinite(first[out.rows]).all():
+    if not np.isfinite(first.values).all():
         raise NumericalError(f"non-finite gradient in {param_name_at(params, 0)}")
-    finite = np.isfinite(grad[first.size :])
+    finite = np.isfinite(rest)
     if not finite.all():
-        raise NumericalError(f"non-finite gradient in {param_name_at(params, first.size + int(np.argmin(finite)))}")
-    return loss, grad
+        at = params.first_size + int(np.argmin(finite))
+        raise NumericalError(f"non-finite gradient in {param_name_at(params, at)}")
+    return loss, Gradient(first, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import tempfile
@@ -45,7 +46,10 @@ import numpy as np
 #
 # sepll_adamw: updates of a chunk are checked in a pass of their own, which
 # keeps the arithmetic loop free of exits and so vectorized. Its scratch for
-# one chunk's updates lives on the stack.
+# one chunk's updates lives on the stack. It walks a block of rows in runs that
+# share one gradient source: consecutive given rows read theirs from grad, and
+# the rows between them read +0.0 from a static zero chunk, so no caller needs
+# a gradient the size of the block. Its caller has checked the row list.
 # Both paths add the decay term even when weight decay is 0, so that theta
 # streams through the arithmetic loop and an overflowed theta fails the check.
 # For a finite theta, theta * 0.0 is a signed zero that can only turn an update
@@ -75,35 +79,49 @@ SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 #define SEPLL_DISPATCH
 #endif
 
-/* One AdamW step over n elements, in place on theta, m and v. Returns -1, or
-   the index of the first non-finite update: m and v then hold the step up to
-   the end of its chunk, theta up to the start of it. */
+/* One AdamW step over the n_rows x width block of theta, m and v (row-major),
+   in place. grad holds, one after another, the gradient rows of the k
+   ascending, distinct row indices in rows; every other row's gradient is +0.0.
+   Returns -1, or the index in the block of the first non-finite update: m and v
+   then hold the step up to the end of its chunk, theta up to the start of it. */
 SEPLL_DISPATCH
-long long sepll_adamw(double *theta, const double *grad, double *m, double *v,
-                      long long n, double beta1, double one_minus_beta1,
-                      double beta2, double one_minus_beta2, double bc1, double bc2,
-                      double lr, double eps, double decay)
+long long sepll_adamw(double *theta, double *m, double *v, long long n_rows, long long width,
+                      const long long *rows, long long k, const double *grad,
+                      double beta1, double one_minus_beta1, double beta2, double one_minus_beta2,
+                      double bc1, double bc2, double lr, double eps, double decay)
 {
+    static const double zero[CHUNK];
     double u[CHUNK];
-    for (long long lo = 0; lo < n; lo += CHUNK) {
-        long long k = n - lo < CHUNK ? n - lo : CHUNK;
-        double *th = theta + lo, *mm = m + lo, *vv = v + lo;
-        const double *g = grad + lo;
-        for (long long i = 0; i < k; i++) {
-            mm[i] = mm[i] * beta1 + g[i] * one_minus_beta1;
-            vv[i] = vv[i] * beta2 + (g[i] * g[i]) * one_minus_beta2;
-            u[i] = (mm[i] / bc1) * lr / (sqrt(vv[i] / bc2) + eps);
-            u[i] += th[i] * decay;
+    long long j = 0;
+    for (long long r = 0; r < n_rows;) {
+        /* rows r..end share one gradient source: given rows that follow each
+           other, stored back to back in grad, or the rows before the next given one */
+        long long given = j;
+        while (j < k && rows[j] == r + (j - given))
+            j++;
+        long long end = j > given ? r + (j - given) : (j < k ? rows[j] : n_rows);
+        const double *run = j > given ? grad + given * width : 0;
+        for (long long lo = r * width; lo < end * width; lo += CHUNK) {
+            long long n = end * width - lo < CHUNK ? end * width - lo : CHUNK;
+            double *th = theta + lo, *mm = m + lo, *vv = v + lo;
+            const double *g = run ? run + (lo - r * width) : zero;
+            for (long long i = 0; i < n; i++) {
+                mm[i] = mm[i] * beta1 + g[i] * one_minus_beta1;
+                vv[i] = vv[i] * beta2 + (g[i] * g[i]) * one_minus_beta2;
+                u[i] = (mm[i] / bc1) * lr / (sqrt(vv[i] / bc2) + eps);
+                u[i] += th[i] * decay;
+            }
+            int finite = 1;
+            for (long long i = 0; i < n; i++)
+                finite &= isfinite(u[i]) != 0;
+            if (!finite)
+                for (long long i = 0;; i++)
+                    if (!isfinite(u[i]))
+                        return lo + i;
+            for (long long i = 0; i < n; i++)
+                th[i] -= u[i];
         }
-        int finite = 1;
-        for (long long i = 0; i < k; i++)
-            finite &= isfinite(u[i]) != 0;
-        if (!finite)
-            for (long long i = 0;; i++)
-                if (!isfinite(u[i]))
-                    return lo + i;
-        for (long long i = 0; i < k; i++)
-            th[i] -= u[i];
+        r = end;
     }
     return -1;
 }
@@ -161,59 +179,117 @@ def loaded() -> Kernels | None:
 # AdamW's moment decay rates and denominator offset
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Elements per block of numpy's AdamW step: 32768 float64 are 256 KiB per
-# operand, so one block of theta, grad, m, v and two scratch buffers fits a 2 MiB
-# L2 cache, where whole-layer temporaries (8 MB for a 4000x256 first layer)
-# stream through main memory once per operation.
+# operand, so one block of theta, m, v and three scratch buffers (the gradient
+# and two temporaries) fits a 2 MiB L2 cache, where whole-layer temporaries
+# (8 MB for a 4000x256 first layer) stream through main memory once per operation.
 BLOCK = 32768
 # float64 elements in one row block of numpy's sparse product output (512 KiB)
 ROW_BLOCK = 65536
 
 
-def adamw(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float, decay: float) -> int:
-    """Step ``step`` (from 1) of decoupled-weight-decay Adam, in place on
-    ``theta`` and its moments ``m`` and ``v``; ``decay`` is ``lr`` times the
-    weight decay. Each element's result is bitwise the whole-array formula
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + EPS) + decay * theta``.
+def adamw(
+    theta: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    rows: np.ndarray,
+    first: np.ndarray,
+    rest: np.ndarray,
+    step: int,
+    lr: float,
+    decay: float,
+) -> int:
+    """Step ``step`` (from 1) of decoupled-weight-decay Adam, in place on the
+    vector ``theta`` and its moments ``m`` and ``v``; ``decay`` is ``lr`` times
+    the weight decay. The gradient comes in two parts. The first ``theta.size -
+    rest.size`` elements are rows of ``first.shape[1]``: ``first`` holds the
+    gradient of the ascending, distinct ``rows`` among them, and every other row's
+    gradient is +0.0. ``rest`` is the gradient of the elements after them. Each
+    element's result is bitwise the whole-array formula ``theta -= lr * (m / bc1)
+    / (sqrt(v / bc2) + EPS) + decay * theta`` on that gradient made dense.
 
     Returns -1, or the index of the first non-finite update; the arrays are
-    then left partly updated. Arrays that disagree in shape raise
-    ``ValueError`` before any of them is written.
+    then left partly updated. Arrays that disagree in shape, and rows that are
+    not ascending indices of the first part, raise ``ValueError`` before any
+    array is written.
     """
-    shapes = {a.shape for a in (theta, grad, m, v)}
-    if len(shapes) != 1:
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    width = first.shape[1] if first.ndim == 2 else -1
+    split = theta.size - rest.size
+    n_rows = split // width if width > 0 else 0
+    if (
+        {a.shape for a in (theta, m, v)} != {(theta.size,)}
+        or rest.ndim != 1
+        or width < 0
+        or n_rows * width != split
+        or rows.shape != first.shape[:1]
+    ):
+        shapes = [a.shape for a in (theta, m, v, rows, first, rest)]
         raise ValueError(f"AdamW arrays disagree in shape: {shapes}")
+    if rows.size and not (rows[0] >= 0 and rows[-1] < n_rows and np.all(rows[1:] > rows[:-1])):
+        raise ValueError(f"AdamW gradient rows are not ascending indices of {n_rows} rows")
     bc1 = 1.0 - BETA1**step
     bc2 = 1.0 - BETA2**step
+    blocks = (
+        (0, (n_rows, width), rows, first),
+        (split, (1, rest.size), ONE_ROW, rest.reshape(1, -1)),  # the rest as one row
+    )
+    for lo, shape, block_rows, grad in blocks:
+        block = (a[lo : lo + math.prod(shape)].reshape(shape) for a in (theta, m, v))
+        bad = _adamw_block(*block, block_rows, grad, bc1, bc2, lr, decay)
+        if bad >= 0:
+            return lo + bad
+    return -1
+
+
+# the row list of a block that is one dense row
+ONE_ROW = np.zeros(1, dtype=np.int64)
+
+
+def _adamw_block(theta, m, v, rows, grad, bc1, bc2, lr, decay) -> int:
+    """:func:`adamw` on one (n_rows, width) block of C-contiguous views, for a
+    checked gradient of ``rows``; returns -1 or the index in the block."""
+    (n_rows, width), grad = theta.shape, np.ascontiguousarray(grad, dtype=np.float64)
     kernels = loaded()
     if kernels is not None:
         return kernels.adamw(
-            theta, grad, m, v, theta.size, BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, lr, EPS, decay
-        )
-    # numpy walks the arrays together in blocks, with out= and in-place ufuncs
-    # into one block's scratch
-    scratch, finite_scratch = np.empty((2, BLOCK)), np.empty(BLOCK, dtype=bool)
-    for lo in range(0, theta.size, BLOCK):
-        th, g, mm, vv = (a[lo : lo + BLOCK] for a in (theta, grad, m, v))
-        u, w = scratch[:, : th.size]
-        finite = finite_scratch[: th.size]
-        mm *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=u)
-        mm += u
-        vv *= BETA2
-        np.multiply(g, g, out=u)
-        u *= 1.0 - BETA2
-        vv += u
-        np.divide(mm, bc1, out=u)
-        u *= lr
-        np.divide(vv, bc2, out=w)
-        np.sqrt(w, out=w)
-        w += EPS
-        u /= w
-        np.multiply(th, decay, out=w)
-        u += w
-        if not np.isfinite(u, out=finite).all():
-            return lo + int(np.argmin(finite))
-        th -= u
+            theta, m, v, n_rows, width, rows, rows.size, grad,
+            BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, bc1, bc2, lr, EPS, decay,
+        )  # fmt: skip
+    if theta.size == 0:
+        return -1
+    # numpy walks the block in pieces of at most BLOCK elements: whole rows, or
+    # pieces of one row wider than that. Each piece gets its gradient in scratch,
+    # +0.0 where no given row falls, and goes through out= and in-place ufuncs.
+    per = max(1, BLOCK // width)
+    span = min(width, BLOCK)
+    scratch, finite_scratch = np.empty((3, BLOCK)), np.empty(BLOCK, dtype=bool)
+    for r in range(0, n_rows, per):
+        a, b = np.searchsorted(rows, (r, r + per))  # the given rows among r..r+per
+        for c in range(0, width, span):
+            th, mm, vv = (x[r : r + per, c : c + span] for x in (theta, m, v))
+            u, w, g = (s[: th.size].reshape(th.shape) for s in scratch)
+            finite = finite_scratch[: th.size].reshape(th.shape)
+            g.fill(0.0)
+            g[rows[a:b] - r] = grad[a:b, c : c + span]
+            mm *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=u)
+            mm += u
+            vv *= BETA2
+            np.multiply(g, g, out=u)
+            u *= 1.0 - BETA2
+            vv += u
+            np.divide(mm, bc1, out=u)
+            u *= lr
+            np.divide(vv, bc2, out=w)
+            np.sqrt(w, out=w)
+            w += EPS
+            u /= w
+            np.multiply(th, decay, out=w)
+            u += w
+            if not np.isfinite(u, out=finite).all():
+                i, j = divmod(int(np.argmin(finite)), th.shape[1])
+                return (r + i) * width + c + j
+            th -= u
     return -1
 
 
@@ -265,7 +341,8 @@ def bind(library: ctypes.CDLL) -> Kernels:
     doubles = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     longs = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     adamw, row_sums = library.sepll_adamw, library.sepll_row_sums
-    adamw.argtypes = [doubles] * 4 + [ctypes.c_longlong] + [ctypes.c_double] * 9
+    adamw.argtypes = [doubles] * 3 + [ctypes.c_longlong] * 2 + [longs, ctypes.c_longlong, doubles]
+    adamw.argtypes += [ctypes.c_double] * 9
     adamw.restype = ctypes.c_longlong
     row_sums.argtypes = [doubles, longs, longs, ctypes.c_longlong, doubles, ctypes.c_longlong, doubles]
     row_sums.restype = None

@@ -85,10 +85,21 @@ class CSRMatrix:
 
 
 @dataclass
-class Layer:
-    """Affine map ``x @ W + b``. Also reused as a same-shaped gradient holder."""
+class RowSparse:
+    """A matrix that is +0.0 outside the ascending, distinct row indices ``rows``,
+    whose rows are ``values``: the weight gradient of a first layer, of which a
+    sparse batch touches only the rows at the columns it uses."""
 
-    W: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+
+@dataclass
+class Layer:
+    """Affine map ``x @ W + b``. Also reused as a same-shaped gradient holder,
+    whose ``W`` may be a :class:`RowSparse`."""
+
+    W: np.ndarray | RowSparse
     b: np.ndarray
 
 
@@ -104,10 +115,11 @@ def _didentity(a: np.ndarray) -> np.ndarray:
     return np.ones_like(a)
 
 
-# name -> (activation, derivative expressed in terms of the activation output)
+# name -> (activation in place on its argument, which it returns; derivative
+# expressed in terms of the activation output)
 ACTIVATIONS = {
-    "tanh": (np.tanh, _dtanh),
-    "relu": (lambda z: np.maximum(z, 0.0), _drelu),
+    "tanh": (lambda z: np.tanh(z, out=z), _dtanh),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), _drelu),
     "identity": (lambda z: z, _didentity),
 }
 
@@ -131,7 +143,9 @@ class ForwardCache:
 
 
 def mlp_forward(layers: Sequence[Layer], x, nonlinearity: str = "tanh"):
-    """Hidden layers apply the nonlinearity, the last layer is linear.
+    """Hidden layers apply the nonlinearity, the last layer is linear. Each layer
+    adds its bias and applies its activation in place on its product, so it
+    makes one array.
 
     Returns ``(output, cache)``; the cache feeds :func:`mlp_backward`.
     """
@@ -141,12 +155,11 @@ def mlp_forward(layers: Sequence[Layer], x, nonlinearity: str = "tanh"):
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         inputs.append(a)
-        z = a @ layer.W + layer.b
+        a = a @ layer.W
+        a += layer.b
         if i < last:
-            a = act(z)
+            a = act(a)
             hidden.append(a)
-        else:
-            a = z
     return a, ForwardCache(inputs=inputs, activations=hidden)
 
 
@@ -161,20 +174,21 @@ def mlp_backward(
     """Backpropagate ``d_out``, writing each layer's gradient into the same-shaped
     arrays of ``grads``; returns the gradient w.r.t. the input.
 
-    For a :class:`CSRMatrix` input only the rows of ``grads[0].W`` at the
-    columns the input uses are written; the caller passes that array zeroed.
-    The input gradient is skipped (None) when ``need_input_grad`` is false, which
-    avoids densifying sparse first-layer inputs.
+    A ``grads[i].W`` that is a :class:`RowSparse` gets the rows of the weight
+    gradient that can be nonzero: for a :class:`CSRMatrix` input the columns it
+    uses, through :meth:`CSRMatrix.transpose_product`, for a dense one every
+    row. A CSRMatrix input needs one. The input gradient is skipped (None) when
+    ``need_input_grad`` is false, which avoids densifying sparse first-layer inputs.
     """
     _, dact = ACTIVATIONS[nonlinearity]
     delta = d_out
     for i in range(len(layers) - 1, -1, -1):
-        x = cache.inputs[i]
-        if isinstance(x, CSRMatrix):
-            cols, sums = x.transpose_product(delta)
-            grads[i].W[cols] = sums
+        x, grad_W = cache.inputs[i], grads[i].W
+        if isinstance(grad_W, RowSparse):
+            sparse = isinstance(x, CSRMatrix)
+            grad_W.rows, grad_W.values = x.transpose_product(delta) if sparse else (np.arange(x.shape[1]), x.T @ delta)
         else:
-            np.matmul(x.T, delta, out=grads[i].W)
+            np.matmul(x.T, delta, out=grad_W)
         np.sum(delta, axis=0, out=grads[i].b)
         if i > 0:
             delta = (delta @ layers[i].W.T) * dact(cache.activations[i - 1])

@@ -22,7 +22,7 @@ from .encoder import EncoderConfig, Vocabulary, featurize_split, fit_vocabulary
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import task_metrics
 from .model import (
-    GradientBuffer,
+    Gradient,
     ModelConfig,
     SepLLParams,
     backward,
@@ -103,20 +103,29 @@ def init_optimizer(params: SepLLParams) -> OptimizerState:
 
 def adamw_step(
     params: SepLLParams,
-    grad: np.ndarray,
+    grad: Gradient,
     state: OptimizerState,
     config: TrainConfig,
     current_lr: float,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place on ``params.theta``,
-    through :func:`sepll.native.adamw`.
+    through :func:`sepll.native.adamw`: every element steps, and the first
+    layer's rows outside ``grad.first.rows`` step on a gradient of +0.0.
 
-    ``grad`` has theta's layout. A non-finite update raises ``NumericalError``
-    naming the parameter, with theta and the moments left partly updated.
+    A non-finite update raises ``NumericalError`` naming the parameter, with
+    theta and the moments left partly updated.
     """
     state.step += 1
     bad = native.adamw(
-        params.theta, grad, state.m, state.v, state.step, current_lr, current_lr * config.weight_decay
+        params.theta,
+        state.m,
+        state.v,
+        grad.first.rows,
+        grad.first.values,
+        grad.rest,
+        state.step,
+        current_lr,
+        current_lr * config.weight_decay,
     )
     if bad >= 0:
         raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
@@ -238,9 +247,11 @@ def _fit(
     """The training loop of :func:`train`, on features built by :func:`_featurize`. The rows
     that train (all, or the matched ones without ``use_unlabeled``) are fixed once, ascending.
 
-    Besides theta, its gradient and the two moments, it holds one theta-sized array
-    (the best epoch's parameters, refilled in place) and no (n, m) array: each
-    batch builds the targets of its own rows."""
+    Besides theta and the two moments, it holds one theta-sized array (the best
+    epoch's parameters, refilled in place), and no theta-sized gradient: the dense
+    part of every batch's gradient goes to one reused buffer, and the first
+    layer's part holds only the batch's rows. It holds no (n, m) array either:
+    each batch builds the targets of its own rows."""
     if config.metric == "binary_f1" and mapping.c != 2:
         raise DataError(f"binary_f1 requires exactly 2 classes, got {mapping.c}")
     rng_init = stream(config.seed, "init")
@@ -253,13 +264,14 @@ def _fit(
     if train_rows.size == 0:
         raise DataError("no training rows: every sample is unmatched and use_unlabeled is off")
     state = init_optimizer(params)
-    grad_buffer = GradientBuffer(np.zeros_like(params.theta))  # every batch's gradient
+    grad_rest = np.empty(params.theta.size - params.first_size)  # every batch's dense gradient part
     history = TrainHistory()
     best_params = clone_params(params)  # the one copy; improving epochs refill it
     epochs_flat = 0
     global_step = 0
     activation_penalty = config.l2_lf if config.l2_lf_target == "activations" else 0.0
     lf = params.lf_slice
+    lf_rest = slice(lf.start - params.first_size, None)  # the LF path in grad.rest
 
     try:
         for epoch in range(config.max_epochs):
@@ -276,12 +288,12 @@ def _fit(
                     X_train[batch],
                     build_targets(noised.take(batch)),
                     lf_activation_penalty=activation_penalty,
-                    out=grad_buffer,
+                    out=grad_rest,
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")
                 if config.l2_lf > 0 and config.l2_lf_target == "parameters":
-                    grad[lf] += 2.0 * config.l2_lf * params.theta[lf]
+                    grad.rest[lf_rest] += 2.0 * config.l2_lf * params.theta[lf]
                 adamw_step(params, grad, state, config, lr)
                 losses.append(loss)
             dev_metric = _dev_metric(params, X_dev, dev_gold, config, mapping.c)

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, settings
 import sepll
 from sepll import native
 from sepll.data import MatchMatrix
-from sepll.nnet import CSRMatrix
+from sepll.model import Gradient
+from sepll.nnet import CSRMatrix, RowSparse
 
 settings.register_profile(
     "sepll",
@@ -44,6 +45,26 @@ def match_to_dense(match: MatchMatrix) -> np.ndarray:
     out = np.zeros((match.n, match.m))
     out[match.pairs[:, 0], match.pairs[:, 1]] = 1.0
     return out
+
+
+def densify(params, grad: Gradient) -> np.ndarray:
+    """``grad`` as one vector with theta's layout, so that ``param_items(params,
+    densify(params, grad))`` names its parts: +0.0 on the first layer's rows
+    outside ``grad.first.rows``."""
+    flat = np.zeros(params.theta.size)
+    flat[: params.first_size].reshape(params.dims[0][:2])[grad.first.rows] = grad.first.values
+    flat[params.first_size :] = grad.rest
+    return flat
+
+
+def as_gradient(params, flat: np.ndarray, rows=None) -> Gradient:
+    """The :class:`Gradient` of ``flat``, a vector with theta's layout, that holds
+    the first layer's ascending ``rows`` (every row when None); the rows it leaves
+    out must be +0.0 in ``flat``, so that ``densify`` gives ``flat`` back."""
+    W = flat[: params.first_size].reshape(params.dims[0][:2])
+    rows = np.arange(W.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+    assert not np.delete(W, rows, axis=0).view(np.int64).any(), "a left-out row is not +0.0"
+    return Gradient(RowSparse(rows, W[rows]), flat[params.first_size :])
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -15,7 +15,7 @@ from pathlib import Path
 import conftest
 import numpy as np
 import pytest
-from conftest import match_from_dense, match_to_dense
+from conftest import densify, match_from_dense, match_to_dense
 
 from sepll.data import (
     MappingMatrix,
@@ -123,7 +123,7 @@ def test_criterion_1_gradient_check():
     eps = 1e-6
     worst = 0.0
     checked = 0
-    for (name, arr), (_, g) in zip(param_items(params), param_items(params, grad)):
+    for (name, arr), (_, g) in zip(param_items(params), param_items(params, densify(params, grad))):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

@@ -249,6 +249,18 @@ def _eval_with_echo(echo):
     return case
 
 
+def _convert_with_labels(label_json: str):
+    """A case that converts a small synth dataset whose label.json is ``label_json``."""
+
+    def case(tmp_path, request):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n-train", "20", "--n-dev", "5", "--n-test", "5"]) == 0
+        (data / "label.json").write_text(label_json, encoding="utf-8")
+        return ["convert", str(data), "--out", str(tmp_path / "c")]
+
+    return case
+
+
 # One row per malformed input that used to end in a traceback, a wrong exit
 # code or a silent success: case -> (argv builder, exit code, text that stderr
 # must hold, with {tmp} for the test's directory). Exit 1 is a config or usage
@@ -275,6 +287,25 @@ MALFORMED_INPUTS = {
         ),
         2,
         "binary_f1 requires exactly 2 classes, got 3",
+    ),
+    "label.json is an empty object": (_convert_with_labels("{}"), 2, "{tmp}/data/label.json: "),
+    "label.json names fewer classes than the data uses": (
+        _convert_with_labels('{"0": "a"}'),
+        2,
+        "{tmp}/data/label.json names 1",
+    ),
+    "label.json class name is not a string": (_convert_with_labels('{"0": "a", "1": 7}'), 2, "{tmp}/data/label.json: "),
+    "label.json class name is null": (_convert_with_labels('{"0": null, "1": "b"}'), 2, "{tmp}/data/label.json: "),
+    "label.json index has a leading zero": (
+        _convert_with_labels('{"0": "a", "01": "b"}'),
+        2,
+        "{tmp}/data/label.json: ",
+    ),
+    "label.json index has a sign": (_convert_with_labels('{"+0": "a", "1": "b"}'), 2, "{tmp}/data/label.json: "),
+    "label.json index is a non-ASCII digit": (
+        _convert_with_labels('{"0": "a", "\u0661": "b"}'),
+        2,
+        "{tmp}/data/label.json: ",
     ),
 }
 
@@ -828,6 +859,83 @@ def test_mutated_triplets_and_mapping_load_or_are_data_error(tmp_path):
         else:
             assert loaded.c >= 1 and loaded.class_of.dtype == np.int64
             assert np.all((loaded.class_of >= 0) & (loaded.class_of < loaded.c))
+
+    check()
+
+
+# What a byte edit may put into label.json: JSON punctuation, keys and names,
+# literals that are not strings, and bytes that are not UTF-8.
+LABEL_TOKENS = [
+    b"{", b"}", b"[", b"]", b'"', b":", b",", b" ", b"\\", b"0", b"1", b"2", b"-", b"+", b"x", b"null", b"true",
+    b"1.5", b"NaN", b"\xff", b"\xef\xbb\xbf", b'"2": "c", ', b'"01": ', b"\\u0000",
+]
+# keys that are not the decimal form of a class index, beside ones that are
+LABEL_KEYS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "-0", "01", "+1", " 1", "1 ", "1.0", "1e0", "1_0", "0x1", "\u0663", "x", "", "9" * 30]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+LABEL_FILES = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), FRACTION, st.sampled_from(LABEL_TOKENS)),
+        min_size=1,
+        max_size=3,
+    ).map(lambda edits: ("bytes", edits)),
+    JSON_VALUES.map(lambda value: ("json", value)),
+    st.dictionaries(LABEL_KEYS, st.one_of(st.text(max_size=3), JSON_VALUES), max_size=4).map(lambda obj: ("json", obj)),
+)
+
+
+def label_file_is_valid(raw: bytes, n_used: int) -> bool:
+    """Whether ``raw`` names the classes of a dataset whose labels use classes
+    0..n_used-1: a UTF-8 JSON object whose keys are the decimal indices 0..c-1,
+    c >= n_used, each naming its class with a string."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        return False
+    return (
+        isinstance(obj, dict)
+        and sorted(obj) == sorted(str(k) for k in range(len(obj)))
+        and len(obj) >= n_used
+        and all(type(name) is str for name in obj.values())
+    )
+
+
+def test_mutated_label_file_converts_and_trains_or_exits_naming_it(tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = ["synth", "--out", str(data), "--n-train", "40", "--n-dev", "10", "--n-test", "10", "--seed", "0"]
+    assert main(argv) == 0
+    label = data / "label.json"
+    raw = label.read_bytes()
+    assert label_file_is_valid(raw, 2)
+    cfg = write_config(
+        tmp_path,
+        f"[data]\nformat = wrench-json\npath = {data}\n\n[encoder]\nmax_features = 50\nhidden = 4\ndim = 2\n\n"
+        "[train]\nmax_epochs = 1\npatience = 1\n",
+    )
+    commands = (
+        ["convert", str(data), "--out", str(tmp_path / "c")],
+        ["train", "--config", cfg, "--out", str(tmp_path / "t")],
+    )
+
+    @settings(max_examples=150)
+    @given(LABEL_FILES)
+    def check(mutation):
+        kind, arg = mutation
+        label.write_bytes(mutate_text(raw, arg) if kind == "bytes" else json.dumps(arg).encode())
+        valid = label_file_is_valid(label.read_bytes(), 2)
+        for argv in commands:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert code == (0 if valid else 2), (argv[0], err)
+            if not valid:
+                assert str(label) in err, (argv[0], err)
 
     check()
 

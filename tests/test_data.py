@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import match_from_dense, match_to_dense
+from conftest import match_from_dense, match_to_dense, traced_peak
 from hypothesis import given, strategies as st
 
 from sepll.data import (
@@ -575,3 +575,41 @@ def test_synth_validates_spec():
         SynthSpec(lf_coverage=0.0)
     with pytest.raises(DataError):
         SynthSpec(lf_accuracy=1.5)
+
+
+# the 25k-row shape of the memory measurements at a fifth of the rows: 6,000
+# rows over the three splits, 200 weak labels each
+WIDE_SPEC = SynthSpec(c=2, m_per_class=100, n_train=5000, n_dev=500, n_test=500, lf_coverage=0.3)
+
+
+def test_synth_holds_under_two_int64_arrays_of_weak_labels():
+    # The draws stay whole, so a split's uniforms are one float64 array; the
+    # weak labels are built in place in the int64 offsets. Building them with
+    # where-copies beside the draws took 30 bytes a cell.
+    splits, peak = traced_peak(synth_dataset, WIDE_SPEC, 3)
+    cells = sum(w.size for w in splits.raw_weak_labels.values())
+    assert cells == 6000 * 200
+    assert peak < 16 * cells, f"{peak / cells:.1f} bytes a cell"
+
+
+def test_to_one_class_lfs_holds_under_two_copies_of_its_pairs():
+    # The pairs are made once, sorted by row as they are placed; stacking
+    # per-column pieces, concatenating them and sorting a copy took 56 bytes a pair.
+    splits = synth_dataset(WIDE_SPEC, 3)
+    conv, peak = traced_peak(to_one_class_lfs, splits)
+    nnz = sum(match.pairs.shape[0] for match in conv.match.values())
+    assert nnz > 300_000
+    assert peak < 2 * 16 * nnz, f"{peak / nnz:.1f} bytes a pair"
+
+
+@given(st.integers(0, 10_000))
+def test_to_one_class_lfs_pairs_are_the_sorted_per_column_matches(seed):
+    rng = np.random.default_rng(seed)
+    n, m0, c = int(rng.integers(0, 30)), int(rng.integers(1, 5)), int(rng.integers(2, 4))
+    weak = np.where(rng.random((n, m0)) < 0.4, rng.integers(0, c, size=(n, m0)), -1)
+    samples = tuple(Sample(id=i, text="t") for i in range(n))
+    empty = np.empty((0, m0), dtype=np.int64)
+    splits = SplitSet(samples, (), (), tuple("abcd"[:c]), {"train": weak, "dev": empty, "test": empty})
+    conv = to_one_class_lfs(splits)
+    want = [(i, col) for i in range(n) for col, (j, cls) in enumerate(conv.provenance.columns) if weak[i, j] == cls]
+    assert [tuple(pair) for pair in conv.match["train"].pairs.tolist()] == want

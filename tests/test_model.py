@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import densify, traced_peak
 from hypothesis import given, settings, strategies as st
 
 from sepll.data import MappingMatrix
 from sepll.encoder import EncoderConfig, Vocabulary
 from sepll.errors import ConfigError, DataError, NumericalError
 from sepll.model import (
-    GradientBuffer,
     ModelConfig,
     backward,
     ce_loss,
@@ -22,6 +22,7 @@ from sepll.model import (
     predict_batch,
     save_checkpoint,
 )
+from sepll.nnet import CSRMatrix
 from sepll.nnet import softmax as softmax_rows
 
 SOFT_21 = (0.7310585786300049, 0.2689414213699951)  # softmax([2, 1])
@@ -214,7 +215,7 @@ def test_backward_zero_gradient_when_q_equals_targets():
     targets = np.full((2, 3), 1.0 / 3.0)
     loss, grad = backward(params, X, targets)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
-    for name, g in param_items(params, grad):
+    for name, g in param_items(params, densify(params, grad)):
         assert np.allclose(g, 0.0, atol=1e-12), name
 
 
@@ -224,7 +225,7 @@ def test_backward_lf_bias_gradient_is_residual():
     targets = np.array([[1.0, 0.0, 0.0]])
     trace = forward_batch(params, X)
     _, grad = backward(params, X, targets)
-    grads = dict(param_items(params, grad))
+    grads = dict(param_items(params, densify(params, grad)))
     residual = trace.q[0] - targets[0]
     assert np.allclose(grads["lf.0.b"], residual, atol=1e-12)
     T = params.mapping.to_dense()
@@ -254,7 +255,7 @@ def fd_check(params, X, targets, penalty=0.0, tol=1e-4):
         return base + penalty * float(np.mean(np.sum(trace.lf_logits ** 2, axis=1)))
 
     _, grad = backward(params, X, targets, lf_activation_penalty=penalty)
-    grads = dict(param_items(params, grad))
+    grads = dict(param_items(params, densify(params, grad)))
     eps = 1e-6
     worst = 0.0
     for name, arr in param_items(params):
@@ -309,7 +310,7 @@ def test_backward_permutation_equivariance(seed):
     raw = rng.random((5, m))
     targets = raw / raw.sum(axis=1, keepdims=True)
     loss, grad = backward(params, X, targets)
-    grads = dict(param_items(params, grad))
+    grads = dict(param_items(params, densify(params, grad)))
 
     perm = rng.permutation(m)
     permuted = clone_params(params)
@@ -317,7 +318,7 @@ def test_backward_permutation_equivariance(seed):
     permuted.lf_head[-1].b[:] = params.lf_head[-1].b[perm]
     permuted.mapping = MappingMatrix(c=c, class_of=class_of[perm])
     loss_p, grad_p = backward(permuted, X, targets[:, perm])
-    grads_p = dict(param_items(permuted, grad_p))
+    grads_p = dict(param_items(permuted, densify(permuted, grad_p)))
 
     assert loss_p == pytest.approx(loss, abs=1e-12)
     assert np.allclose(grads_p["lf.0.W"], grads["lf.0.W"][:, perm], atol=1e-12)
@@ -333,10 +334,12 @@ def test_backward_accepts_sparse_input(rng, to_csr, native_paths):
     raw = rng.random((5, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
     loss_d, grad_d = backward(params, X, targets)
+    assert np.array_equal(grad_d.first.rows, np.arange(X.shape[1]))  # a dense batch gives every row
     for path in native_paths():
         loss_s, grad_s = backward(params, to_csr(X), targets)
         assert loss_s == pytest.approx(loss_d, abs=1e-12), path
-        for (name, g_d), (_, g_s) in zip(param_items(params, grad_d), param_items(params, grad_s)):
+        pairs = zip(param_items(params, densify(params, grad_d)), param_items(params, densify(params, grad_s)))
+        for (name, g_d), (_, g_s) in pairs:
             assert np.allclose(g_d, g_s, atol=1e-12), (path, name)
 
 
@@ -349,8 +352,11 @@ def test_backward_first_layer_rows_outside_the_batch_are_positive_zero(rng, to_c
     X_csr = to_csr(X)
     for path in native_paths():
         _, grad = backward(params, X_csr, raw / raw.sum(axis=1, keepdims=True))
-        W = dict(param_items(params, grad))["encoder.0.W"]
-        unused = np.setdiff1d(np.arange(W.shape[0]), np.unique(X_csr.indices))
+        # the gradient holds exactly the used rows, so every other row is +0.0
+        assert np.array_equal(grad.first.rows, np.unique(X_csr.indices)), path
+        assert grad.first.values.shape == (grad.first.rows.size, params.dims[0][1])
+        W = dict(param_items(params, densify(params, grad)))["encoder.0.W"]
+        unused = np.setdiff1d(np.arange(W.shape[0]), grad.first.rows)
         assert {1, 3} <= set(unused.tolist())
         assert np.array_equal(W[unused].view(np.int64), np.zeros((unused.size, W.shape[1]), dtype=np.int64)), path
 
@@ -374,14 +380,14 @@ def test_backward_non_finite_first_layer_row_names_it(to_csr, native_paths):
 
 def test_backward_reused_buffer_is_bitwise_fresh_buffers(rng, to_csr, native_paths):
     # The used columns of successive batches overlap, are disjoint, are none at
-    # all, and are every column (a dense batch): a first-layer row that the last
-    # batch wrote and this one does not must read +0.0 again.
+    # all, and are every column (a dense batch): each gradient holds its own
+    # batch's first-layer rows, and the reused buffer is rewritten whole.
     n_features = 12
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     params = init_params(n_features, mapping, EncoderConfig(hidden=(6,), dim=4), rng=np.random.default_rng(5))
     columns = [[0, 1, 2, 3], [2, 3, 4], [7, 8], [], list(range(n_features)), [5], [0, 11]]
     for path in native_paths():
-        buffer = GradientBuffer(np.zeros_like(params.theta))
+        buffer = np.full(params.theta.size - params.first_size, np.nan)
         for i, cols in enumerate(columns):
             X = np.zeros((3, n_features))
             X[:, cols] = rng.normal(size=(3, len(cols)))
@@ -391,9 +397,31 @@ def test_backward_reused_buffer_is_bitwise_fresh_buffers(rng, to_csr, native_pat
             targets = raw / raw.sum(axis=1, keepdims=True)
             loss, grad = backward(params, batch, targets, out=buffer)
             fresh_loss, fresh = backward(params, batch, targets)
-            assert grad is buffer.flat
+            assert grad.rest is buffer
             assert loss == fresh_loss
-            assert np.array_equal(grad.view(np.int64), fresh.view(np.int64)), (path, cols)
+            assert np.array_equal(grad.first.rows, fresh.first.rows), (path, cols)
+            assert np.array_equal(grad.first.rows, np.arange(n_features) if i == 4 else sorted(cols)), (path, cols)
+            bits, fresh_bits = (densify(params, g).view(np.int64) for g in (grad, fresh))
+            assert np.array_equal(bits, fresh_bits), (path, cols)
+
+
+def test_backward_on_a_wide_sparse_batch_holds_no_first_layer_sized_array(native_paths):
+    # A 16-row batch with 5 features a row uses 80 of 20,000 first-layer rows;
+    # the first layer is over 98 % of theta. The traced peak of backward, given a
+    # buffer for the dense rest, stays below a tenth of theta; a dense first-layer
+    # gradient would put it above one theta.
+    V, n, nnz = 20_000, 16, 5
+    mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
+    params = init_params(V, mapping, EncoderConfig(hidden=(64,), dim=8), rng=np.random.default_rng(6))
+    assert params.first_size >= 0.98 * params.theta.size
+    cols = np.sort((np.arange(n)[:, None] * 37 + np.arange(nnz) * 4000) % V, axis=1)
+    X = CSRMatrix(np.full(n * nnz, 0.5), cols.ravel(), np.arange(0, n * nnz + 1, nnz), (n, V))
+    targets = np.full((n, 4), 0.25)
+    buffer = np.empty(params.theta.size - params.first_size)
+    for path in native_paths():
+        (_, grad), peak = traced_peak(backward, params, X, targets, out=buffer)
+        assert grad.first.rows.size == np.unique(cols).size, path
+        assert peak < 0.1 * params.theta.nbytes, (path, f"peak {peak / params.theta.nbytes:.3f} thetas")
 
 
 # ---------------------------------------------------------------------------

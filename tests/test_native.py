@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import as_gradient, child_env
 
 from sepll import native
 from sepll.cli import main
@@ -227,8 +227,12 @@ def test_each_clone_target_is_bitwise_numpy(target, tmp_path, monkeypatch):
         params = init_params(700, mapping, EncoderConfig(hidden=(), dim=16), rng=np.random.default_rng(2))
         state = init_optimizer(params)
         steps = np.random.default_rng(3)
-        for lr in (0.05, 0.01, 0.002):
-            adamw_step(params, awkward(steps, params.theta.shape), state, TrainConfig(weight_decay=weight_decay), lr)
+        for lr, every in ((0.05, 1), (0.01, 3), (0.002, 2)):  # every row, then some of them
+            flat = awkward(steps, params.theta.shape)
+            first = flat[: params.first_size].reshape(params.dims[0][:2])
+            first[np.arange(first.shape[0]) % every != 0] = 0.0
+            grad = as_gradient(params, flat, np.arange(0, first.shape[0], every))
+            adamw_step(params, grad, state, TrainConfig(weight_decay=weight_decay), lr)
         return params.theta, state.m, state.v
 
     for weight_decay in (0.0, 0.01):
