@@ -116,9 +116,12 @@ class MatchMatrix:
     pairs: np.ndarray  # (nnz, 2) int64, lexicographically sorted
 
     def __post_init__(self):
-        """Pairs in any order are sorted into a copy; pairs already in order are
-        kept, not copied, and frozen."""
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        """Pairs in any order are sorted into a copy. An int64 array of pairs
+        already in order that owns its memory is kept, not copied, and frozen, so
+        the caller can no longer write to it; a view is copied, since its base
+        would stay writable."""
+        given = np.asarray(self.pairs, dtype=np.int64)
+        pairs = given.reshape(-1, 2)
         if self.n < 0 or self.m < 0:
             raise DataError("matrix dimensions must be non-negative")
         if pairs.size:
@@ -126,10 +129,14 @@ class MatchMatrix:
                 raise DataError("match row index out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.m:
                 raise DataError("match column index out of range")
+        if pairs.size and not _strictly_ascending(pairs):
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
             if not _strictly_ascending(pairs):
-                pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-                if not _strictly_ascending(pairs):
-                    raise DataError("duplicate (sample, LF) match pair")
+                raise DataError("duplicate (sample, LF) match pair")
+        elif given.base is None:
+            _frozen(given)
+        else:
+            pairs = pairs.copy()
         object.__setattr__(self, "pairs", _frozen(pairs))
 
     def row_counts(self) -> np.ndarray:
@@ -488,12 +495,6 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     label_file = root / "label.json"
     if label_file.exists():
         class_names = _read_class_names(label_file)
-        golds = [x.gold_label for s in SPLIT_NAMES for x in parts[s] if x.gold_label is not None]
-        used = max([*golds, *(int(weak[s].max(initial=-1)) for s in SPLIT_NAMES)])
-        if used >= len(class_names):
-            raise DataError(
-                f"class index out of range: the data uses class {used}, but {label_file} names {len(class_names)}"
-            )
     elif fmt == "wrench-json":
         raise DataError(f"{root}: missing label.json companion file")
     else:
@@ -514,13 +515,17 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
             )
         class_names = tuple(f"class_{k}" for k in range(len(classes)))
 
-    return SplitSet(
-        train=parts["train"],
-        dev=parts["dev"],
-        test=parts["test"],
-        class_names=class_names,
-        raw_weak_labels=weak,
-    )
+    try:
+        return SplitSet(
+            train=parts["train"],
+            dev=parts["dev"],
+            test=parts["test"],
+            class_names=class_names,
+            raw_weak_labels=weak,
+        )
+    except DataError as exc:  # a split's sample ids or class indices
+        names = f"; {label_file} names classes 0..{len(class_names) - 1}" if label_file.exists() else ""
+        raise DataError(f"{root}: {exc}{names}") from None
 
 
 def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -> list[Path]:
@@ -601,7 +606,7 @@ def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
 
 def read_triplets(path: str | Path) -> MatchMatrix:
     (_, n, m), *rows = _read_int_pairs(path, "triplet")
-    arr = np.asarray([(i, j) for _, i, j in rows], dtype=np.int64).reshape(-1, 2)
+    arr = np.asarray([(i, j) for _, i, j in rows], dtype=np.int64)
     try:
         return MatchMatrix(n=n, m=m, pairs=arr)
     except DataError as exc:  # dimensions, index ranges and repeated pairs

@@ -112,7 +112,7 @@ def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> Mat
             if found:
                 hits.add(j)
         pairs.extend((i, j) for j in sorted(hits))
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = np.asarray(pairs, dtype=np.int64)
     return MatchMatrix(n=len(samples), m=len(lfs), pairs=arr)
 
 

@@ -261,6 +261,19 @@ def _convert_with_labels(label_json: str):
     return case
 
 
+def _convert_files(fmt: str, files: dict[str, str]):
+    """A case that converts a dataset directory holding ``files`` (name -> text)."""
+
+    def case(tmp_path, request):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, text in files.items():
+            (data / name).write_text(text, encoding="utf-8")
+        return ["convert", str(data), "--format", fmt, "--out", str(tmp_path / "c")]
+
+    return case
+
+
 # One row per malformed input that used to end in a traceback, a wrong exit
 # code or a silent success: case -> (argv builder, exit code, text that stderr
 # must hold, with {tmp} for the test's directory). Exit 1 is a config or usage
@@ -288,11 +301,24 @@ MALFORMED_INPUTS = {
         2,
         "binary_f1 requires exactly 2 classes, got 3",
     ),
+    "jsonl gold label is -5": (
+        _convert_files("jsonl", {"train.jsonl": '{"text": "a b", "label": -5, "weak_labels": [0, 1]}\n'}),
+        2,
+        "{tmp}/data: train: sample 0: class index out of range: -5",
+    ),
+    "wrench-json weak label is -7": (
+        _convert_files(
+            "wrench-json",
+            {"train.json": '{"0": {"data": {"text": "a b"}, "weak_labels": [0, -7]}}', "label.json": '{"0": "a"}'},
+        ),
+        2,
+        "{tmp}/data: train: sample row 0, LF 1: class index out of range: -7; {tmp}/data/label.json names classes 0..0",
+    ),
     "label.json is an empty object": (_convert_with_labels("{}"), 2, "{tmp}/data/label.json: "),
     "label.json names fewer classes than the data uses": (
         _convert_with_labels('{"0": "a"}'),
         2,
-        "{tmp}/data/label.json names 1",
+        "{tmp}/data/label.json names classes 0..0",
     ),
     "label.json class name is not a string": (_convert_with_labels('{"0": "a", "1": 7}'), 2, "{tmp}/data/label.json: "),
     "label.json class name is null": (_convert_with_labels('{"0": null, "1": "b"}'), 2, "{tmp}/data/label.json: "),

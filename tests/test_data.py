@@ -448,6 +448,27 @@ def test_match_matrix_validates():
         MatchMatrix(n=2, m=2, pairs=np.array([[0, 0], [0, 0]]))
 
 
+def test_match_matrix_pairs_cannot_change_through_the_callers_array():
+    # sorted pairs in an array of their own are kept, and the caller's array is frozen
+    own = np.array([[0, 1], [1, 0], [2, 1]], dtype=np.int64)
+    match = MatchMatrix(n=3, m=2, pairs=own)
+    with pytest.raises(ValueError, match="read-only"):
+        own[0, 1] = 0
+    assert match.pairs.tolist() == [[0, 1], [1, 0], [2, 1]]
+    # sorted pairs in a view are copied: the view's base stays the caller's to write
+    base = np.array([[9, 9], [0, 1], [1, 0], [2, 1]], dtype=np.int64)
+    match = MatchMatrix(n=3, m=2, pairs=base[1:])
+    base[1, 1] = 0
+    assert match.pairs.tolist() == [[0, 1], [1, 0], [2, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        match.pairs[0, 1] = 0
+    # so are unsorted pairs, into a sorted copy
+    unsorted = np.array([[2, 1], [0, 1]], dtype=np.int64)
+    match = MatchMatrix(n=3, m=2, pairs=unsorted)
+    unsorted[0, 0] = 1
+    assert match.pairs.tolist() == [[0, 1], [2, 1]]
+
+
 def test_mapping_one_hot_dense():
     mapping = MappingMatrix(c=3, class_of=np.array([0, 2, 2]))
     dense = mapping.to_dense()
