@@ -90,7 +90,10 @@ def _load_run(run_cfg: RunConfig, config_path: str, seed: int | None) -> _Run:
 
 def _out_dir(out: str) -> Path:
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot make the directory: {exc.strerror}") from None
     return out_dir
 
 
@@ -234,7 +237,7 @@ def synth(
         lf_coverage=lf_coverage,
     )
     splits = synth_dataset(spec, seed)
-    out_dir = Path(out)
+    out_dir = _out_dir(out)
     artifacts = {f.name: f for f in save_dataset(splits, out_dir, fmt)}
     _finish(out_dir, seed, {"command": "synth", "spec": dataclasses.asdict(spec), "format": fmt}, {}, artifacts)
     click.echo(f"wrote synthetic dataset to {out_dir}")

@@ -16,6 +16,7 @@ from .data import SynthSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError
 from .model import ModelConfig
+from .serialize import read_text
 from .trainer import TrainConfig
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -118,10 +119,9 @@ def parse_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # keep key case
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: file is not UTF-8: {exc}") from None
+        parser.read_string(read_text(path), source=str(path))
+    except DataError as exc:  # not UTF-8, or unreadable
+        raise ConfigError(str(exc)) from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

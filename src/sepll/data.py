@@ -96,15 +96,22 @@ class SplitSet:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def n_raw_lfs(self) -> int:
-        return int(self.raw_weak_labels["train"].shape[1])
-
 
 def _strictly_ascending(pairs: np.ndarray) -> bool:
     """Whether the (i, j) pairs are in lexicographic order without repeats."""
     rows, cols = pairs[:, 0], pairs[:, 1]
     return bool(np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))))
+
+
+def gather_rows(indptr: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The row pointers of ``rows`` (indices, a slice or a mask; bounds-checked) of a structure
+    whose row i holds entries ``indptr[i]:indptr[i + 1]``, and the positions of their entries."""
+    rows = np.arange(indptr.size - 1)[rows]
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out, np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +157,10 @@ class MatchMatrix:
     def take(self, rows) -> MatchMatrix:
         """The matches of ``rows`` (row indices, a slice or a mask), as the matrix
         whose row r is row ``rows[r]`` of this one."""
-        rows = np.arange(self.n)[rows]  # bounds-checked
-        starts = self.row_starts[rows]
-        lengths = self.row_starts[rows + 1] - starts
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        local = np.repeat(np.arange(rows.size), lengths)
-        return MatchMatrix(rows.size, self.m, np.stack([local, self.pairs[pos, 1]], axis=1))
+        indptr, pos = gather_rows(self.row_starts, rows)
+        n = indptr.size - 1
+        local = np.repeat(np.arange(n), np.diff(indptr))
+        return MatchMatrix(n, self.m, np.stack([local, self.pairs[pos, 1]], axis=1))
 
     def class_votes(self, mapping: MappingMatrix) -> np.ndarray:
         """(n, c) int64: how many of each row's matches vote for each class."""
@@ -244,7 +247,7 @@ def to_one_class_lfs(splits: SplitSet) -> ConversionResult:
     jointly so every split shares one column layout: original LF order first,
     ascending class within an original LF. LFs that never fire are dropped.
     """
-    m0 = splits.n_raw_lfs
+    m0 = splits.raw_weak_labels["train"].shape[1]
     emitted: list[np.ndarray] = []
     for j in range(m0):
         values = [splits.raw_weak_labels[name][:, j] for name in SPLIT_NAMES]
@@ -529,11 +532,10 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
 
 
 def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -> list[Path]:
-    """Write a dataset directory; returns the files written."""
+    """Write a dataset into the existing directory ``path``; returns the files written."""
     if fmt not in _SPLIT_FILES:
         raise DataError(f"unknown dataset format {fmt!r}")
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     label_file = root / "label.json"
     names = {str(i): name for i, name in enumerate(splits.class_names)}
     write_text(label_file, json.dumps(names, sort_keys=True) + "\n")
@@ -583,12 +585,8 @@ def write_triplets(match: MatchMatrix, path: str | Path) -> None:
 def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
     """(line number, a, b) for every non-blank line of a two-integer text file;
     the first row is the header. Every integer fits int64."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {kind} file is not UTF-8: {exc}") from None
     rows = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         parts = line.split()
         if not parts:
             continue

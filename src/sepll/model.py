@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -181,13 +181,7 @@ def param_name_at(params: SepLLParams, index: int) -> str:
 
 
 def clone_params(params: SepLLParams) -> SepLLParams:
-    return SepLLParams(
-        theta=params.theta.copy(),
-        dims=params.dims,
-        mapping=params.mapping,
-        encoder_nonlinearity=params.encoder_nonlinearity,
-        head_nonlinearity=params.head_nonlinearity,
-    )
+    return replace(params, theta=params.theta.copy())
 
 
 def _forward_with_caches(params: SepLLParams, X):
@@ -279,7 +273,8 @@ def backward(
     penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
     Returns ``(loss, grad)``, a :class:`Gradient`. ``grad.first`` holds the rows
     of ``encoder.0.W``'s gradient that the batch can touch: for a
-    :class:`CSRMatrix` batch ``X.used_columns()``, for a dense one every row.
+    :class:`CSRMatrix` batch the ``cols`` of :meth:`CSRMatrix.transpose_product`,
+    for a dense one every row.
     ``grad.rest`` is ``out`` when given, rewritten whole, and a new array otherwise.
     """
     targets = np.asarray(targets, dtype=np.float64)
@@ -332,12 +327,13 @@ def save_checkpoint(
     vocab: Vocabulary,
     config_echo: dict | None = None,
 ) -> None:
+    """A container of ``params.theta`` under a header of everything else, ``dims`` included."""
     header = {
         "kind": "sepll-model",
-        "version": 1,
+        "version": 2,
         "encoder_nonlinearity": params.encoder_nonlinearity,
         "head_nonlinearity": params.head_nonlinearity,
-        "dim": params.dims[0][-1],
+        "dims": [list(widths) for widths in params.dims],
         "n_classes": params.mapping.c,
         "class_of": [int(v) for v in params.mapping.class_of],
         "vocab": {
@@ -347,12 +343,8 @@ def save_checkpoint(
             "lowercase": vocab.lowercase,
         },
         "config": config_echo or {},
-        "task_layers": len(params.task_head),
-        "lf_layers": len(params.lf_head),
-        "encoder_layers": len(params.encoder),
     }
-    arrays = dict(param_items(params))
-    write_container(path, header, arrays)
+    write_container(path, header, params.theta)
 
 
 def _field(obj: dict, key: str, kind: type, listed: bool = False):
@@ -378,39 +370,30 @@ _ECHO_SECTIONS = {
 
 
 def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
-    header, arrays = read_container(path)
+    header, theta = read_container(path)
     if header.get("kind") != "sepll-model":
         raise DataError(f"{path}: not a model checkpoint")
-
-    def widths_of(prefix: str, n_in: int | None) -> tuple[int, ...]:
-        """Layer widths of one path, after checking that its shapes chain from
-        an input ``n_in`` wide (any width when None)."""
-        count = _field(header, f"{prefix}_layers", int)
-        if count < 1:
-            raise DataError(f"{prefix}_layers must be at least 1, got {count}")
-        widths = [n_in]
-        for i in range(count):
-            name = f"{prefix}.{i}"
-            try:
-                W, b = arrays[f"{name}.W"], arrays[f"{name}.b"]
-            except KeyError as exc:
-                raise DataError(f"missing array {exc} in checkpoint") from exc
-            if W.ndim != 2:
-                raise DataError(f"array {name}.W has shape {W.shape}, not a matrix")
-            if widths[-1] not in (None, W.shape[0]):
-                raise DataError(f"array {name}.W has {W.shape[0]} rows but its input is {widths[-1]} wide")
-            if b.shape != W.shape[1:]:
-                raise DataError(f"array {name}.b has shape {b.shape} but {name}.W has {W.shape[1]} columns")
-            widths[-1:] = W.shape  # the input width, now known, then the output width
-        return tuple(widths)
-
+    version = header.get("version")
+    if type(version) is not int or version != 2:
+        raise DataError(f"{path}: checkpoint format version {version!r} is not 2; train again to write one")
     try:
         mapping = MappingMatrix(
             c=_field(header, "n_classes", int),
             class_of=np.asarray(_field(header, "class_of", int, listed=True), dtype=np.int64),
         )
-        encoder = widths_of("encoder", None)
-        dims = (encoder, widths_of("task", encoder[-1]), widths_of("lf", encoder[-1]))
+        dims = header["dims"]
+        if type(dims) is not list or len(dims) != len(PATHS) or any(
+            type(widths) is not list or any(type(w) is not int for w in widths) for widths in dims
+        ):
+            raise TypeError(f"'dims' must be {len(PATHS)} lists of int")
+        for prefix, widths in zip(PATHS, dims):  # the encoder's first, so its widths are checked first
+            if len(widths) < 2 or min(widths) < 1:
+                raise DataError(f"dims: the {prefix} path needs at least two widths, each at least 1, got {widths}")
+            if prefix != "encoder" and widths[0] != dims[0][-1]:
+                raise DataError(
+                    f"dims: the {prefix} path's input is {widths[0]} wide but the encoder's output is {dims[0][-1]}"
+                )
+        dims = tuple(map(tuple, dims))
         nonlinearities = header["encoder_nonlinearity"], header["head_nonlinearity"]
         for name in nonlinearities:
             if name not in ACTIVATIONS:
@@ -438,8 +421,10 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         raise DataError(f"{path}: checkpoint header is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    except DataError as exc:  # layer counts and shapes, and MappingMatrix's own checks
+    except DataError as exc:  # the widths, and MappingMatrix's own checks
         raise DataError(f"{path}: {exc}") from exc
+    if theta.size != _size(dims):
+        raise DataError(f"{path}: payload holds {theta.size} values but dims need {_size(dims)}")
     if len(vocab) != dims[0][0]:
         raise DataError(
             f"{path}: vocabulary has {len(vocab)} tokens but the encoder input dim is {dims[0][0]}"
@@ -450,9 +435,7 @@ def load_checkpoint(path) -> tuple[SepLLParams, Vocabulary, dict]:
         raise DataError(
             f"{path}: class_of has {mapping.m} entries but the LF head has width {dims[2][-1]}"
         )
-    params = SepLLParams(np.empty(_size(dims)), dims, mapping, *nonlinearities)
-    for name, view in param_items(params):
-        view[...] = arrays[name]
+    params = SepLLParams(theta, dims, mapping, *nonlinearities)
     finite = np.isfinite(params.theta)
     if not finite.all():
         raise DataError(f"{path}: non-finite value in {param_name_at(params, int(np.argmin(finite)))}")

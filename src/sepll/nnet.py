@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import native
+from .data import gather_rows
 from .errors import NumericalError
 
 
@@ -50,26 +51,18 @@ class CSRMatrix:
             raise ValueError(f"column index outside [0, {f})")
 
     def __getitem__(self, rows) -> CSRMatrix:
-        rows = np.arange(self.shape[0])[rows]  # bounds-checked; accepts slices and masks
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return CSRMatrix(self.data[pos], self.indices[pos], indptr, (rows.size, self.shape[1]))
+        indptr, pos = gather_rows(self.indptr, rows)
+        return CSRMatrix(self.data[pos], self.indices[pos], indptr, (indptr.size - 1, self.shape[1]))
 
     def __matmul__(self, W: np.ndarray) -> np.ndarray:
         if W.ndim != 2 or W.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {W.shape}")
         return native.row_sums(self.data, self.indices, self.indptr, W)
 
-    def used_columns(self) -> np.ndarray:
-        """The columns that hold a nonzero in some row, ascending."""
-        return np.flatnonzero(np.bincount(self.indices, minlength=self.shape[1]))
-
     def transpose_product(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of ``X.T @ D`` that can be nonzero: returns ``(cols, sums)``,
-        where ``cols`` is :meth:`used_columns` and ``sums`` is ``(X.T @ D)[cols]``.
+        where ``cols`` holds the columns with a nonzero in some row, ascending,
+        and ``sums`` is ``(X.T @ D)[cols]``.
         Every other row of ``X.T @ D`` is +0.0."""
         if D.ndim != 2 or D.shape[0] != self.shape[0]:
             raise ValueError(f"cannot multiply a {self.shape[::-1]} matrix by one of shape {D.shape}")

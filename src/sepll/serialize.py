@@ -3,10 +3,12 @@
 A JSON artifact is indented, key-sorted JSON and a newline; a dataclass in it
 is written as its fields, an ndarray as nested lists.
 
-The binary container is a magic line, one JSON header line, and packed arrays.
-The header carries an ``arrays`` index of (name, shape) in write order; the
-payload is the concatenation of those arrays as row-major little-endian
-float64. Everything non-numeric lives in the header.
+The binary container is a magic line, one key-sorted JSON header line, and one
+vector of little-endian float64 values that runs to the end of the file. The
+header holds everything else, such as the shapes that give the vector meaning.
+
+Every file the package reads goes through :func:`read_text` or
+:func:`read_container`; an unreadable one is a :class:`DataError` naming it.
 
 Every artifact the package writes goes through :func:`atomic_open`, so a
 reader sees either the previous file or the complete new one.
@@ -18,7 +20,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -53,11 +54,14 @@ def write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; :class:`DataError` naming the file for other bytes."""
+    """The UTF-8 text of ``path``; :class:`DataError` naming the file for other
+    bytes or when it cannot be read."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: file is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def _json_default(obj):
@@ -96,58 +100,35 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
     write_text(path, buf.getvalue())
 
 
-def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    meta = dict(header)
-    meta["arrays"] = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+def write_container(path, header: dict, vector: np.ndarray) -> None:
+    """The magic line, ``header`` as one key-sorted JSON line, then ``vector`` as little-endian float64."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(blob + b"\n")
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(vector, dtype="<f8"))  # the array's own buffer, not a copy
 
 
-def _is_array_spec(spec) -> bool:
-    return (
-        isinstance(spec, dict)
-        and isinstance(spec.get("name"), str)
-        and isinstance(spec.get("shape"), list)
-        # type(...) is int: json gives true/false as bool, which isinstance(..., int) accepts
-        and all(type(s) is int and s >= 0 for s in spec["shape"])
-    )
-
-
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
+def read_container(path) -> tuple[dict, np.ndarray]:
+    """The header and the float64 vector of a container; :class:`DataError` naming
+    the file where it cannot be read or is not a whole container."""
+    try:
+        with open(path, "rb") as fh:
+            magic, line = fh.read(len(MAGIC)), fh.readline()
+            # a new array, aligned and writable, where a view of the file's bytes would be neither
+            vector, rest = np.fromfile(fh, dtype="<f8"), fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    if magic != MAGIC:
         raise DataError(f"{path}: not a sepll binary container")
     try:
-        end = raw.index(b"\n", len(MAGIC))
-        header = json.loads(raw[len(MAGIC):end].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        if not line.endswith(b"\n"):
+            raise ValueError("no newline after the header")
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise DataError(f"{path}: corrupt container header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: container header is not a JSON object")
-    specs = header.get("arrays", [])
-    if not isinstance(specs, list):
-        raise DataError(f"{path}: container header field 'arrays' is not a list")
-    arrays: dict[str, np.ndarray] = {}
-    offset = end + 1
-    for k, spec in enumerate(specs):
-        if not _is_array_spec(spec):
-            raise DataError(
-                f'{path}: container array entry {k} is not {{"name": str, "shape": [non-negative ints]}}'
-            )
-        if spec["name"] in arrays:
-            raise DataError(f"{path}: container array {spec['name']!r} is listed twice")
-        shape = tuple(spec["shape"])
-        count = math.prod(shape) if shape else 1
-        needed = offset + 8 * count
-        if needed > len(raw):
-            raise DataError(f"{path}: truncated container payload")
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[spec["name"]] = flat.reshape(shape).astype(np.float64)
-        offset = needed
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing bytes after container payload")
-    return header, arrays
+    if rest:
+        raise DataError(f"{path}: container payload is not whole float64 values")
+    return header, vector.astype(np.float64, copy=False)

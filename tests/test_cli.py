@@ -240,10 +240,9 @@ def _eval_with_echo(echo):
 
         cfg, run_dir = request.getfixturevalue("trained")
         ckpt = run_dir / "checkpoint.sepll"
-        header, arrays = read_container(ckpt)
+        header, theta = read_container(ckpt)
         header["config"] = echo
-        del header["arrays"]
-        write_container(ckpt, header, arrays)
+        write_container(ckpt, header, theta)
         return ["eval", "--checkpoint", str(ckpt), "--config", cfg, "--out", str(tmp_path / "e")]
 
     return case
@@ -259,6 +258,39 @@ def _convert_with_labels(label_json: str):
         return ["convert", str(data), "--out", str(tmp_path / "c")]
 
     return case
+
+
+def _with_directory_for(fmt: str, name: str):
+    """A case that converts a small synth dataset whose file ``name`` is a directory."""
+
+    def case(tmp_path, request):
+        data = tmp_path / "data"
+        argv = ["synth", "--out", str(data), "--n-train", "20", "--n-dev", "5", "--n-test", "5", "--format", fmt]
+        assert main(argv) == 0
+        (data / name).unlink()
+        (data / name).mkdir()
+        return ["convert", str(data), "--format", fmt, "--out", str(tmp_path / "c")]
+
+    return case
+
+
+def _out_below_a_file(*argv):
+    """A case that runs ``argv`` (``{cfg}`` and ``{tmp}`` filled in) after making
+    ``{tmp}/afile`` a regular file, so that ``{tmp}/afile/x`` cannot be a directory."""
+
+    def case(tmp_path, request):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        return _command(*argv)(tmp_path, request)
+
+    return case
+
+
+def _eval_version_1(tmp_path, request):
+    """A case that evaluates a trained checkpoint whose header says version 1."""
+    cfg, run_dir = request.getfixturevalue("trained")
+    ckpt = run_dir / "checkpoint.sepll"
+    rewrite_header(ckpt, lambda header: {**header, "version": 1})
+    return ["eval", "--checkpoint", str(ckpt), "--config", cfg]
 
 
 def _convert_files(fmt: str, files: dict[str, str]):
@@ -292,6 +324,36 @@ MALFORMED_INPUTS = {
     "checkpoint echo is a list": (_eval_with_echo(["x"]), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint echo has an unknown section": (_eval_with_echo({"x": {}}), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint class names are not strings": (_eval_with_echo({"class_names": [0]}), 2, "{tmp}/run/checkpoint.sepll: "),
+    "checkpoint is version 1": (
+        _eval_version_1,
+        2,
+        "{tmp}/run/checkpoint.sepll: checkpoint format version 1 is not 2; train again",
+    ),
+    "jsonl train.jsonl is a directory": (
+        _with_directory_for("jsonl", "train.jsonl"),
+        2,
+        "{tmp}/data/train.jsonl: cannot read: Is a directory",
+    ),
+    "wrench-json label.json is a directory": (
+        _with_directory_for("wrench-json", "label.json"),
+        2,
+        "{tmp}/data/label.json: cannot read: Is a directory",
+    ),
+    "synth --out below a file": (
+        _out_below_a_file("synth", "--out", "{tmp}/afile/x", "--n-train", "20", "--n-dev", "5", "--n-test", "5"),
+        1,
+        "--out {tmp}/afile/x: cannot make the directory: Not a directory",
+    ),
+    "stats --out below a file": (
+        _out_below_a_file("stats", "--config", "{cfg}", "--out", "{tmp}/afile/x"),
+        1,
+        "--out {tmp}/afile/x: cannot make the directory: Not a directory",
+    ),
+    "train --out below a file": (
+        _out_below_a_file("train", "--config", "{cfg}", "--out", "{tmp}/afile/x"),
+        1,
+        "--out {tmp}/afile/x: cannot make the directory: Not a directory",
+    ),
     "positive_class is 5": (_train_with("max_epochs", "positive_class = 5\nmax_epochs"), 1, "positive_class must be 0 or 1"),
     "binary_f1 on three classes": (
         _train_with(
@@ -398,9 +460,9 @@ def test_eval_malformed_checkpoint_exits_2_naming_file(trained, capsys):
 
     cfg, run_dir = trained
     ckpt = run_dir / "checkpoint.sepll"
-    header, arrays = read_container(ckpt)
-    header["lf_layers"] = 0
-    write_container(ckpt, header, arrays)
+    header, theta = read_container(ckpt)
+    header["dims"][2] = header["dims"][2][:1]  # an LF path of no layers
+    write_container(ckpt, header, theta)
     assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "checkpoint.sepll" in err
@@ -494,13 +556,12 @@ def test_eval_checkpoint_shapes_that_do_not_chain_exit_2(trained, capsys):
 
     cfg, run_dir = trained
     ckpt = run_dir / "checkpoint.sepll"
-    header, arrays = read_container(ckpt)
-    rows, cols = arrays["task.0.W"].shape
-    arrays["task.0.W"] = np.zeros((rows + 1, cols))
-    write_container(ckpt, header, arrays)
+    header, theta = read_container(ckpt)
+    header["dims"][1][0] += 1  # the class path reads one more input than the encoder gives
+    write_container(ckpt, header, theta)
     assert main(["eval", "--checkpoint", str(ckpt), "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "checkpoint.sepll" in err and "task.0.W" in err
+    assert "checkpoint.sepll" in err and "the task path's input" in err
     assert "Traceback" not in err
 
 
@@ -517,41 +578,30 @@ def rewrite_header(ckpt: Path, edit) -> None:
     ckpt.write_bytes(raw[:start] + blob + raw[end:])
 
 
-def _edit_first_array(**changes):
+def _set_width(path: int, index: int, value):
+    """A header edit that sets width ``index`` of path ``path`` in ``dims`` to ``value``."""
+
     def edit(header):
-        header["arrays"][0].update(changes)
+        header["dims"][path][index] = value
         return header
 
     return edit
 
 
-def _drop_first_shape(header):
-    del header["arrays"][0]["shape"]
-    return header
-
-
-def _first_array_as_list(header):
-    spec = header["arrays"][0]
-    header["arrays"][0] = [spec["name"], spec["shape"]]
-    return header
-
-
-def _repeat_first_name(header):
-    header["arrays"][1]["name"] = header["arrays"][0]["name"]
-    return header
-
-
-NOT_A_SPEC = "container array entry 0 is not"
+NOT_DIMS = "malformed checkpoint header: 'dims' must be 3 lists of int"
 MALFORMED_HEADERS = {  # case -> (header edit, message)
-    "shape is a string": (_edit_first_array(shape="ab"), NOT_A_SPEC),
-    "shape has a negative entry": (_edit_first_array(shape=[-1, 3]), NOT_A_SPEC),
-    "shape has a boolean entry": (_edit_first_array(shape=[True, 3]), NOT_A_SPEC),
-    "shape has a float entry": (_edit_first_array(shape=[2.5, 3]), NOT_A_SPEC),
-    "name is not a string": (_edit_first_array(name=5), NOT_A_SPEC),
-    "spec without shape": (_drop_first_shape, NOT_A_SPEC),
-    "spec is a list": (_first_array_as_list, NOT_A_SPEC),
-    "name repeats": (_repeat_first_name, "is listed twice"),
-    "arrays is a number": (lambda header: {**header, "arrays": 5}, "field 'arrays' is not a list"),
+    "dims is a string": (lambda header: {**header, "dims": "ab"}, NOT_DIMS),
+    "dims is a number": (lambda header: {**header, "dims": 5}, NOT_DIMS),
+    "dims has a negative width": (
+        _set_width(0, 1, -1),
+        "dims: the encoder path needs at least two widths, each at least 1",
+    ),
+    "dims has a boolean width": (_set_width(1, 1, True), NOT_DIMS),
+    "dims has a float width": (_set_width(1, 1, 2.5), NOT_DIMS),
+    "header without dims": (
+        lambda header: {k: v for k, v in header.items() if k != "dims"},
+        "checkpoint header is missing key 'dims'",
+    ),
     "header is a list": (lambda header: [header], "container header is not a JSON object"),
     "header nested too deeply": (
         lambda header: b"[" * 100000 + b"]" * 100000,
@@ -1072,6 +1122,7 @@ def test_convert_and_train_leave_numpy_ma_unloaded(tmp_path):
 
     splits = synth_dataset(SynthSpec(n_train=40, n_dev=10, n_test=10), seed=0)
     for fmt in ("jsonl", "wrench-json"):
+        (tmp_path / fmt).mkdir()
         save_dataset(splits, tmp_path / fmt, fmt=fmt)
     (tmp_path / "jsonl" / "label.json").unlink()  # so that loading infers the classes
     cfg = write_config(tmp_path, SYNTH_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))

@@ -227,15 +227,22 @@ def test_readme_config_reference_matches_the_schema():
 
 def test_container_round_trip(tmp_path):
     path = tmp_path / "x.bin"
-    arrays = {
-        "a": np.arange(6, dtype=np.float64).reshape(2, 3),
-        "b": np.array([1.5]),
-    }
-    write_container(path, {"kind": "demo", "note": "hi"}, arrays)
+    vector = np.array([0.0, -0.0, 1.5, -2.25, np.inf, 1e-310])
+    write_container(path, {"kind": "demo", "note": "hi"}, vector)
     header, loaded = read_container(path)
-    assert header["kind"] == "demo"
-    assert np.array_equal(loaded["a"], arrays["a"])
-    assert np.array_equal(loaded["b"], arrays["b"])
+    assert header == {"kind": "demo", "note": "hi"}
+    assert loaded.dtype == np.float64 and loaded.shape == (6,)
+    assert np.array_equal(loaded.view(np.int64), vector.view(np.int64))
+    assert path.read_bytes().endswith(vector.astype("<f8").tobytes())
+    write_container(path, {}, np.empty(0))
+    assert read_container(path)[1].shape == (0,)
+
+
+def test_container_unreadable_path_is_data_error(tmp_path):
+    with pytest.raises(DataError, match=f"{tmp_path}: cannot read: Is a directory"):
+        read_container(tmp_path)
+    with pytest.raises(DataError, match="missing.bin: cannot read: No such file"):
+        read_container(tmp_path / "missing.bin")
 
 
 def test_container_rejects_bad_magic(tmp_path):
@@ -246,27 +253,30 @@ def test_container_rejects_bad_magic(tmp_path):
 
 
 def test_container_rejects_truncation(tmp_path):
+    # a cut at a value boundary leaves a shorter vector, which the checkpoint's
+    # size check rejects; a cut inside a value is the container's to reject
     path = tmp_path / "x.bin"
-    write_container(path, {"kind": "demo"}, {"a": np.arange(100, dtype=np.float64)})
+    write_container(path, {"kind": "demo"}, np.arange(100, dtype=np.float64))
     blob = path.read_bytes()
-    path.write_bytes(blob[:-16])
-    with pytest.raises(DataError, match="truncated"):
+    path.write_bytes(blob[:-13])
+    with pytest.raises(DataError, match="payload is not whole float64 values"):
+        read_container(path)
+    path.write_bytes(blob[: blob.index(b"\n", len(sepll.serialize.MAGIC))])
+    with pytest.raises(DataError, match="corrupt container header"):
         read_container(path)
 
 
 def test_container_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "x.bin"
-    write_container(path, {"kind": "demo"}, {"a": np.arange(4, dtype=np.float64)})
+    write_container(path, {"kind": "demo"}, np.arange(4, dtype=np.float64))
     path.write_bytes(path.read_bytes() + b"extra")
-    with pytest.raises(DataError, match="trailing"):
+    with pytest.raises(DataError, match="payload is not whole float64 values"):
         read_container(path)
 
 
 class FailsOnWrite:
     """Array stand-in whose payload cannot be produced: the write fails after the
-    magic line, the header and the arrays before it are already written."""
-
-    shape = (2,)
+    magic line and the header are already written."""
 
     def __array__(self, dtype=None, copy=None):
         raise OSError("No space left on device")
@@ -292,10 +302,10 @@ class DiskFull:
 
 def test_failed_container_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "x.bin"
-    write_container(path, {"kind": "demo"}, {"a": np.arange(4, dtype=np.float64)})
+    write_container(path, {"kind": "demo"}, np.arange(4, dtype=np.float64))
     before = path.read_bytes()
     with pytest.raises(OSError, match="No space left"):
-        write_container(path, {"kind": "demo"}, {"a": np.zeros(100), "b": FailsOnWrite()})
+        write_container(path, {"kind": "demo"}, FailsOnWrite())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
 
@@ -338,13 +348,14 @@ def test_atomic_open_replaces_the_file_only_on_success(tmp_path):
 
 def test_container_header_is_one_sorted_json_line(tmp_path):
     path = tmp_path / "x.bin"
-    write_container(path, {"zeta": 1, "alpha": 2}, {"a": np.zeros(1)})
+    write_container(path, {"zeta": 1, "alpha": 2}, np.zeros(1))
     blob = path.read_bytes()
     magic_end = blob.index(b"\n") + 1
-    header_line = blob[magic_end : blob.index(b"\n", magic_end)]
-    obj = json.loads(header_line)
-    assert obj["alpha"] == 2
+    header_end = blob.index(b"\n", magic_end)
+    header_line = blob[magic_end:header_end]
+    assert json.loads(header_line) == {"zeta": 1, "alpha": 2}
     assert header_line.index(b'"alpha"') < header_line.index(b'"zeta"')
+    assert len(blob) - header_end - 1 == 8  # no index of the payload: its one value follows
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,7 @@ def test_load_dataset_loads_or_raises_data_error(tmp_path_factory, fmt, field, v
 def test_save_load_round_trip(tmp_path, fmt):
     splits = synth_dataset(SynthSpec(n_train=20, n_dev=8, n_test=8), seed=3)
     out1 = tmp_path / "one"
+    out1.mkdir()
     save_dataset(splits, out1, fmt)
     loaded = load_dataset(out1, fmt)
     assert loaded.class_names == splits.class_names
@@ -306,6 +307,7 @@ def test_save_load_round_trip(tmp_path, fmt):
         assert np.array_equal(loaded.raw_weak_labels[name], splits.raw_weak_labels[name])
     # a second save of the loaded data is byte-identical
     out2 = tmp_path / "two"
+    out2.mkdir()
     save_dataset(loaded, out2, fmt)
     for f in sorted(out1.iterdir()):
         assert (out2 / f.name).read_bytes() == f.read_bytes()
@@ -535,7 +537,7 @@ def test_mapping_file_round_trip(tmp_path):
         ("-1 2\n", r"T\.classof:1: need m >= 0"),
         ("2 2\n0 0\n1 2\n", r"T\.classof:3: class index out of range"),
         ("2 2\n\n0 0\n1 x\n", r"T\.classof:4: expected two integers"),
-        (b"2 2\n0 \xff\n", r"T\.classof: mapping file is not UTF-8"),
+        (b"2 2\n0 \xff\n", r"T\.classof: file is not UTF-8"),
         ("99999999999999999999999 2\n", r"T\.classof:1: integer outside the 64-bit range"),
         ("2 2\n0 -9223372036854775809\n", r"T\.classof:2: integer outside the 64-bit range"),
         ("1000000000 2\n0 0\n", r"T\.classof:1: header says m=1000000000 columns but only 1 follow"),

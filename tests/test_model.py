@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -465,23 +466,26 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
     from sepll.serialize import write_container
 
     path = tmp_path / "bad.sepll"
-    write_container(path, {"kind": "something-else"}, {"x": np.zeros(2)})
+    write_container(path, {"kind": "something-else"}, np.zeros(2))
     with pytest.raises(DataError):
         load_checkpoint(path)
 
 
 def edited_checkpoint(tmp_path, edit, new_arrays=None):
-    """Save a valid checkpoint (encoder 5 -> 6 -> 4, task 4 -> 2, LF 4 -> 3), then
-    rewrite it with ``edit`` applied to its header and ``new_arrays`` replacing arrays."""
+    """Save a valid checkpoint (encoder 5 -> 6 -> 4, task 4 -> 2, LF 4 -> 3, 89
+    parameters), then rewrite it with ``edit`` applied to its header and with the
+    arrays in ``new_arrays`` written in place of the parameters they name."""
     from sepll.serialize import read_container, write_container
 
     vocab = Vocabulary(tokens=("a", "b", "c", "d", "e"), df=np.ones(5, dtype=np.int64), n_docs=6)
     path = tmp_path / "model.sepll"
-    save_checkpoint(path, tiny_params(hidden=(6,)), vocab)
-    header, arrays = read_container(path)
+    params = tiny_params(hidden=(6,))
+    save_checkpoint(path, params, vocab)
+    header, theta = read_container(path)
     edit(header)
-    arrays.update(new_arrays or {})
-    write_container(path, header, arrays)
+    if new_arrays:
+        theta = np.concatenate([np.ravel(new_arrays.get(name, view)) for name, view in param_items(params)])
+    write_container(path, header, theta)
     return path
 
 
@@ -513,15 +517,16 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
         ("n_classes", "x", "malformed checkpoint header"),
         ("class_of", "ab", "malformed checkpoint header"),
         ("vocab", 5, "malformed checkpoint header"),
-        ("lf_layers", 0, "lf_layers must be at least 1, got 0"),
-        ("encoder_layers", 0, "encoder_layers must be at least 1, got 0"),
-        ("task_layers", -1, "task_layers must be at least 1, got -1"),
+        # a path of zero layers: fewer than two widths
+        ("dims.2", [4], r"dims: the lf path needs at least two widths, each at least 1, got \[4\]"),
+        ("dims.0", [5], r"dims: the encoder path needs at least two widths, each at least 1, got \[5\]"),
+        ("dims.1", [], r"dims: the task path needs at least two widths, each at least 1, got \[\]"),
         ("n_classes", 0, "mapping needs at least one class"),
         ("class_of", [0, 1, 7], "mapping class index out of range"),
         ("head_nonlinearity", "swish", "unknown nonlinearity 'swish'"),
         # JSON types are checked, not coerced: int() would read 1.0 and True as 1
         ("n_classes", True, "malformed checkpoint header: 'n_classes' must be int, got bool"),
-        ("task_layers", 1.0, "malformed checkpoint header: 'task_layers' must be int, got float"),
+        ("dims.1.1", 2.0, "malformed checkpoint header: 'dims' must be 3 lists of int"),
         ("vocab.n_docs", "6", "malformed checkpoint header: 'n_docs' must be int, got str"),
         ("class_of", [0.5, 1.5, 1.5], "malformed checkpoint header: 'class_of' must be a list of int"),
         ("vocab.df", [1, 1, 1, 1, True], "malformed checkpoint header: 'df' must be a list of int"),
@@ -563,7 +568,7 @@ def test_checkpoint_rejects_class_of_lf_head_mismatch(tmp_path):
 )
 def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message):
     def edit(header):
-        *parents, last = key.split(".")
+        *parents, last = (int(part) if part.isdigit() else part for part in key.split("."))
         for parent in parents:
             header = header[parent]
         header[last] = value
@@ -574,26 +579,112 @@ def test_checkpoint_bad_header_value_is_data_error(tmp_path, key, value, message
 
 
 @pytest.mark.parametrize(
-    "new_arrays, message",
+    "dims, new_arrays, message",
     [
-        ({"task.0.W": np.zeros((5, 2))}, r"array task\.0\.W has 5 rows but its input is 4 wide"),
-        ({"lf.0.b": np.zeros(4)}, r"array lf\.0\.b has shape \(4,\) but lf\.0\.W has 3 columns"),
-        ({"encoder.1.W": np.zeros((5, 4))}, r"array encoder\.1\.W has 5 rows but its input is 6 wide"),
+        # arrays whose shapes disagree with the dims: the payload has the wrong size
+        (None, {"task.0.W": np.zeros((5, 2))}, "payload holds 91 values but dims need 89"),
+        (None, {"lf.0.b": np.zeros(4)}, "payload holds 90 values but dims need 89"),
+        (None, {"encoder.1.W": np.zeros((5, 4))}, "payload holds 85 values but dims need 89"),
+        (None, {"lf.0.b": np.zeros(2)}, "payload holds 88 values but dims need 89"),
+        # dims, [[5, 6, 4], [4, 2], [4, 3]] as saved, that do not chain or do not fit the mapping
         (
+            [[5, 6, 3], [4, 2], [4, 3]],
             {"encoder.1.W": np.zeros((6, 3)), "encoder.1.b": np.zeros(3)},
-            r"array task\.0\.W has 4 rows but its input is 3 wide",
+            "dims: the task path's input is 4 wide but the encoder's output is 3",
         ),
-        ({"encoder.0.W": np.zeros(30)}, r"array encoder\.0\.W has shape \(30,\), not a matrix"),
+        ([[5, 6, 4], [4, 2], [3, 3]], {}, "dims: the lf path's input is 3 wide but the encoder's output is 4"),
+        ([30, [4, 2], [4, 3]], {}, "malformed checkpoint header: 'dims' must be 3 lists of int"),
         (
+            [[5, 6, 4], [4, 3], [4, 3]],
             {"task.0.W": np.zeros((4, 3)), "task.0.b": np.zeros(3)},
             "n_classes is 2 but the task head has width 3",
         ),
+        # dims that are not three lists of widths of at least 1
+        ([[5, 6, 4], [4, 2]], {}, "malformed checkpoint header: 'dims' must be 3 lists of int"),
+        (5, {}, "malformed checkpoint header: 'dims' must be 3 lists of int"),
+        ([[5, 6, 4], [4, True], [4, 3]], {}, "malformed checkpoint header: 'dims' must be 3 lists of int"),
+        ([[5, 0, 4], [4, 2], [4, 3]], {}, r"dims: the encoder path needs at least two widths, each at least 1"),
+        ([[5, -6, 4], [4, 2], [4, 3]], {}, r"dims: the encoder path needs at least two widths, each at least 1"),
     ],
-    ids=["head_rows", "bias_length", "encoder_rows", "encoder_output", "not_a_matrix", "task_width"],
+    ids=[
+        "head_rows",
+        "bias_length",
+        "encoder_rows",
+        "payload_short",
+        "encoder_output",
+        "lf_input",
+        "not_a_matrix",
+        "task_width",
+        "two_paths",
+        "dims_is_a_number",
+        "width_is_bool",
+        "width_is_zero",
+        "width_is_negative",
+    ],
 )
-def test_checkpoint_bad_array_shape_is_data_error(tmp_path, new_arrays, message):
-    path = edited_checkpoint(tmp_path, lambda h: None, new_arrays)
+def test_checkpoint_bad_array_shape_is_data_error(tmp_path, dims, new_arrays, message):
+    def edit(header):
+        if dims is not None:
+            header["dims"] = dims
+
+    path = edited_checkpoint(tmp_path, edit, new_arrays)
     with pytest.raises(DataError, match=rf"model\.sepll: {message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_is_its_header_then_theta(tmp_path):
+    params = tiny_params(hidden=(6,), rng_seed=3)
+    vocab = Vocabulary(tokens=("a", "b", "c", "d", "e"), df=np.ones(5, dtype=np.int64), n_docs=6)
+    path = tmp_path / "model.sepll"
+    save_checkpoint(path, params, vocab)
+    raw = path.read_bytes()
+    magic_end = raw.index(b"\n") + 1
+    end = raw.index(b"\n", magic_end)
+    assert raw[end + 1 :] == params.theta.astype("<f8").tobytes()
+    header = json.loads(raw[magic_end:end])
+    assert header["version"] == 2
+    assert header["dims"] == [list(widths) for widths in params.dims] == [[5, 6, 4], [4, 2], [4, 3]]
+    assert not {"arrays", "dim", "encoder_layers", "task_layers", "lf_layers"} & set(header)
+    loaded, _, _ = load_checkpoint(path)
+    assert loaded.dims == params.dims
+    assert np.array_equal(loaded.theta.view(np.int64), params.theta.view(np.int64))
+    assert loaded.theta.flags.aligned and loaded.theta.flags.writeable
+
+
+def version_1_header(header):
+    """``header`` rewritten the way the first checkpoint format laid it out."""
+    dims = header.pop("dims")
+    header.update(version=1, dim=dims[0][-1])
+    header.update((f"{prefix}_layers", len(widths) - 1) for prefix, widths in zip(("encoder", "task", "lf"), dims))
+    header["arrays"] = [
+        {"name": f"{prefix}.{i}.{kind}", "shape": shape}
+        for prefix, widths in zip(("encoder", "task", "lf"), dims)
+        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:]))
+        for kind, shape in (("W", [n_in, n_out]), ("b", [n_out]))
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    [
+        (version_1_header, "1"),
+        (lambda header: header.pop("version"), "None"),
+        (lambda header: header.update(version=3), "3"),
+        (lambda header: header.update(version="2"), "'2'"),
+        (lambda header: header.update(version=2.0), "2.0"),
+    ],
+    ids=["version_1", "missing", "version_3", "string", "float"],
+)
+def test_checkpoint_of_another_version_is_data_error(tmp_path, edit, shown):
+    path = edited_checkpoint(tmp_path, edit)
+    with pytest.raises(DataError, match=rf"model\.sepll: checkpoint format version {shown} is not 2; train again"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_payload_of_partial_values_is_data_error(tmp_path):
+    path = edited_checkpoint(tmp_path, lambda header: None)
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(DataError, match=r"model\.sepll: container payload is not whole float64 values"):
         load_checkpoint(path)
 
 
@@ -604,9 +695,10 @@ def test_checkpoint_non_finite_weight_is_data_error(tmp_path, name, value):
     from sepll.serialize import read_container, write_container
 
     path = edited_checkpoint(tmp_path, lambda h: None)
-    header, arrays = read_container(path)
-    arrays[name].reshape(-1)[-1] = value
-    write_container(path, header, arrays)
+    header, theta = read_container(path)
+    names, sizes = zip(*((n, view.size) for n, view in param_items(tiny_params(hidden=(6,)))))
+    theta[sum(sizes[: names.index(name) + 1]) - 1] = value  # the parameter's last element
+    write_container(path, header, theta)
     with pytest.raises(DataError, match=rf"model\.sepll: non-finite value in {name}"):
         load_checkpoint(path)
 

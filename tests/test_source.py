@@ -1,0 +1,39 @@
+"""Checks over the package source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "sepll"
+
+# called from outside the package only, by the benchmark harness in perfbench/
+CALLED_FROM_OUTSIDE = {"read_triplets", "read_mapping", "verify_manifest", "majority_vote"}
+
+
+def _is_click_command(fn: ast.FunctionDef) -> bool:
+    for decorator in fn.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def uncalled_functions(source: Path) -> set[str]:
+    """Functions and methods defined under ``source`` whose name is never loaded
+    there (as a name or an attribute), dunders and click commands aside."""
+    defined, loaded = set(), set()
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")) and not _is_click_command(node):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return defined - loaded
+
+
+def test_every_function_in_src_has_a_caller_in_src():
+    assert uncalled_functions(SOURCE) == CALLED_FROM_OUTSIDE
