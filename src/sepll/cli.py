@@ -1,10 +1,12 @@
 """Command-line interface: convert, apply-lfs, stats, synth, train, eval, analyze, ablate.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
+failure, 130 interrupted.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -50,7 +52,26 @@ from .trainer import VARIANT_ORDER, run_ablation, train
 _SEED = click.IntRange(min=0)  # numpy takes only non-negative integers as seeds
 
 
-@click.group(name="sepll")
+class _Interrupted(Exception):
+    """An interrupt during a command, carried past click, which would print a
+    blank line and turn it into :class:`click.Abort`."""
+
+
+class _Group(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except KeyboardInterrupt:
+            raise _Interrupted from None
+        except ctypes.ArgumentError as exc:
+            # a signal that lands while ctypes converts a kernel's arguments
+            # comes as ArgumentError('argument 1: KeyboardInterrupt: ')
+            if "KeyboardInterrupt" in str(exc):
+                raise _Interrupted from None
+            raise
+
+
+@click.group(name="sepll", cls=_Group)
 @click.version_option(__version__)
 def cli() -> None:
     """Weak-supervision classification from labeling-function matches."""
@@ -252,10 +273,10 @@ def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     run = _load_run(parse_config(config_path), config_path, seed)
     train_cfg = dataclasses.replace(run.cfg.train, seed=run.seed)
     match, mapping = _build_matrices(run, ("train",))
+    out_dir = _out_dir(out)  # before training: a run that then fails leaves it empty
     params, history, vocab = train(
         run.splits, match["train"], mapping, train_cfg, run.cfg.encoder, run.cfg.model
     )
-    out_dir = _out_dir(out)
     echo = run.echo()
     ckpt_file = out_dir / "checkpoint.sepll"
     save_checkpoint(ckpt_file, params, vocab, echo)
@@ -494,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except SepllError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
+    except _Interrupted:
+        click.echo("interrupted", err=True)
+        return 130
     return 0
 
 

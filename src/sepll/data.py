@@ -328,13 +328,14 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SplitSet:
         samples = []
         for i in range(size):
             k = int(labels[i])
+            # tokens drawn by index: the draws rng.choice makes, without its array conversion
             n_kw = int(rng.integers(3, 9))
-            tokens = list(rng.choice(words[k], size=n_kw))
+            tokens = [words[k][t] for t in rng.integers(0, len(words[k]), size=n_kw).tolist()]
             n_fill = int(rng.integers(0, 4))
-            tokens += list(rng.choice(_FILLER, size=n_fill))
+            tokens += [_FILLER[t] for t in rng.integers(0, len(_FILLER), size=n_fill).tolist()]
             if rng.random() < 0.1:  # slight cross-class leakage keeps the text signal non-trivial
                 other = int((k + 1 + rng.integers(spec.c - 1)) % spec.c)
-                tokens.append(str(rng.choice(words[other])))
+                tokens.append(words[other][int(rng.integers(len(words[other])))])
             order = rng.permutation(len(tokens))
             samples.append(Sample(id=i, text=" ".join(tokens[t] for t in order), gold_label=k))
         # each draw whole, in stream order; the int64 offsets become the weak labels in place

@@ -244,9 +244,16 @@ def ce_loss(q: np.ndarray, targets: np.ndarray) -> float:
 
 
 def predict_batch(params: SepLLParams, X) -> np.ndarray:
-    """Argmax class per row from the task head alone, through :func:`forward_chunks`;
-    ties go to the lowest index."""
-    return np.concatenate(forward_chunks(params, X, lambda rows, trace: np.argmax(trace.task_logits, axis=1)))
+    """Argmax class per row from the class path alone (the encoder and the task
+    head), over :func:`row_chunks` of ``X``; ties go to the lowest index. The
+    task logits are :func:`forward_batch`'s; the LF head is never run."""
+    preds = []
+    for rows in row_chunks(X.shape[0]):
+        z, _ = mlp_forward(params.encoder, X[rows], params.encoder_nonlinearity)
+        task_logits, _ = mlp_forward(params.task_head, z, params.head_nonlinearity)
+        check_finite("model logits", task_logits)
+        preds.append(np.argmax(task_logits, axis=1))
+    return np.concatenate(preds)
 
 
 @dataclass

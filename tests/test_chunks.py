@@ -1,8 +1,9 @@
 """Passes over a whole split in row chunks, checked against one-pass references.
 
-``memorization_report`` and ``predict_batch`` run the model through
-``sepll.model.forward_chunks``, ``inject_noise`` draws its noise in
-``row_chunks``, and each training batch builds the targets of its own rows.
+``memorization_report`` runs the model through ``sepll.model.forward_chunks``,
+``predict_batch`` runs the class path over the same ``row_chunks``,
+``inject_noise`` draws its noise in ``row_chunks``, and each training batch
+builds the targets of its own rows.
 The references below do the same work in one pass, as the code did before it
 was chunked. With ``ROW_CHUNK`` patched small they must agree bitwise at and
 around chunk multiples; the forward pass itself is compared at the real
@@ -24,7 +25,7 @@ from sepll import model
 from sepll.data import MappingMatrix, MatchMatrix, build_targets
 from sepll.encoder import EncoderConfig
 from sepll.evaluation import lf_match_predict, memorization_report
-from sepll.model import ce_loss, forward_batch, forward_chunks, init_params, predict_batch
+from sepll.model import ce_loss, forward_batch, forward_chunks, init_params, predict_batch, row_chunks
 from sepll.nnet import CSRMatrix, softmax
 from sepll.seeds import stream
 from sepll.trainer import TrainConfig, _fit, inject_noise
@@ -149,3 +150,23 @@ def test_forward_chunks_equal_one_pass(k, d, shape, seed):
     for field in ("z", "task_logits", "lf_logits", "combined_logits", "q", "task_probs"):
         assert_same_arrays(np.concatenate([getattr(t, field) for t in traces]), getattr(one, field))
     assert_same_arrays(predict_batch(params, X), np.argmax(one.task_logits, axis=1))
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_predict_batch_runs_the_class_path_alone(form, monkeypatch, to_csr):
+    # more rows than ROW_CHUNK, so the last of two chunks takes the remainder
+    n, V = 2 * model.ROW_CHUNK + 5, 30
+    rng = np.random.default_rng(21)
+    params = init_params(V, MappingMatrix(c=3, class_of=np.arange(7) % 3), SMALL_ENC, rng=rng)
+    X = rng.random((n, V)) * (rng.random((n, V)) < 0.2)
+    if form == "csr":
+        X = to_csr(X)
+    want = np.concatenate([np.argmax(forward_batch(params, X[rows]).task_logits, axis=1) for rows in row_chunks(n)])
+    mlp_forward = model.mlp_forward
+
+    def class_path_only(layers, *args):
+        assert layers is not params.lf_head, "predict_batch ran the LF head"
+        return mlp_forward(layers, *args)
+
+    monkeypatch.setattr(model, "mlp_forward", class_path_only)
+    assert_same_arrays(predict_batch(params, X), want)

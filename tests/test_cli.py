@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import hashlib
 import json
 import subprocess
@@ -19,6 +20,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
+from sepll import native
 from sepll.cli import main
 from sepll.errors import DataError
 from sepll.manifest import verify_manifest
@@ -285,6 +287,19 @@ def _out_below_a_file(*argv):
     return case
 
 
+def _never_training(build):
+    """``build``, with ``sepll.cli.train`` patched to fail the test if it is called."""
+
+    def case(tmp_path, request):
+        def train(*args, **kwargs):
+            pytest.fail("train ran before --out was checked")
+
+        request.getfixturevalue("monkeypatch").setattr("sepll.cli.train", train)
+        return build(tmp_path, request)
+
+    return case
+
+
 def _eval_version_1(tmp_path, request):
     """A case that evaluates a trained checkpoint whose header says version 1."""
     cfg, run_dir = request.getfixturevalue("trained")
@@ -350,7 +365,7 @@ MALFORMED_INPUTS = {
         "--out {tmp}/afile/x: cannot make the directory: Not a directory",
     ),
     "train --out below a file": (
-        _out_below_a_file("train", "--config", "{cfg}", "--out", "{tmp}/afile/x"),
+        _never_training(_out_below_a_file("train", "--config", "{cfg}", "--out", "{tmp}/afile/x")),
         1,
         "--out {tmp}/afile/x: cannot make the directory: Not a directory",
     ),
@@ -411,6 +426,23 @@ def test_malformed_input_exits_with_its_code_naming_it(tmp_path, capsys, request
 
 # ---------------------------------------------------------------------------
 # eval
+
+
+@pytest.mark.parametrize(
+    "interrupt",
+    [KeyboardInterrupt(), ctypes.ArgumentError("argument 1: KeyboardInterrupt: ")],
+    ids=["KeyboardInterrupt", "ArgumentError"],
+)
+def test_interrupted_train_exits_130_with_one_line(tmp_path, capsys, monkeypatch, interrupt):
+    # the ArgumentError is how ctypes reports a signal during a kernel's argument conversion
+    def adamw(*args):
+        raise interrupt
+
+    monkeypatch.setattr(native, "adamw", adamw)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert list(out.iterdir()) == []  # made before training, and no temporary file left
 
 
 def test_eval_writes_report(trained, tmp_path, capsys):

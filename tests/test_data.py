@@ -26,6 +26,7 @@ from sepll.data import (
 )
 from sepll.errors import DataError
 from sepll.lf_engine import majority_vote
+from sepll.seeds import stream
 
 
 def make_splits(weak_train, weak_dev=None, weak_test=None, c=2, texts=None):
@@ -568,6 +569,52 @@ def test_synth_deterministic():
         assert np.array_equal(a.raw_weak_labels[name], b.raw_weak_labels[name])
     c = synth_dataset(SynthSpec(n_train=30, n_dev=10, n_test=10), seed=10)
     assert a.train != c.train
+
+
+def old_synth_dataset(spec: SynthSpec, seed: int) -> SplitSet:
+    """synth_dataset as it drew its tokens with ``rng.choice`` on Python lists,
+    and its weak labels in one expression: the oracle of its stream."""
+    rng = stream(seed, "synth")
+    m0 = spec.c * spec.m_per_class
+    words = [[f"topic{k}word{t}" for t in range(12)] for k in range(spec.c)]
+    filler = ("the", "and", "of", "to", "a", "in", "it", "is")
+    splits, weak = {}, {}
+    for name, size in (("train", spec.n_train), ("dev", spec.n_dev), ("test", spec.n_test)):
+        labels = rng.integers(spec.c, size=size)
+        samples = []
+        for i in range(size):
+            k = int(labels[i])
+            n_kw = int(rng.integers(3, 9))
+            tokens = list(rng.choice(words[k], size=n_kw))
+            n_fill = int(rng.integers(0, 4))
+            tokens += list(rng.choice(filler, size=n_fill))
+            if rng.random() < 0.1:
+                other = int((k + 1 + rng.integers(spec.c - 1)) % spec.c)
+                tokens.append(str(rng.choice(words[other])))
+            order = rng.permutation(len(tokens))
+            samples.append(Sample(id=i, text=" ".join(tokens[t] for t in order), gold_label=k))
+        fires = rng.random((size, m0)) < spec.lf_coverage
+        correct = rng.random((size, m0)) < spec.lf_accuracy
+        wrong = (labels[:, None] + rng.integers(1, spec.c, size=(size, m0))) % spec.c
+        weak[name] = np.where(fires, np.where(correct, labels[:, None], wrong), -1)
+        splits[name] = tuple(samples)
+    names = tuple(f"class_{k}" for k in range(spec.c))
+    return SplitSet(splits["train"], splits["dev"], splits["test"], names, weak)
+
+
+@given(
+    c=st.integers(2, 6),
+    m_per_class=st.integers(1, 4),
+    sizes=st.tuples(*[st.integers(0, 40)] * 3),
+    seed=st.integers(0, 2**32),
+)
+def test_synth_draws_the_stream_of_rng_choice(c, m_per_class, sizes, seed):
+    spec = SynthSpec(c=c, m_per_class=m_per_class, n_train=sizes[0], n_dev=sizes[1], n_test=sizes[2])
+    got, want = synth_dataset(spec, seed), old_synth_dataset(spec, seed)
+    assert (got.train, got.dev, got.test, got.class_names) == (want.train, want.dev, want.test, want.class_names)
+    for name in ("train", "dev", "test"):
+        assert np.array_equal(got.raw_weak_labels[name], want.raw_weak_labels[name])
+        assert got.raw_weak_labels[name].dtype == np.int64
 
 
 def test_synth_noiseless_majority_vote_recovers_gold():

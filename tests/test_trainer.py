@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import as_gradient, match_from_dense, match_to_dense, traced_peak
 from hypothesis import given, strategies as st
 
+from sepll import native
 from sepll.data import (
     MappingMatrix,
     MatchMatrix,
@@ -138,6 +141,56 @@ def test_adamw_two_steps_match_reference_loop(native_paths):
         assert state.step == 2
 
 
+def spread_moments(rng, n):
+    """(m, v) over many magnitudes, in four kinds of n elements each: v on m's
+    square, m and v independent, m near or below the smallest normal with
+    sqrt(v) >= 1 (subnormal updates), and a zero of either sign in m or zero v.
+    Outside the third kind m is at least 1e-150, so every product and quotient
+    of either form stays normal unless the update itself is subnormal."""
+
+    def signed(lo, hi):
+        return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(lo, hi, size=n)
+
+    m = np.concatenate([
+        g := signed(-150, 150),
+        signed(-150, 150),
+        signed(-323.3, -300),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0)[: n // 2],
+        signed(-150, 150)[n // 2 :],
+    ])  # fmt: skip
+    v = np.concatenate([
+        g * g * 10.0 ** rng.uniform(-8, 4, size=n),
+        10.0 ** rng.uniform(-300, 300, size=n),
+        10.0 ** rng.uniform(0, 300, size=n),
+        10.0 ** rng.uniform(-300, 300, size=n)[: n // 2],
+        np.zeros(n - n // 2),
+    ])  # fmt: skip
+    return m, v
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 10, 100, 1000, 9999, 10_000])
+def test_adamw_update_tracks_the_textbook_form(step, native_paths):
+    # The step folds both bias corrections into two scalars; the textbook form
+    # divides by each. Each form rounds at most eight times, so they agree to 16
+    # ulps of the textbook update. In the subnormal range an ulp is the smallest
+    # subnormal, so there the bound is 16 of those.
+    W = 64
+    for path in native_paths():
+        for lr in (1e-4, 0.05):
+            m, v = spread_moments(np.random.default_rng(step), 2048)
+            theta = np.zeros_like(m)  # theta minus an update is minus the update
+            rows = np.arange(0, m.size // W, 2)  # every other row, whose -0.0 gradient keeps m's signed zeros
+            first, rest = np.full((rows.size, W), -0.0), np.full(0, -0.0)
+            assert native.adamw(theta, m, v, rows, first, rest, step, lr, 0.0) == -1
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            textbook = lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            assert np.all(np.isfinite(textbook))
+            ulps = np.abs(-theta - textbook) / np.spacing(np.abs(textbook))
+            assert ulps.max() <= 16, (path, lr, float(ulps.max()))
+            subnormal = (textbook != 0) & (np.abs(textbook) < np.finfo(np.float64).tiny)
+            assert subnormal.any() and (textbook == 0).any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update(native_paths):
     for _ in native_paths():
@@ -184,16 +237,18 @@ def multi_block_params():
 
 
 def reference_adamw_step(params, grad, m_ref, v_ref, t, cfg, lr):
-    # the whole-array AdamW update that the blocked step must reproduce bit for bit
+    # the whole-array AdamW update that the blocked step must reproduce bit for
+    # bit, with both bias corrections folded into a step size and an epsilon
     b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
+    step_size, eps_hat = lr * math.sqrt(bc2) / bc1, eps * math.sqrt(bc2)
     theta, g, m, v = params.theta, grad, m_ref, v_ref
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * (g * g)
-    update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    update = m * step_size / (np.sqrt(v) + eps_hat)
     if cfg.weight_decay:
         update = update + lr * cfg.weight_decay * theta
     theta -= update
