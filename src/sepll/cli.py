@@ -1,7 +1,7 @@
 """Command-line interface: convert, apply-lfs, stats, synth, train, eval, analyze, ablate.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
-failure, 130 interrupted.
+Exit codes: 0 success, 1 usage or config error, a failed write or no memory
+left, 2 data error, 3 numerical failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -503,9 +503,8 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping errors onto documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        # click returns the code of a command that exits, and None when it returns
+        return cli.main(args=argv, standalone_mode=False) or 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
@@ -515,10 +514,12 @@ def main(argv: list[str] | None = None) -> int:
     except SepllError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
+        return 1
     except _Interrupted:
         click.echo("interrupted", err=True)
         return 130
-    return 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,12 @@ class ConfigError(SepllError):
     exit_code = 1
 
 
+class WriteError(SepllError):
+    """An artifact that could not be written."""
+
+    exit_code = 1
+
+
 class DataError(SepllError):
     """Malformed or inconsistent input data."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import MatchMatrix, build_targets
 from .errors import ConfigError, DataError
-from .model import ForwardTrace, SepLLParams, forward_chunks, row_log_likelihoods
+from .model import ForwardTrace, SepLLParams, forward_batch, row_chunks, row_log_likelihoods
 from .nnet import softmax
 from .serialize import write_csv, write_text
 
@@ -157,7 +157,7 @@ def memorization_report(
     cross-entropy against the :func:`build_targets` rows is restricted to
     samples with at least one true match, where it is well defined.
 
-    The model runs through :func:`forward_chunks`, so nothing here is n x m:
+    The model runs over :func:`row_chunks` of ``X``, so nothing here is n x m:
     the cells come from integer counts and each cross-entropy from per-row
     sums whose mean is taken once, as one pass over all rows would take it.
     """
@@ -167,9 +167,10 @@ def memorization_report(
         raise DataError(f"LF dimension mismatch: model has m={params.mapping.m}, matches m={match.m}")
     if not match.pairs.size:
         raise DataError("memorization analysis needs at least one matched sample")
-    chunks = forward_chunks(
-        params, X, lambda rows, trace: _chunk_scores(trace, match.take(rows), params.mapping.class_of, k)
-    )
+    chunks = [
+        _chunk_scores(forward_batch(params, X[rows]), match.take(rows), params.mapping.class_of, k)
+        for rows in row_chunks(match.n)
+    ]
     cells, true = match.n * match.m, match.pairs.shape[0]
     paths = {}
     for p, name in enumerate(("lf_latent", "full", "task_mapped")):

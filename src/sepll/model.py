@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .nnet import ACTIVATIONS, Layer, RowSparse, check_finite, init_mlp, mlp_bac
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
-
-T = TypeVar("T")
 
 # Rows per forward pass when the model runs over a whole split (eval, analyze,
 # the dev metric); a multiple of 256, see :func:`row_chunks`. A chunk gives each
@@ -128,7 +126,6 @@ class ForwardTrace:
     lf_logits: np.ndarray
     combined_logits: np.ndarray
     q: np.ndarray
-    task_probs: np.ndarray
 
 
 def init_params(
@@ -195,14 +192,7 @@ def _forward_with_caches(params: SepLLParams, X):
 
 def forward_batch(params: SepLLParams, X) -> ForwardTrace:
     z, task_logits, lf_logits, combined, *_ = _forward_with_caches(params, X)
-    return ForwardTrace(
-        z=z,
-        task_logits=task_logits,
-        lf_logits=lf_logits,
-        combined_logits=combined,
-        q=softmax(combined),
-        task_probs=softmax(task_logits),
-    )
+    return ForwardTrace(z, task_logits, lf_logits, combined_logits=combined, q=softmax(combined))
 
 
 def row_chunks(n: int) -> Iterator[slice]:
@@ -211,13 +201,6 @@ def row_chunks(n: int) -> Iterator[slice]:
     has a shorter chunk. One empty slice when ``n`` is 0."""
     for lo in range(0, max(n // ROW_CHUNK, 1) * ROW_CHUNK, ROW_CHUNK):
         yield slice(lo, lo + ROW_CHUNK if lo + 2 * ROW_CHUNK <= n else n)
-
-
-def forward_chunks(params: SepLLParams, X, fn: Callable[[slice, ForwardTrace], T]) -> list[T]:
-    """``fn(rows, trace)`` for each :func:`row_chunks` slice ``rows`` of ``X``, where
-    ``trace`` is :func:`forward_batch` of those rows; the results in row order.
-    Each trace is dropped once ``fn`` returns, so one chunk's outputs are alive at a time."""
-    return [fn(rows, forward_batch(params, X[rows])) for rows in row_chunks(X.shape[0])]
 
 
 def row_log_likelihoods(q: np.ndarray, targets: np.ndarray) -> np.ndarray:

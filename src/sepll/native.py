@@ -1,5 +1,5 @@
-"""The training step's inner loops in C: the fused AdamW step and the sparse
-row sums behind the first layer's products, compiled into one library with the
+"""The model's inner loops in C: the fused AdamW step and the sparse row sums
+behind the first layer's products, compiled into one library with the
 system C compiler and loaded through ctypes, with their numpy equivalents.
 
 The shared library is cached in ``$XDG_CACHE_HOME/sepll`` (``~/.cache/sepll``
@@ -14,14 +14,14 @@ On x86-64 with glibc each kernel is compiled once per instruction set in
 cache key needs no CPU model, and one cached library runs on any x86-64
 machine. Elsewhere the kernels are compiled for the compiler's default target.
 
-Callers use :func:`adamw` and :func:`row_sums`, which run the kernel where
-:func:`load` has loaded it in this process and numpy otherwise; both paths give
-every element the same operations in the same order, so the same bits.
-Training calls :func:`load` before its first step. It builds the library if
-needed and decides for the whole process: where the compiler is missing, the
-build or the load fails, the library lacks a kernel, or the cache directory
-cannot be written, both kernels are off. Nothing else builds, so commands that
-never train build and load nothing and keep the numpy paths.
+Callers use :func:`adamw` and :func:`row_sums`, which run the kernel where it
+loaded and numpy otherwise; both paths give every element the same operations
+in the same order, so the same bits. The first call of either in a process
+calls :func:`load`, which builds the library if needed, loads it and decides
+for the rest of the process: where the compiler is missing, the build or the
+load fails, the library lacks a kernel, or the cache directory cannot be
+written, both kernels are off and numpy runs. A command that never multiplies
+or steps builds and loads nothing.
 """
 
 from __future__ import annotations
@@ -172,11 +172,6 @@ def load() -> Kernels | None:
     return _kernels
 
 
-def loaded() -> Kernels | None:
-    """The kernels if :func:`load` has loaded them in this process; never builds."""
-    return None if _kernels is _UNSET else _kernels
-
-
 # AdamW's moment decay rates and denominator offset
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Elements per block of numpy's AdamW step: 32768 float64 are 256 KiB per
@@ -254,7 +249,7 @@ def _adamw_block(theta, m, v, rows, grad, step_size, eps_hat, decay) -> int:
     """:func:`adamw` on one (n_rows, width) block of C-contiguous views, for a
     checked gradient of ``rows``; returns -1 or the index in the block."""
     (n_rows, width), grad = theta.shape, np.ascontiguousarray(grad, dtype=np.float64)
-    kernels = loaded()
+    kernels = load()
     if kernels is not None:
         return kernels.adamw(
             theta, m, v, n_rows, width, rows, rows.size, grad,
@@ -307,7 +302,7 @@ def row_sums(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, V: np.nd
     """
     n = indptr.size - 1
     out = np.empty((n, V.shape[1]))
-    kernels = loaded()
+    kernels = load()
     if kernels is not None:
         data, indices, indptr, V = map(np.ascontiguousarray, (data, indices, indptr, V))
         kernels.row_sums(data, indices, indptr, n, V, V.shape[1], out)

@@ -11,7 +11,8 @@ Every file the package reads goes through :func:`read_text` or
 :func:`read_container`; an unreadable one is a :class:`DataError` naming it.
 
 Every artifact the package writes goes through :func:`atomic_open`, so a
-reader sees either the previous file or the complete new one.
+reader sees either the previous file or the complete new one, and a write that
+fails is a :class:`WriteError` naming the file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, WriteError
 
 MAGIC = b"SEPLL-BIN1\n"
 
@@ -35,15 +36,18 @@ MAGIC = b"SEPLL-BIN1\n"
 @contextmanager
 def atomic_open(path) -> Iterator[BinaryIO]:
     """Binary handle on a temporary file next to ``path``. It replaces ``path``
-    when the block completes and is deleted when the block raises."""
+    when the block completes and is deleted when the block raises; an OSError
+    (a full disk, say) then becomes a :class:`WriteError` naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise WriteError(f"{path}: cannot write: {exc.strerror or exc}") from None
         raise
 
 

@@ -257,7 +257,6 @@ def _fit(
     rng_init = stream(config.seed, "init")
     rng_shuffle = stream(config.seed, "shuffle")
     rng_noise = stream(config.seed, "noise")
-    native.load()  # the kernels run from here on, where they could be built
     params = init_params(X_train.shape[1], mapping, encoder_config, model_config, rng_init)
     # noise only adds matches to rows that already have one, so no epoch changes this set
     train_rows = np.arange(match_train.n) if config.use_unlabeled else np.flatnonzero(match_train.row_counts())

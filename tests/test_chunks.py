@@ -1,7 +1,7 @@
 """Passes over a whole split in row chunks, checked against one-pass references.
 
-``memorization_report`` runs the model through ``sepll.model.forward_chunks``,
-``predict_batch`` runs the class path over the same ``row_chunks``,
+``memorization_report`` runs ``forward_batch`` over ``sepll.model.row_chunks``,
+``predict_batch`` runs the class path over the same chunks,
 ``inject_noise`` draws its noise in ``row_chunks``, and each training batch
 builds the targets of its own rows.
 The references below do the same work in one pass, as the code did before it
@@ -25,7 +25,7 @@ from sepll import model
 from sepll.data import MappingMatrix, MatchMatrix, build_targets
 from sepll.encoder import EncoderConfig
 from sepll.evaluation import lf_match_predict, memorization_report
-from sepll.model import ce_loss, forward_batch, forward_chunks, init_params, predict_batch, row_chunks
+from sepll.model import ce_loss, forward_batch, init_params, predict_batch, row_chunks
 from sepll.nnet import CSRMatrix, softmax
 from sepll.seeds import stream
 from sepll.trainer import TrainConfig, _fit, inject_noise
@@ -95,7 +95,7 @@ def test_small_chunks_equal_one_pass(k, d, seed, density):
         # the memorization cells, against a one-pass reference from the same forward outputs
         params = init_params(20, mapping, SMALL_ENC, rng=np.random.default_rng(seed))
         X = random_csr(rng, n, 20)
-        traces = forward_chunks(params, X, lambda rows, trace: trace)
+        traces = [forward_batch(params, X[rows]) for rows in row_chunks(n)]
         if match.pairs.size:
             report = memorization_report(params, X, match, k=2)
             want = one_pass_memorization_cells(traces, match, mapping.class_of, k=2)
@@ -144,10 +144,10 @@ def test_forward_chunks_equal_one_pass(k, d, shape, seed):
     params = init_params(V, MappingMatrix(c=c, class_of=np.arange(m) % c), EncoderConfig(), rng=rng)
     X = random_csr(rng, n, V, nnz=8)
     one = forward_batch(params, X)
-    traces = forward_chunks(params, X, lambda rows, trace: trace)
+    traces = [forward_batch(params, X[rows]) for rows in row_chunks(n)]
     sizes = [t.z.shape[0] for t in traces]
     assert sum(sizes) == n and min(n, model.ROW_CHUNK) <= min(sizes) <= max(sizes) < 2 * model.ROW_CHUNK
-    for field in ("z", "task_logits", "lf_logits", "combined_logits", "q", "task_probs"):
+    for field in ("z", "task_logits", "lf_logits", "combined_logits", "q"):
         assert_same_arrays(np.concatenate([getattr(t, field) for t in traces]), getattr(one, field))
     assert_same_arrays(predict_batch(params, X), np.argmax(one.task_logits, axis=1))
 

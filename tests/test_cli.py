@@ -10,10 +10,12 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from conftest import child_env
 from hypothesis import given, settings, strategies as st
+from test_config_manifest import DiskFull
 
 try:
     import tomllib
@@ -21,7 +23,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 from sepll import native
-from sepll.cli import main
+from sepll.cli import cli, main
 from sepll.errors import DataError
 from sepll.manifest import verify_manifest
 from sepll.model import load_checkpoint
@@ -300,6 +302,22 @@ def _never_training(build):
     return case
 
 
+def _full_disk_for(name: str, build):
+    """``build``, with ``sepll.serialize.open`` giving the temporary file of an
+    artifact called ``name`` a full disk."""
+
+    def opener(path, mode="r", *args, **kwargs):
+        if Path(path).name.startswith(f".{name}."):
+            return DiskFull(path, mode)
+        return open(path, mode, *args, **kwargs)
+
+    def case(tmp_path, request):
+        request.getfixturevalue("monkeypatch").setattr("sepll.serialize.open", opener, raising=False)
+        return build(tmp_path, request)
+
+    return case
+
+
 def _eval_version_1(tmp_path, request):
     """A case that evaluates a trained checkpoint whose header says version 1."""
     cfg, run_dir = request.getfixturevalue("trained")
@@ -324,7 +342,7 @@ def _convert_files(fmt: str, files: dict[str, str]):
 # One row per malformed input that used to end in a traceback, a wrong exit
 # code or a silent success: case -> (argv builder, exit code, text that stderr
 # must hold, with {tmp} for the test's directory). Exit 1 is a config or usage
-# error, exit 2 a data error.
+# error, a failed write or no memory left, exit 2 a data error.
 MALFORMED_INPUTS = {
     "learning_rate is nan": (_train_with("max_epochs", "learning_rate = nan\nmax_epochs"), 1, "learning_rate"),
     "learning_rate is inf": (_train_with("max_epochs", "learning_rate = inf\nmax_epochs"), 1, "learning_rate"),
@@ -410,6 +428,18 @@ MALFORMED_INPUTS = {
         2,
         "{tmp}/data/label.json: ",
     ),
+    "train checkpoint write hits a full disk": (
+        _full_disk_for("checkpoint.sepll", _command("train", "--config", "{cfg}", "--out", "{tmp}/run")),
+        1,
+        "{tmp}/run/checkpoint.sepll: cannot write: No space left on device",
+    ),
+    # theta would take about 212 TB, more than a 47-bit address space holds, so
+    # its allocation fails under any overcommit setting
+    "encoder dim is 10**11": (
+        _train_with("hidden = 16\ndim = 8", "hidden = 256\ndim = 100000000000"),
+        1,
+        "error: out of memory: Unable to allocate",
+    ),
 }
 
 
@@ -422,6 +452,18 @@ def test_malformed_input_exits_with_its_code_naming_it(tmp_path, capsys, request
     err = capsys.readouterr().err
     assert named.format(tmp=tmp_path) in err
     assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))  # no temporary file left behind
+
+
+def test_exit_code_of_a_command_that_exits_is_returned(monkeypatch):
+    @click.command("exit-three")
+    @click.pass_context
+    def exit_three(ctx):
+        ctx.exit(3)
+
+    monkeypatch.setitem(cli.commands, "exit-three", exit_three)
+    assert main(["exit-three"]) == 3
+    assert main(["--version"]) == 0
 
 
 # ---------------------------------------------------------------------------

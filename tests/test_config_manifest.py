@@ -16,7 +16,7 @@ from sepll import config
 from sepll.config import parse_config
 from sepll.data import SynthSpec, write_triplets
 from sepll.encoder import EncoderConfig
-from sepll.errors import ConfigError, DataError
+from sepll.errors import ConfigError, DataError, WriteError
 from sepll.model import ModelConfig
 from sepll.lf_engine import PerLfStats
 from sepll.manifest import build_manifest, file_digest, verify_manifest
@@ -304,7 +304,7 @@ def test_failed_container_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "x.bin"
     write_container(path, {"kind": "demo"}, np.arange(4, dtype=np.float64))
     before = path.read_bytes()
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(WriteError, match="No space left"):
         write_container(path, {"kind": "demo"}, FailsOnWrite())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
@@ -325,7 +325,7 @@ def test_failed_container_write_keeps_previous_file(tmp_path, monkeypatch):
         before = (tmp_path / name).read_bytes()
         with monkeypatch.context() as patch:
             patch.setattr(sepll.serialize, "open", DiskFull, raising=False)
-            with pytest.raises(OSError, match="No space left"):
+            with pytest.raises(WriteError, match="No space left"):
                 write(40)
         assert (tmp_path / name).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["L_train.triplets", "history.csv", "x.bin"]

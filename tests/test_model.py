@@ -64,14 +64,15 @@ def test_combined_logits_hand_example():
     assert np.allclose(trace.lf_logits, [[0.5, -0.5, 0.0]], atol=1e-15)
     assert np.allclose(trace.combined_logits, [[2.5, 0.5, 1.0]], atol=1e-15)
     assert np.allclose(trace.q.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(trace.task_probs.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(softmax_rows(trace.task_logits).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_task_probs_frozen_softmax_oracle():
     params = zeroed_heads(tiny_params(), task_bias=[2.0, 1.0], lf_bias=[0.0, 0.0, 0.0])
     trace = forward_batch(params, np.zeros((1, 5)))
-    assert abs(trace.task_probs[0, 0] - SOFT_21[0]) <= 1e-15
-    assert abs(trace.task_probs[0, 1] - SOFT_21[1]) <= 1e-15
+    task_probs = softmax_rows(trace.task_logits)
+    assert abs(task_probs[0, 0] - SOFT_21[0]) <= 1e-15
+    assert abs(task_probs[0, 1] - SOFT_21[1]) <= 1e-15
 
 
 def test_softmax_rows_shift_invariant_and_stable():

@@ -1,7 +1,7 @@
 """The compiled kernels: where they are cached, that they are built where a
 compiler exists, that every clone target gives numpy's bits, that every failure
 falls back to the numpy paths with the same artifacts, and that commands which
-never train never build them."""
+never multiply never build them."""
 
 from __future__ import annotations
 
@@ -75,10 +75,10 @@ def test_library_path_is_keyed_by_source_under_the_cache_home(monkeypatch, tmp_p
 @needs_cc
 def test_kernel_is_built_and_loaded_where_a_compiler_exists(fresh):
     # a silent fallback here would hide the lost speed
-    assert native.loaded() is None
+    assert native._kernels is native._UNSET
     assert native.load() is not None
     assert [p.name for p in fresh.iterdir()] == [native.library_path().name]
-    assert native.load() is native.load() is native.loaded()  # decided once per process
+    assert native.load() is native.load() is native._kernels  # decided once per process
 
 
 @needs_cc
@@ -154,19 +154,52 @@ def test_importing_the_cli_builds_nothing(fresh):
     assert not fresh.parent.exists()
 
 
-def test_commands_that_do_not_train_build_nothing(tmp_path, monkeypatch):
+def test_commands_that_never_multiply_build_nothing(fresh, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    lfs = "\n[lfs]\nrule_a = keyword class_0 topic0word0\nrule_b = keyword class_1 topic1word0\n"
+    cfg.write_text(CONFIG + lfs, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-train", "20", "--n-dev", "5", "--n-test", "5"]) == 0
+    assert main(["convert", str(data), "--out", str(tmp_path / "converted")]) == 0
+    assert main(["apply-lfs", "--config", str(cfg), "--out", str(tmp_path / "label")]) == 0
+    assert main(["stats", "--config", str(cfg), "--out", str(tmp_path / "stats")]) == 0
+    assert native._kernels is native._UNSET
+    assert not fresh.parent.exists()
+
+
+def test_eval_and_analyze_write_the_same_bytes_on_either_path(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    monkeypatch.setattr(native, "_kernels", native._UNSET)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     checkpoint = ["--checkpoint", str(run / "checkpoint.sepll"), "--config", str(cfg)]
-    assert main(["eval", *checkpoint, "--split", "test", "--out", str(tmp_path / "eval")]) == 0
-    assert main(["analyze", *checkpoint, "--which", "memorization", "--out", str(tmp_path / "an")]) == 0
-    assert main(["stats", "--config", str(cfg), "--out", str(tmp_path / "stats")]) == 0
-    assert native._kernels is native._UNSET
-    assert not (tmp_path / "cache").exists()
+    out = tmp_path / "out"
+    commands = {
+        "eval": ["eval", *checkpoint, "--split", "test"],
+        "memorization": ["analyze", *checkpoint, "--which", "memorization", "--plot"],
+        "gap": ["analyze", *checkpoint, "--which", "gap"],
+        "matches": ["analyze", *checkpoint, "--which", "matches", "--plot"],
+    }
+
+    def outputs() -> dict[str, bytes]:
+        """Each command's files, all written to the one --out path, so that the
+        manifests name the same paths."""
+        files = {}
+        for name, argv in commands.items():
+            assert main([*argv, "--out", str(out)]) == 0
+            files.update((f"{name}/{p.name}", p.read_bytes()) for p in out.iterdir())
+            shutil.rmtree(out)
+        return files
+
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
+    kernel = outputs()
+    assert (native._kernels is None) == (shutil.which("cc") is None)
+    monkeypatch.setattr(native, "_kernels", native._UNSET)
+    (tmp_path / "cache-file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-file"))
+    assert outputs() == kernel
+    assert native._kernels is None
+    assert len(kernel) == 12
 
 
 def cpu_runs(target: str) -> bool:
