@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .config import DataConfig, RunConfig, parse_config
 from .data import (
+    DATASET_FORMATS,
     SPLIT_NAMES,
     ConversionProvenance,
     MappingMatrix,
@@ -34,6 +35,7 @@ from .data import (
 from .encoder import featurize_split
 from .errors import ConfigError, DataError, SepllError
 from .evaluation import (
+    METRICS,
     breakdown_to_csv,
     match_count_breakdown,
     memorization_report,
@@ -77,36 +79,39 @@ def cli() -> None:
     """Weak-supervision classification from labeling-function matches."""
 
 
+def _run_config(config_path: str, seed: int | None) -> RunConfig:
+    """The config at ``config_path``, its root seed (``train.seed``) overridden by ``--seed``."""
+    run_cfg = parse_config(config_path)
+    if seed is None:
+        return run_cfg
+    return dataclasses.replace(run_cfg, train=dataclasses.replace(run_cfg.train, seed=seed))
+
+
 @dataclasses.dataclass
 class _Run:
-    """A command's config, its root seed, the splits it loaded and the files it read."""
+    """A command's config, the splits it loaded and the files it read."""
 
     cfg: RunConfig
-    seed: int
     splits: SplitSet
     inputs: dict[str, Path]  # manifest inputs: the config and the dataset files
 
     def echo(self) -> dict:
-        """The config echo with the root seed and class names, as manifests record it."""
-        echo = self.cfg.to_echo_dict()
-        echo["train"]["seed"] = self.seed
-        echo["class_names"] = list(self.splits.class_names)
-        return echo
+        """The config echo with the class names, as manifests record it."""
+        return {**self.cfg.to_echo_dict(), "class_names": list(self.splits.class_names)}
 
 
-def _load_run(run_cfg: RunConfig, config_path: str, seed: int | None) -> _Run:
-    """The data of ``run_cfg``, under the root seed that ``--seed`` overrides."""
+def _load_run(run_cfg: RunConfig, config_path: str) -> _Run:
+    """The data of ``run_cfg``, read from ``config_path``."""
     if run_cfg.data is None:
-        raise ConfigError("config needs a [data] section for this command")
-    root_seed = int(seed if seed is not None else run_cfg.train.seed)
+        raise ConfigError(f"{config_path}: config needs a [data] section for this command")
     data_cfg = run_cfg.data
     inputs = {"config": Path(config_path)}
     if data_cfg.format == "synth":
-        splits = synth_dataset(data_cfg.synth, root_seed)
+        splits = synth_dataset(data_cfg.synth, run_cfg.train.seed)
     else:
         splits = load_dataset(data_cfg.path, data_cfg.format)
         inputs.update((f.name, f) for f in dataset_files(data_cfg.path, data_cfg.format))
-    return _Run(run_cfg, root_seed, splits, inputs)
+    return _Run(run_cfg, splits, inputs)
 
 
 def _out_dir(out: str) -> Path:
@@ -135,7 +140,10 @@ def _build_matrices(
     """
     splits = run.splits
     if run.cfg.lf_entries:
-        lfs = parse_lf_entries(run.cfg.lf_entries, splits.class_names)
+        try:
+            lfs = parse_lf_entries(run.cfg.lf_entries, splits.class_names)
+        except ConfigError as exc:
+            raise ConfigError(f"{run.inputs['config']}: [lfs] {exc}") from None
         match = {name: apply_lfs(lfs, splits.split(name)) for name in names}
         return match, mapping_from_lfs(lfs, splits.n_classes)
     conv = to_one_class_lfs(splits)
@@ -168,7 +176,7 @@ def _write_provenance(
 
 @cli.command()
 @click.argument("in_path", type=click.Path(exists=True, file_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["wrench-json", "jsonl"]), default="wrench-json")
+@click.option("--format", "fmt", type=click.Choice(DATASET_FORMATS), default="wrench-json")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def convert(in_path: str, fmt: str, out: str) -> None:
     """Convert dataset weak labels into one-class match/mapping matrices."""
@@ -188,13 +196,13 @@ def convert(in_path: str, fmt: str, out: str) -> None:
 @click.option("--seed", type=_SEED, default=None, help="root seed override")
 def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
     """Apply config-defined labeling functions and write match matrices."""
-    run_cfg = parse_config(config_path)
+    run_cfg = _run_config(config_path, seed)
     if not run_cfg.lf_entries:
-        raise ConfigError("config has no [lfs] section to apply")
-    run = _load_run(run_cfg, config_path, seed)
+        raise ConfigError(f"{config_path}: config has no [lfs] section to apply")
+    run = _load_run(run_cfg, config_path)
     match, mapping = _build_matrices(run)
     out_dir, artifacts = _write_label_dir(out, match, mapping)
-    _finish(out_dir, run.seed, run.echo(), run.inputs, artifacts)
+    _finish(out_dir, run_cfg.train.seed, run.echo(), run.inputs, artifacts)
     click.echo(f"applied {mapping.m} LFs to {sum(m.n for m in match.values())} samples")
 
 
@@ -204,7 +212,7 @@ def apply_lfs_cmd(config_path: str, out: str, seed: int | None) -> None:
 @click.option("--seed", type=_SEED, default=None, help="root seed override")
 def stats(config_path: str, out: str | None, seed: int | None) -> None:
     """Per-LF and dataset-level match statistics for every split."""
-    run = _load_run(parse_config(config_path), config_path, seed)
+    run = _load_run(_run_config(config_path, seed), config_path)
     match, mapping = _build_matrices(run)
     payload = {}
     for name in SPLIT_NAMES:
@@ -220,43 +228,33 @@ def stats(config_path: str, out: str | None, seed: int | None) -> None:
     out_dir = _out_dir(out)
     stats_file = out_dir / "stats.json"
     write_json(stats_file, payload)
-    _finish(out_dir, run.seed, run.echo(), run.inputs, {"stats": stats_file})
+    _finish(out_dir, run.cfg.train.seed, run.echo(), run.inputs, {"stats": stats_file})
     click.echo(f"wrote {stats_file}")
+
+
+# the SynthSpec fields whose flag is not the field name with dashes, as --n-train is for n_train
+_SYNTH_FLAGS = {"c": "--classes", "m_per_class": "--lfs-per-class"}
+
+
+def _synth_spec_options(command):
+    """One option per :class:`SynthSpec` field, with the field's type and default, in field order."""
+    for field in reversed(dataclasses.fields(SynthSpec)):
+        flag = _SYNTH_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+        command = click.option(flag, field.name, type=type(field.default), default=field.default)(command)
+    return command
 
 
 @cli.command()
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=_SEED, default=0)
-@click.option("--classes", type=int, default=2)
-@click.option("--lfs-per-class", type=int, default=3)
-@click.option("--n-train", type=int, default=2000)
-@click.option("--n-dev", type=int, default=500)
-@click.option("--n-test", type=int, default=500)
-@click.option("--lf-accuracy", type=float, default=0.85)
-@click.option("--lf-coverage", type=float, default=0.5)
-@click.option("--format", "fmt", type=click.Choice(["wrench-json", "jsonl"]), default="wrench-json")
-def synth(
-    out: str,
-    seed: int,
-    classes: int,
-    lfs_per_class: int,
-    n_train: int,
-    n_dev: int,
-    n_test: int,
-    lf_accuracy: float,
-    lf_coverage: float,
-    fmt: str,
-) -> None:
+@_synth_spec_options
+@click.option("--format", "fmt", type=click.Choice(DATASET_FORMATS), default="wrench-json")
+def synth(out: str, seed: int, fmt: str, **spec_fields) -> None:
     """Generate the synthetic keyword corpus with noisy labeling functions."""
-    spec = SynthSpec(
-        c=classes,
-        m_per_class=lfs_per_class,
-        n_train=n_train,
-        n_dev=n_dev,
-        n_test=n_test,
-        lf_accuracy=lf_accuracy,
-        lf_coverage=lf_coverage,
-    )
+    try:
+        spec = SynthSpec(**spec_fields)
+    except DataError as exc:  # a flag out of range
+        raise ConfigError(str(exc)) from None
     splits = synth_dataset(spec, seed)
     out_dir = _out_dir(out)
     artifacts = {f.name: f for f in save_dataset(splits, out_dir, fmt)}
@@ -270,19 +268,27 @@ def synth(
 @click.option("--seed", type=_SEED, default=None, help="root seed override")
 def train_cmd(config_path: str, out: str, seed: int | None) -> None:
     """Train the two-path model and write checkpoint, history, manifest."""
-    run = _load_run(parse_config(config_path), config_path, seed)
-    train_cfg = dataclasses.replace(run.cfg.train, seed=run.seed)
+    run = _load_run(_run_config(config_path, seed), config_path)
+    train_cfg = run.cfg.train
     match, mapping = _build_matrices(run, ("train",))
-    out_dir = _out_dir(out)  # before training: a run that then fails leaves it empty
+    out_dir = _out_dir(out)  # before training, so that an unusable --out fails at once
     params, history, vocab = train(
         run.splits, match["train"], mapping, train_cfg, run.cfg.encoder, run.cfg.model
     )
     echo = run.echo()
     ckpt_file = out_dir / "checkpoint.sepll"
-    save_checkpoint(ckpt_file, params, vocab, echo)
     history_file = out_dir / "history.csv"
-    history.to_csv(history_file)
-    _finish(out_dir, run.seed, echo, run.inputs, {"checkpoint": ckpt_file, "history": history_file})
+    written: list[Path] = []  # this run's files, removed again when a later write fails
+    try:
+        history.to_csv(history_file)  # first, so that no checkpoint is left without its history
+        written.append(history_file)
+        save_checkpoint(ckpt_file, params, vocab, echo)
+        written.append(ckpt_file)
+        _finish(out_dir, train_cfg.seed, echo, run.inputs, {"checkpoint": ckpt_file, "history": history_file})
+    except BaseException:
+        for f in written:
+            f.unlink()
+        raise
     click.echo(
         f"best dev {train_cfg.metric} {history.best_dev_metric:.4f} at epoch {history.best_epoch}; "
         f"wrote {ckpt_file}"
@@ -293,9 +299,9 @@ def _load_eval_inputs(checkpoint: str, config_path: str, seed: int | None, names
     """The run (its inputs now include the checkpoint), the checkpoint's parameters,
     vocabulary and config echo, and the matches of the splits in ``names``, after
     checking that the checkpoint's LF-to-class map is the one the data yields."""
-    run_cfg = parse_config(config_path)
+    run_cfg = _run_config(config_path, seed)
     params, vocab, echo = load_checkpoint(checkpoint)
-    run = _load_run(run_cfg, config_path, seed)
+    run = _load_run(run_cfg, config_path)
     run.inputs["checkpoint"] = Path(checkpoint)
     match, mapping = _build_matrices(run, names)
     for what, key in (("LF dimension", "m"), ("class count", "c")):
@@ -325,8 +331,8 @@ def _split_features_gold(splits: SplitSet, vocab, split: str, need_gold: bool = 
 @cli.command("eval")
 @click.option("--checkpoint", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--split", type=click.Choice(["train", "dev", "test"]), default="test")
-@click.option("--metric", type=click.Choice(["accuracy", "binary_f1", "macro_f1"]), default=None)
+@click.option("--split", type=click.Choice(SPLIT_NAMES), default="test")
+@click.option("--metric", type=click.Choice(METRICS), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--seed", type=_SEED, default=None, help="root seed override")
 def eval_cmd(
@@ -353,7 +359,7 @@ def eval_cmd(
     write_json(json_file, report)
     csv_file = out_dir / "report.csv"
     report_to_csv(report.cells(), csv_file)
-    _finish(out_dir, run.seed, echo, run.inputs, {"report_json": json_file, "report_csv": csv_file})
+    _finish(out_dir, run.cfg.train.seed, echo, run.inputs, {"report_json": json_file, "report_csv": csv_file})
     click.echo(f"{split} {metric} {report.value:.4f}; wrote {json_file}")
 
 
@@ -361,7 +367,7 @@ def eval_cmd(
 @click.option("--checkpoint", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--which", type=click.Choice(["memorization", "matches", "gap"]), required=True)
-@click.option("--split", type=click.Choice(["train", "dev", "test"]), default="test")
+@click.option("--split", type=click.Choice(SPLIT_NAMES), default="test")
 @click.option("--threshold-k", type=click.Choice(["2", "3", "4"]), default="4")
 @click.option("--plot", is_flag=True, default=False)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
@@ -441,7 +447,7 @@ def analyze(
             paths + ["uniform"],
             {"cross_entropy": [report.paths[p].cross_entropy for p in paths] + [report.uniform_ce]},
         )
-    _finish(out_dir, run.seed, echo, run.inputs, artifacts)
+    _finish(out_dir, run.cfg.train.seed, echo, run.inputs, artifacts)
     click.echo(f"wrote {artifacts[which]}")
 
 
@@ -452,7 +458,7 @@ def analyze(
 @click.option("--seed", type=_SEED, default=None, help="root seed override")
 def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -> None:
     """Train all six routing variants; test metric per dataset plus average."""
-    run_cfg = parse_config(config_path)
+    run_cfg = _run_config(config_path, seed)
     if datasets is None:
         label = Path(run_cfg.data.path).name if run_cfg.data and run_cfg.data.path else "synth"
         data_cfgs = [(label, run_cfg.data)]
@@ -474,17 +480,16 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
     inputs = {"config": Path(config_path)}
     jobs: list[tuple[str, SplitSet, dict[str, MatchMatrix], MappingMatrix]] = []
     for label, data_cfg in data_cfgs:
-        run = _load_run(dataclasses.replace(run_cfg, data=data_cfg), config_path, seed)
+        run = _load_run(dataclasses.replace(run_cfg, data=data_cfg), config_path)
         jobs.append((label, run.splits, *_build_matrices(run, ("train",))))
         prefix = "" if datasets is None else f"{label}/"
         inputs.update((prefix + name, f) for name, f in run.inputs.items() if name != "config")
 
-    base_cfg = dataclasses.replace(run_cfg.train, seed=run.seed)  # every run has the one root seed
+    out_dir = _out_dir(out)  # before training, so that an unusable --out fails at once
     results: dict[str, dict[str, dict[str, float]]] = {}
     for label, splits, match, mapping in jobs:
-        results[label] = run_ablation(splits, match, mapping, base_cfg, run_cfg.encoder, run_cfg.model)
+        results[label] = run_ablation(splits, match, mapping, run_cfg.train, run_cfg.encoder, run_cfg.model)
 
-    out_dir = _out_dir(out)
     labels = [label for label, *_ in jobs]
     csv_file = out_dir / "ablation.csv"
     rows = [["variant", *labels, "avg"]]
@@ -495,8 +500,7 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
     json_file = out_dir / "ablation.json"
     write_json(json_file, results)
     echo = run_cfg.to_echo_dict()  # no class names: the datasets may differ in them
-    echo["train"]["seed"] = run.seed
-    _finish(out_dir, run.seed, echo, inputs, {"csv": csv_file, "json": json_file})
+    _finish(out_dir, run_cfg.train.seed, echo, inputs, {"csv": csv_file, "json": json_file})
     click.echo(f"wrote {csv_file}")
 
 

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import SynthSpec
+from .data import DATASET_FORMATS, SynthSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError
 from .model import ModelConfig
@@ -57,7 +57,7 @@ class DataConfig:
     synth: SynthSpec | None = None
 
     def __post_init__(self):
-        if self.format not in ("wrench-json", "jsonl", "synth"):
+        if self.format not in (*DATASET_FORMATS, "synth"):
             raise ConfigError(f"unknown data format {self.format!r}")
         if self.format == "synth":
             if self.synth is None:
@@ -113,6 +113,7 @@ def _collect(parser: configparser.ConfigParser, section: str, schema: dict[str, 
 
 
 def parse_config(path: str | Path) -> RunConfig:
+    """The run configuration in the file ``path``; every error names the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -124,11 +125,17 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        return _from_sections(parser)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
+
+def _from_sections(parser: configparser.ConfigParser) -> RunConfig:
     known = {"data", "lfs", "encoder", "model", "train"}
     for section in parser.sections():
         if section not in known:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
 
     data_cfg = None
     if parser.has_section("data"):
@@ -139,7 +146,7 @@ def parse_config(path: str | Path) -> RunConfig:
             try:
                 synth = SynthSpec(**fields)
             except DataError as exc:
-                raise ConfigError(f"{path}: [data] {exc}") from None
+                raise ConfigError(f"[data] {exc}") from None
             data_cfg = DataConfig(format=fmt, path=path_value, synth=synth)
         else:
             if fields:

@@ -436,6 +436,7 @@ _SPLIT_FILES = {
     "wrench-json": {"train": ("train.json",), "dev": ("valid.json", "dev.json"), "test": ("test.json",)},
     "jsonl": {"train": ("train.jsonl",), "dev": ("valid.jsonl", "dev.jsonl"), "test": ("test.jsonl",)},
 }
+DATASET_FORMATS = tuple(_SPLIT_FILES)
 
 
 def _split_paths(root: Path, fmt: str) -> dict[str, Path | None]:

@@ -22,6 +22,8 @@ from .model import ForwardTrace, SepLLParams, forward_batch, row_chunks, row_log
 from .nnet import softmax
 from .serialize import write_csv, write_text
 
+METRICS = ("accuracy", "binary_f1", "macro_f1")  # what task_metrics scores
+
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:

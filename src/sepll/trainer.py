@@ -20,7 +20,7 @@ from . import native
 from .data import MappingMatrix, MatchMatrix, SplitSet, build_targets
 from .encoder import EncoderConfig, Vocabulary, featurize_split, fit_vocabulary
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import task_metrics
+from .evaluation import METRICS, task_metrics
 from .model import (
     Gradient,
     ModelConfig,
@@ -73,7 +73,7 @@ class TrainConfig:
             raise ConfigError("patience must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.metric not in ("accuracy", "binary_f1", "macro_f1"):
+        if self.metric not in METRICS:
             raise ConfigError(f"unknown dev metric {self.metric!r}")
         if self.positive_class not in (0, 1):
             raise ConfigError(f"positive_class must be 0 or 1, got {self.positive_class}")

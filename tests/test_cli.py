@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -24,11 +25,14 @@ except ModuleNotFoundError:  # Python 3.10
 
 from sepll import native
 from sepll.cli import cli, main
-from sepll.errors import DataError
+from sepll.config import parse_config
+from sepll.data import SynthSpec, save_dataset, synth_dataset
+from sepll.encoder import EncoderConfig
+from sepll.errors import ConfigError, DataError
 from sepll.manifest import verify_manifest
-from sepll.model import load_checkpoint
+from sepll.model import ModelConfig, load_checkpoint
 from sepll.serialize import MAGIC, read_json
-from sepll.trainer import VARIANT_ORDER
+from sepll.trainer import VARIANT_ORDER, TrainConfig
 
 SYNTH_CONFIG = """\
 [data]
@@ -81,6 +85,21 @@ def test_synth_writes_loadable_dataset(tmp_path):
     for name in ("train.json", "valid.json", "test.json", "label.json", "manifest.json"):
         assert (out / name).exists()
     assert verify_manifest(out / "manifest.json") == []
+
+
+def test_synth_has_one_flag_per_spec_field_with_its_type_and_default(tmp_path):
+    params = {param.name: param for param in cli.commands["synth"].params}
+    fields = dataclasses.fields(SynthSpec)
+    assert set(params) == {f.name for f in fields} | {"out", "seed", "fmt"}
+    for f in fields:
+        assert len(params[f.name].opts) == 1, f.name
+        assert params[f.name].type.name == {"int": "integer", "float": "float"}[f.type], f.name
+        assert params[f.name].default == f.default, f.name
+    out, lib = tmp_path / "cli", tmp_path / "lib"
+    assert main(["synth", "--out", str(out), "--seed", "5"]) == 0
+    lib.mkdir()
+    for written in save_dataset(synth_dataset(SynthSpec(), 5), lib):
+        assert (out / written.name).read_bytes() == written.read_bytes(), written.name
 
 
 def test_convert_writes_matrices_and_provenance(tmp_path, capsys):
@@ -342,15 +361,53 @@ def _convert_files(fmt: str, files: dict[str, str]):
 # One row per malformed input that used to end in a traceback, a wrong exit
 # code or a silent success: case -> (argv builder, exit code, text that stderr
 # must hold, with {tmp} for the test's directory). Exit 1 is a config or usage
-# error, a failed write or no memory left, exit 2 a data error.
+# error, a failed write or no memory left, exit 2 a data error. No case leaves
+# a file behind, so a train that fails leaves no checkpoint.
 MALFORMED_INPUTS = {
-    "learning_rate is nan": (_train_with("max_epochs", "learning_rate = nan\nmax_epochs"), 1, "learning_rate"),
-    "learning_rate is inf": (_train_with("max_epochs", "learning_rate = inf\nmax_epochs"), 1, "learning_rate"),
-    "weight_decay is inf": (_train_with("max_epochs", "weight_decay = inf\nmax_epochs"), 1, "weight_decay"),
-    "l2_lf is nan": (_train_with("max_epochs", "l2_lf = nan\nmax_epochs"), 1, "l2_lf"),
-    "config seed is negative": (_train_with("seed = 0", "seed = -1"), 1, "seed must be non-negative"),
+    "learning_rate is nan": (_train_with("max_epochs", "learning_rate = nan\nmax_epochs"), 1, "{tmp}/run.cfg: learning_rate"),
+    "learning_rate is inf": (_train_with("max_epochs", "learning_rate = inf\nmax_epochs"), 1, "{tmp}/run.cfg: learning_rate"),
+    "learning_rate is -1": (
+        _train_with("max_epochs", "learning_rate = -1\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: learning_rate must be positive",
+    ),
+    "weight_decay is inf": (_train_with("max_epochs", "weight_decay = inf\nmax_epochs"), 1, "{tmp}/run.cfg: weight_decay"),
+    "l2_lf is nan": (_train_with("max_epochs", "l2_lf = nan\nmax_epochs"), 1, "{tmp}/run.cfg: l2_lf"),
+    "batch_size is not an integer": (
+        _train_with("max_epochs", "batch_size = 1.5\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: [train] batch_size: expected an integer, got '1.5'",
+    ),
+    "encoder nonlinearity is unknown": (
+        _train_with("dim = 8", "dim = 8\nnonlinearity = cube"),
+        1,
+        "{tmp}/run.cfg: unknown nonlinearity 'cube'",
+    ),
+    "config has no [data] section": (
+        _train_with(SYNTH_CONFIG, SYNTH_CONFIG[SYNTH_CONFIG.index("[encoder]") :]),
+        1,
+        "{tmp}/run.cfg: config needs a [data] section for this command",
+    ),
+    "lfs entry names an unknown class": (
+        _train_with("seed = 0\n", "seed = 0\n\n[lfs]\nodd = keyword class_9 x\n"),
+        1,
+        "{tmp}/run.cfg: [lfs] LF entry 'odd': unknown class 'class_9'",
+    ),
+    "config seed is negative": (_train_with("seed = 0", "seed = -1"), 1, "{tmp}/run.cfg: seed must be non-negative"),
     "train --seed is negative": (_train_with("seed = 0", "seed = 0", "--seed", "-3"), 1, "--seed"),
     "synth --seed is negative": (_command("synth", "--out", "{tmp}/s", "--seed", "-3"), 1, "--seed"),
+    "synth --classes is 1": (_command("synth", "--out", "{tmp}/s", "--classes", "1"), 1, "synth needs at least two classes"),
+    "synth --lfs-per-class is 0": (
+        _command("synth", "--out", "{tmp}/s", "--lfs-per-class", "0"),
+        1,
+        "synth needs at least one LF per class",
+    ),
+    "synth --lf-coverage is 0": (
+        _command("synth", "--out", "{tmp}/s", "--lf-coverage", "0"),
+        1,
+        "lf_coverage must be in (0, 1]",
+    ),
+    "synth --n-train is -1": (_command("synth", "--out", "{tmp}/s", "--n-train", "-1"), 1, "split sizes must be non-negative"),
     "stats --seed is negative": (_command("stats", "--config", "{cfg}", "--seed", "-3", "--out", "{tmp}/d"), 1, "--seed"),
     "checkpoint echo is a number": (_eval_with_echo(5), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint echo section is a number": (_eval_with_echo({"train": 5}), 2, "{tmp}/run/checkpoint.sepll: "),
@@ -387,7 +444,11 @@ MALFORMED_INPUTS = {
         1,
         "--out {tmp}/afile/x: cannot make the directory: Not a directory",
     ),
-    "positive_class is 5": (_train_with("max_epochs", "positive_class = 5\nmax_epochs"), 1, "positive_class must be 0 or 1"),
+    "positive_class is 5": (
+        _train_with("max_epochs", "positive_class = 5\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: positive_class must be 0 or 1",
+    ),
     "binary_f1 on three classes": (
         _train_with(
             SYNTH_CONFIG,
@@ -433,6 +494,16 @@ MALFORMED_INPUTS = {
         1,
         "{tmp}/run/checkpoint.sepll: cannot write: No space left on device",
     ),
+    "train history write hits a full disk": (
+        _full_disk_for("history.csv", _command("train", "--config", "{cfg}", "--out", "{tmp}/run")),
+        1,
+        "{tmp}/run/history.csv: cannot write: No space left on device",
+    ),
+    "train manifest write hits a full disk": (
+        _full_disk_for("manifest.json", _command("train", "--config", "{cfg}", "--out", "{tmp}/run")),
+        1,
+        "{tmp}/run/manifest.json: cannot write: No space left on device",
+    ),
     # theta would take about 212 TB, more than a 47-bit address space holds, so
     # its allocation fails under any overcommit setting
     "encoder dim is 10**11": (
@@ -447,12 +518,61 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_with_its_code_naming_it(tmp_path, capsys, request, case):
     build, code, named = MALFORMED_INPUTS[case]
     argv = build(tmp_path, request)
+    before = {f for f in tmp_path.rglob("*") if f.is_file()}
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err
     assert named.format(tmp=tmp_path) in err
     assert "Traceback" not in err
-    assert not list(tmp_path.rglob("*.tmp"))  # no temporary file left behind
+    assert {f for f in tmp_path.rglob("*") if f.is_file()} == before  # no file left behind, temporary or not
+
+
+def _path_of_shape(tmp_path: Path, shape: str) -> str:
+    """A path under ``tmp_path`` that is missing, a directory, a regular file, or below a regular file."""
+    if shape == "directory":
+        (tmp_path / "adir").mkdir()
+        return str(tmp_path / "adir")
+    if shape != "missing":
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+    return str(tmp_path / {"missing": "missing", "file": "afile", "below a file": "afile/x"}[shape])
+
+
+def _data_path_config(path: str, tmp_path: Path) -> str:
+    return write_config(tmp_path, f"[data]\nformat = wrench-json\npath = {path}\n", name="data.cfg")
+
+
+# path option -> (the shapes it must reject, argv around the path); the --out
+# cases below a file for synth, stats and train are in MALFORMED_INPUTS
+PATH_OPTIONS = {
+    "--config": (("missing", "directory", "below a file"), lambda p, tmp: ["train", "--config", p, "--out", f"{tmp}/o"]),
+    "--out": (("file", "below a file"), lambda p, tmp: ["ablate", "--config", write_config(tmp), "--out", p]),
+    "--checkpoint": (
+        ("missing", "directory", "below a file"),
+        lambda p, tmp: ["eval", "--checkpoint", p, "--config", write_config(tmp)],
+    ),
+    "IN_PATH": (("missing", "file", "below a file"), lambda p, tmp: ["convert", p, "--out", f"{tmp}/o"]),
+    "[data] path": (("missing", "file", "below a file"), lambda p, tmp: ["stats", "--config", _data_path_config(p, tmp)]),
+    "--datasets": (
+        ("missing", "file", "below a file"),
+        lambda p, tmp: ["ablate", "--config", write_config(tmp), "--datasets", p, "--out", f"{tmp}/o"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "option, shape", [(option, shape) for option, (shapes, _) in PATH_OPTIONS.items() for shape in shapes]
+)
+def test_path_option_of_the_wrong_shape_exits_naming_it(tmp_path, capsys, monkeypatch, option, shape):
+    def run_ablation(*args, **kwargs):
+        pytest.fail("ablate trained before it checked its paths")
+
+    monkeypatch.setattr("sepll.cli.run_ablation", run_ablation)
+    path = _path_of_shape(tmp_path, shape)
+    code = main(PATH_OPTIONS[option][1](path, tmp_path))
+    err = capsys.readouterr().err
+    assert code in (1, 2), err
+    assert path in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_of_a_command_that_exits_is_returned(monkeypatch):
@@ -1086,6 +1206,93 @@ def test_mutated_label_file_converts_and_trains_or_exits_naming_it(tmp_path, cap
             assert code == (0 if valid else 2), (argv[0], err)
             if not valid:
                 assert str(label) in err, (argv[0], err)
+
+    check()
+
+
+# What a config edit may put in: INI punctuation, comment and line breaks,
+# a letter and bytes that are not UTF-8; any known key, and an unknown one,
+# set in its section, or put on a new line anywhere after the first, to a value
+# of any type; and sections known and unknown.
+CONFIG_TOKENS = [b"=", b"[", b"]", b"\n", b" ", b";", b"#", b"-", b".", b",", b"x", b"%", b"\t", b"\xff"]
+CONFIG_CLASSES = {"data": SynthSpec, "encoder": EncoderConfig, "model": ModelConfig, "train": TrainConfig}
+KEY_SECTIONS = {  # key -> the section it is set in; "bogus" is unknown everywhere
+    "format": "data",
+    "path": "data",
+    "bogus": "train",
+    **{f.name: section for section, cls in CONFIG_CLASSES.items() for f in dataclasses.fields(cls)},
+}
+CONFIG_VALUES = [
+    "", "x", "-1", "0", "1", "2", "0.5", "1e999", "nan", "true", "2,3", "tanh", "relu", "synth", "jsonl",
+    "macro_f1", "activations", "keyword class_0 topic0word0", "regex class_1 (",
+]
+# half of the values are small numbers, which most keys take
+CONFIG_VALUE = st.one_of(st.sampled_from(CONFIG_VALUES), st.sampled_from(["1", "2", "3", "0.5"]))
+CONFIG_SECTIONS = ["data", "lfs", "encoder", "model", "train", "bogus", "Train", " data"]
+# up to three keys set, so that many edited configs still train, and in three cases of five one other edit
+CONFIG_EDITS = st.builds(
+    lambda sets, other: sets + other,
+    st.lists(st.tuples(st.just("set"), st.sampled_from(sorted(KEY_SECTIONS)), CONFIG_VALUE), max_size=3),
+    st.one_of(
+        st.just([]),
+        st.just([]),
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), FRACTION, st.sampled_from(CONFIG_TOKENS)).map(lambda e: [e]),
+        st.tuples(st.just("line"), FRACTION, st.sampled_from(sorted(KEY_SECTIONS)), CONFIG_VALUE).map(lambda e: [e]),
+        st.tuples(st.just("section"), FRACTION, st.sampled_from(CONFIG_SECTIONS)).map(lambda e: [e]),
+    ),
+).filter(bool)
+
+
+def edit_config(raw: bytes, edits) -> bytes:
+    """``raw`` with each edit applied: a byte edit as :func:`mutate_text` makes
+    one, a key set in its section, or a ``key = value`` or ``[section]`` line put
+    before a line other than the first."""
+    for edit in edits:
+        if edit[0] not in ("set", "line", "section"):
+            raw = mutate_text(raw, [edit])
+            continue
+        lines = raw.decode("utf-8", "surrogateescape").split("\n")
+        if edit[0] == "set":
+            _, key, value = edit
+            lines = [line for line in lines if line.split("=")[0].strip() != key]
+            header = f"[{KEY_SECTIONS[key]}]"
+            at = lines.index(header) + 1 if header in lines else len(lines)
+            new = f"{key} = {value}" if header in lines else f"{header}\n{key} = {value}"
+        else:
+            at = 1 + int(edit[1] * (len(lines) - 1))
+            new = f"{edit[2]} = {edit[3]}" if edit[0] == "line" else f"[{edit[2]}]"
+        raw = "\n".join([*lines[:at], new, *lines[at:]]).encode("utf-8", "surrogateescape")
+    return raw
+
+
+def test_edited_config_trains_or_exits_with_one_error_line(tmp_path, capsys):
+    raw = (
+        b"[data]\nformat = synth\nn_train = 20\nn_dev = 10\nn_test = 10\n\n"
+        b"[encoder]\nmax_features = 50\nhidden = 4\ndim = 2\n\n[train]\nmax_epochs = 1\npatience = 1\n"
+    )
+    cfg = tmp_path / "run.cfg"
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "t")]
+
+    @settings(max_examples=150)
+    @given(CONFIG_EDITS)
+    def check(edits):
+        cfg.write_bytes(edit_config(raw, edits))
+        try:
+            parse_config(cfg)
+            parsed = None
+        except ConfigError as exc:
+            parsed = exc
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if parsed is not None:  # every parse error names the file
+            assert code == 1
+            assert err == f"error: {parsed}\n"
+            assert str(cfg) in err
+        elif code != 0:
+            assert code in (1, 2, 3), err
+            assert err.startswith("error: ") and err.count("\nerror: ") == 0, err
 
     check()
 

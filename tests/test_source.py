@@ -37,3 +37,28 @@ def uncalled_functions(source: Path) -> set[str]:
 
 def test_every_function_in_src_has_a_caller_in_src():
     assert uncalled_functions(SOURCE) == CALLED_FROM_OUTSIDE
+
+
+def unused_imports(source: Path) -> set[str]:
+    """``module:name`` for each name a module under ``source`` imports and never
+    loads, ``from __future__`` imports and lines marked ``# noqa: F401`` aside."""
+    unused = set()
+    for path in sorted(source.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        imported, loaded = set(), set()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    continue
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        unused |= {f"{path.stem}:{name}" for name in imported - loaded}
+    return unused
+
+
+def test_no_module_in_src_imports_a_name_it_does_not_use():
+    assert unused_imports(SOURCE) == set()
