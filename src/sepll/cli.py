@@ -236,11 +236,22 @@ def stats(config_path: str, out: str | None, seed: int | None) -> None:
 _SYNTH_FLAGS = {"c": "--classes", "m_per_class": "--lfs-per-class"}
 
 
+def _check_spec_field(ctx: click.Context, param: click.Parameter, value):
+    """``value`` if :class:`SynthSpec` takes it for the field of ``param``; a flag out of range names the flag."""
+    try:
+        SynthSpec(**{param.name: value})
+    except DataError as exc:
+        raise click.BadParameter(str(exc)) from None
+    return value
+
+
 def _synth_spec_options(command):
     """One option per :class:`SynthSpec` field, with the field's type and default, in field order."""
     for field in reversed(dataclasses.fields(SynthSpec)):
         flag = _SYNTH_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
-        command = click.option(flag, field.name, type=type(field.default), default=field.default)(command)
+        command = click.option(
+            flag, field.name, type=type(field.default), default=field.default, callback=_check_spec_field
+        )(command)
     return command
 
 
@@ -251,10 +262,7 @@ def _synth_spec_options(command):
 @click.option("--format", "fmt", type=click.Choice(DATASET_FORMATS), default="wrench-json")
 def synth(out: str, seed: int, fmt: str, **spec_fields) -> None:
     """Generate the synthetic keyword corpus with noisy labeling functions."""
-    try:
-        spec = SynthSpec(**spec_fields)
-    except DataError as exc:  # a flag out of range
-        raise ConfigError(str(exc)) from None
+    spec = SynthSpec(**spec_fields)
     splits = synth_dataset(spec, seed)
     out_dir = _out_dir(out)
     artifacts = {f.name: f for f in save_dataset(splits, out_dir, fmt)}
@@ -339,6 +347,7 @@ def eval_cmd(
     checkpoint: str, config_path: str, split: str, metric: str | None, out: str | None, seed: int | None
 ) -> None:
     """Score task predictions from the class head against gold labels."""
+    out_dir = None if out is None else _out_dir(out)  # first, so that an unusable --out fails at once
     run, params, vocab, echo, _ = _load_eval_inputs(checkpoint, config_path, seed, ())
     X, gold = _split_features_gold(run.splits, vocab, split, need_gold=True)
     metric = metric or run.cfg.train.metric
@@ -351,10 +360,9 @@ def eval_cmd(
         positive_class=run.cfg.train.positive_class,
         split=split,
     )
-    if out is None:
+    if out_dir is None:
         click.echo(to_json(report))
         return
-    out_dir = _out_dir(out)
     json_file = out_dir / "report.json"
     write_json(json_file, report)
     csv_file = out_dir / "report.csv"
@@ -383,6 +391,7 @@ def analyze(
     seed: int | None,
 ) -> None:
     """Memorization report, match-count breakdown, or train-test gap."""
+    out_dir = None if out is None else _out_dir(out)  # first, so that an unusable --out fails at once
     run, params, vocab, echo, match = _load_eval_inputs(
         checkpoint, config_path, seed, ("train", "test") if which == "gap" else (split,)
     )
@@ -408,11 +417,10 @@ def analyze(
             X, _ = _split_features_gold(run.splits, vocab, part)
             gap_reports[part] = memorization_report(params, X, match[part], k=k)
         payload = {"cells": train_test_gap(gap_reports["train"], gap_reports["test"]), **gap_reports}
-    if out is None:
+    if out_dir is None:
         click.echo(to_json(payload))
         return
 
-    out_dir = _out_dir(out)
     if which == "matches":
         artifacts = {"matches": out_dir / "matches.csv"}
         breakdown_to_csv(table, metric, artifacts["matches"])
@@ -507,8 +515,11 @@ def ablate(config_path: str, datasets: str | None, out: str, seed: int | None) -
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping errors onto documented exit codes."""
     try:
-        # click returns the code of a command that exits, and None when it returns
-        return cli.main(args=argv, standalone_mode=False) or 0
+        # a non-finite result ends in a NumericalError's one error line; numpy's
+        # warnings would print lines of their own before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # click returns the code of a command that exits, and None when it returns
+            return cli.main(args=argv, standalone_mode=False) or 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

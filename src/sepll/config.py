@@ -123,6 +123,11 @@ def parse_config(path: str | Path) -> RunConfig:
         parser.read_string(read_text(path), source=str(path))
     except DataError as exc:  # not UTF-8, or unreadable
         raise ConfigError(str(exc)) from None
+    except configparser.MissingSectionHeaderError as exc:  # a ParsingError with no list of errors
+        raise ConfigError(f"{path}:{exc.lineno}: a line before the first [section]: {exc.line!r}") from None
+    except configparser.ParsingError as exc:
+        lineno, line = exc.errors[0]  # the line comes as its repr
+        raise ConfigError(f"{path}:{lineno}: neither a [section] nor a key = value line: {line}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:

@@ -8,17 +8,16 @@ Task predictions read the class head alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .data import MappingMatrix
 from .encoder import EncoderConfig, Vocabulary
 from .errors import ConfigError, DataError, NumericalError
-from .nnet import ACTIVATIONS, Layer, RowSparse, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
+from .nnet import ACTIVATIONS, CSRMatrix, Layer, check_finite, init_mlp, mlp_backward, mlp_forward, softmax
 from .serialize import read_container, write_container
 
 LOG_CLAMP = 1e-12
@@ -56,27 +55,21 @@ class ModelConfig:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
-def _views(flat: np.ndarray, dims, start: int = 0) -> Iterator[tuple[str, np.ndarray]]:
-    """(name, view) of every parameter in ``flat``, which has theta's layout from
-    element ``start`` on, a parameter boundary: the paths in :data:`PATHS` order,
-    each layer's W (row-major) then its b. Parameters before ``start`` are left out."""
-    lo = -start
+def _views(flat: np.ndarray, dims) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, view) of every parameter in ``flat``, which has theta's layout: the
+    paths in :data:`PATHS` order, each layer's W (row-major) then its b."""
+    lo = 0
     for prefix, widths in zip(PATHS, dims):
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
             for kind, shape in (("W", (n_in, n_out)), ("b", (n_out,))):
                 size = math.prod(shape)
-                if lo >= 0:
-                    yield f"{prefix}.{i}.{kind}", flat[lo : lo + size].reshape(shape)
+                yield f"{prefix}.{i}.{kind}", flat[lo : lo + size].reshape(shape)
                 lo += size
 
 
-def _layers(flat: np.ndarray, dims, first_W: RowSparse | None = None) -> tuple[list[Layer], ...]:
-    """One list of :class:`Layer` views into ``flat`` per path. With ``first_W``,
-    ``flat`` holds theta's layout after the first layer's weights, and
-    ``first_W`` stands in for them."""
-    views = (view for _, view in _views(flat, dims, 0 if first_W is None else dims[0][0] * dims[0][1]))
-    if first_W is not None:
-        views = itertools.chain([first_W], views)
+def _layers(flat: np.ndarray, dims) -> tuple[list[Layer], ...]:
+    """One list of :class:`Layer` views into ``flat`` per path."""
+    views = (view for _, view in _views(flat, dims))
     return tuple([Layer(W=next(views), b=next(views)) for _ in widths[1:]] for widths in dims)
 
 
@@ -239,14 +232,15 @@ def predict_batch(params: SepLLParams, X) -> np.ndarray:
     return np.concatenate(preds)
 
 
-@dataclass
-class Gradient:
-    """A gradient with theta's layout, in two parts. ``first`` is the gradient of
-    the first layer's weights, ``encoder.0.W``: +0.0 outside ``first.rows``.
+class Gradient(NamedTuple):
+    """A gradient with theta's layout, as the three arrays :func:`sepll.native.adamw`
+    takes. ``first`` holds the rows ``rows`` (ascending) of the gradient of the
+    first layer's weights, ``encoder.0.W``, which is +0.0 on every other row.
     ``rest`` is the dense gradient of the rest of theta, from element
     ``params.first_size`` on."""
 
-    first: RowSparse
+    rows: np.ndarray
+    first: np.ndarray
     rest: np.ndarray
 
 
@@ -254,19 +248,21 @@ def backward(
     params: SepLLParams,
     X,
     targets: np.ndarray,
-    lf_activation_penalty: float = 0.0,
-    out: np.ndarray | None = None,
+    l2_lf: float = 0.0,
+    l2_lf_target: str = "parameters",
 ) -> tuple[float, Gradient]:
-    """Loss and exact gradients of the batch-mean loss for every parameter.
+    """Loss and exact gradients of the batch-mean loss for every parameter, with
+    the L2 penalty of strength ``l2_lf`` on the LF path.
 
-    With ``lf_activation_penalty`` > 0 the loss gains
-    penalty * mean_i ||lf_logits_i||^2 (the activation flavor of LF-path L2).
-    Returns ``(loss, grad)``, a :class:`Gradient`. ``grad.first`` holds the rows
-    of ``encoder.0.W``'s gradient that the batch can touch: for a
-    :class:`CSRMatrix` batch the ``cols`` of :meth:`CSRMatrix.transpose_product`,
-    for a dense one every row.
-    ``grad.rest`` is ``out`` when given, rewritten whole, and a new array otherwise.
+    With ``l2_lf_target`` "activations" the loss gains
+    l2_lf * mean_i ||lf_logits_i||^2 and the gradient its derivative. With
+    "parameters" the gradient gains 2 * l2_lf * theta on the LF path's
+    parameters, and the returned loss leaves that penalty out.
+    Returns ``(loss, grad)``, a :class:`Gradient`. ``grad.rows`` are the rows
+    of ``encoder.0.W`` that the batch can touch: for a :class:`CSRMatrix` batch
+    the ``cols`` of :meth:`CSRMatrix.transpose_product`, for a dense one every row.
     """
+    activation_penalty = l2_lf if l2_lf_target == "activations" else 0.0
     targets = np.asarray(targets, dtype=np.float64)
     z, task_logits, lf_logits, combined, enc_cache, task_cache, lf_cache = _forward_with_caches(
         params, X
@@ -276,35 +272,33 @@ def backward(
     n = targets.shape[0]
     q = softmax(combined)
     loss = ce_loss(q, targets)  # rejects an empty batch
-    if lf_activation_penalty:
-        loss += lf_activation_penalty * float((lf_logits**2).sum()) / n
+    if activation_penalty:
+        loss += activation_penalty * float((lf_logits**2).sum()) / n
 
     d_combined = (q - targets) / n
     d_lf = d_combined.copy()
-    if lf_activation_penalty:
-        d_lf += (2.0 * lf_activation_penalty / n) * lf_logits
+    if activation_penalty:
+        d_lf += (2.0 * activation_penalty / n) * lf_logits
     d_task = d_combined @ params.mapping.to_dense()
 
-    first = RowSparse(np.empty(0, dtype=np.int64), np.empty((0, params.dims[0][1])))  # mlp_backward fills it
-    rest = np.empty(params.theta.size - params.first_size) if out is None else out
-    enc_grads, task_grads, lf_grads = _layers(rest, params.dims, first)
-    dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, lf_grads, params.head_nonlinearity)
-    dz_task = mlp_backward(params.task_head, task_cache, d_task, task_grads, params.head_nonlinearity)
-    mlp_backward(
-        params.encoder,
-        enc_cache,
-        dz_lf + dz_task,
-        enc_grads,
-        params.encoder_nonlinearity,
-        need_input_grad=False,
+    lf_grads, dz_lf = mlp_backward(params.lf_head, lf_cache, d_lf, params.head_nonlinearity)
+    task_grads, dz_task = mlp_backward(params.task_head, task_cache, d_task, params.head_nonlinearity)
+    enc_grads, _ = mlp_backward(
+        params.encoder, enc_cache, dz_lf + dz_task, params.encoder_nonlinearity, need_input_grad=False
     )
-    if not np.isfinite(first.values).all():
+    (first_W, first_b), *enc_grads = enc_grads
+    rows, first = first_W if isinstance(X, CSRMatrix) else (np.arange(params.dims[0][0]), first_W)
+    rest = np.concatenate([first_b] + [a.ravel() for layer in (*enc_grads, *task_grads, *lf_grads) for a in layer])
+    if not np.isfinite(first).all():
         raise NumericalError(f"non-finite gradient in {param_name_at(params, 0)}")
     finite = np.isfinite(rest)
     if not finite.all():
         at = params.first_size + int(np.argmin(finite))
         raise NumericalError(f"non-finite gradient in {param_name_at(params, at)}")
-    return loss, Gradient(first, rest)
+    if l2_lf > 0 and l2_lf_target == "parameters":
+        lf = params.lf_slice
+        rest[lf.start - params.first_size :] += 2.0 * l2_lf * params.theta[lf]
+    return loss, Gradient(rows, first, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -78,21 +78,10 @@ class CSRMatrix:
 
 
 @dataclass
-class RowSparse:
-    """A matrix that is +0.0 outside the ascending, distinct row indices ``rows``,
-    whose rows are ``values``: the weight gradient of a first layer, of which a
-    sparse batch touches only the rows at the columns it uses."""
-
-    rows: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
 class Layer:
-    """Affine map ``x @ W + b``. Also reused as a same-shaped gradient holder,
-    whose ``W`` may be a :class:`RowSparse`."""
+    """Affine map ``x @ W + b``."""
 
-    W: np.ndarray | RowSparse
+    W: np.ndarray
     b: np.ndarray
 
 
@@ -160,32 +149,27 @@ def mlp_backward(
     layers: Sequence[Layer],
     cache: ForwardCache,
     d_out: np.ndarray,
-    grads: Sequence[Layer],
     nonlinearity: str = "tanh",
     need_input_grad: bool = True,
 ):
-    """Backpropagate ``d_out``, writing each layer's gradient into the same-shaped
-    arrays of ``grads``; returns the gradient w.r.t. the input.
+    """Backpropagate ``d_out``; returns ``(grads, input_grad)``, where ``grads[i]``
+    is ``(dW, db)`` of layer ``i``.
 
-    A ``grads[i].W`` that is a :class:`RowSparse` gets the rows of the weight
-    gradient that can be nonzero: for a :class:`CSRMatrix` input the columns it
-    uses, through :meth:`CSRMatrix.transpose_product`, for a dense one every
-    row. A CSRMatrix input needs one. The input gradient is skipped (None) when
-    ``need_input_grad`` is false, which avoids densifying sparse first-layer inputs.
+    For a :class:`CSRMatrix` input, ``dW`` is the ``(cols, sums)`` that
+    :meth:`CSRMatrix.transpose_product` returns: the rows of the weight gradient
+    that can be nonzero. ``input_grad`` is None when ``need_input_grad`` is
+    false, which avoids densifying sparse first-layer inputs.
     """
     _, dact = ACTIVATIONS[nonlinearity]
     delta = d_out
+    grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        x, grad_W = cache.inputs[i], grads[i].W
-        if isinstance(grad_W, RowSparse):
-            sparse = isinstance(x, CSRMatrix)
-            grad_W.rows, grad_W.values = x.transpose_product(delta) if sparse else (np.arange(x.shape[1]), x.T @ delta)
-        else:
-            np.matmul(x.T, delta, out=grad_W)
-        np.sum(delta, axis=0, out=grads[i].b)
+        x = cache.inputs[i]
+        dW = x.transpose_product(delta) if isinstance(x, CSRMatrix) else x.T @ delta
+        grads[i] = (dW, delta.sum(axis=0))
         if i > 0:
             delta = (delta @ layers[i].W.T) * dact(cache.activations[i - 1])
-    return delta @ layers[0].W.T if need_input_grad else None
+    return grads, (delta @ layers[0].W.T if need_input_grad else None)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -2,9 +2,12 @@
 ablation runner.
 
 Routing during training: decoupled weight decay on all parameters, an L2
-penalty on the LF head (parameters by default, activations behind a config
+penalty on the LF path (parameters by default, activations behind a config
 switch), per-epoch noise injection that hallucinates same-class sibling
 matches, and optional uniform-target training on unmatched samples.
+:func:`sepll.model.backward` applies the L2 penalty, so the loop hands each
+batch's gradient from ``backward`` to :func:`adamw_step` as it comes and never
+reads where a layer sits in theta.
 """
 
 from __future__ import annotations
@@ -110,22 +113,14 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update, in place on ``params.theta``,
     through :func:`sepll.native.adamw`: every element steps, and the first
-    layer's rows outside ``grad.first.rows`` step on a gradient of +0.0.
+    layer's rows outside ``grad.rows`` step on a gradient of +0.0.
 
     A non-finite update raises ``NumericalError`` naming the parameter, with
     theta and the moments left partly updated.
     """
     state.step += 1
     bad = native.adamw(
-        params.theta,
-        state.m,
-        state.v,
-        grad.first.rows,
-        grad.first.values,
-        grad.rest,
-        state.step,
-        current_lr,
-        current_lr * config.weight_decay,
+        params.theta, state.m, state.v, *grad, state.step, current_lr, current_lr * config.weight_decay
     )
     if bad >= 0:
         raise NumericalError(f"non-finite optimizer update for {param_name_at(params, bad)}")
@@ -143,21 +138,23 @@ def inject_noise(
 
     The draws are one uniform per (sample, LF) cell in row-major order, made in
     :func:`~sepll.model.row_chunks` of rows: the same stream as one (n, m) draw.
+    Each chunk's cells, the drawn ones and the row's own matches, are read off in
+    row-major order, so the pairs come out sorted.
     """
     class_hit = match.class_votes(mapping) > 0
     if not (0.0 <= noise_lambda <= 1.0):
         raise ConfigError("noise_lambda must be in [0, 1]")
     if noise_lambda == 0.0 or match.m == 0 or match.n == 0:
         return match
-    pairs = [match.pairs]
+    pairs = []
     for rows in row_chunks(match.n):
-        eligible = class_hit[rows, mapping.class_of]
+        hit = class_hit[rows, mapping.class_of]
+        hit &= rng.random(hit.shape) < noise_lambda
         own = match.pairs[match.row_starts[rows.start] : match.row_starts[rows.stop]]
-        eligible[own[:, 0] - rows.start, own[:, 1]] = False
-        eligible &= rng.random(eligible.shape) < noise_lambda
-        hit = np.argwhere(eligible)
-        hit[:, 0] += rows.start
-        pairs.append(hit)
+        hit[own[:, 0] - rows.start, own[:, 1]] = True
+        cells = np.argwhere(hit)
+        cells[:, 0] += rows.start
+        pairs.append(cells)
     return MatchMatrix(match.n, match.m, np.concatenate(pairs))
 
 
@@ -248,10 +245,9 @@ def _fit(
     that train (all, or the matched ones without ``use_unlabeled``) are fixed once, ascending.
 
     Besides theta and the two moments, it holds one theta-sized array (the best
-    epoch's parameters, refilled in place), and no theta-sized gradient: the dense
-    part of every batch's gradient goes to one reused buffer, and the first
-    layer's part holds only the batch's rows. It holds no (n, m) array either:
-    each batch builds the targets of its own rows."""
+    epoch's parameters, refilled in place), and no theta-sized gradient: the first
+    layer's part of each batch's gradient holds only the batch's rows. It holds no
+    (n, m) array either: each batch builds the targets of its own rows."""
     if config.metric == "binary_f1" and mapping.c != 2:
         raise DataError(f"binary_f1 requires exactly 2 classes, got {mapping.c}")
     rng_init = stream(config.seed, "init")
@@ -263,14 +259,10 @@ def _fit(
     if train_rows.size == 0:
         raise DataError("no training rows: every sample is unmatched and use_unlabeled is off")
     state = init_optimizer(params)
-    grad_rest = np.empty(params.theta.size - params.first_size)  # every batch's dense gradient part
     history = TrainHistory()
     best_params = clone_params(params)  # the one copy; improving epochs refill it
     epochs_flat = 0
     global_step = 0
-    activation_penalty = config.l2_lf if config.l2_lf_target == "activations" else 0.0
-    lf = params.lf_slice
-    lf_rest = slice(lf.start - params.first_size, None)  # the LF path in grad.rest
 
     try:
         for epoch in range(config.max_epochs):
@@ -282,17 +274,12 @@ def _fit(
                 batch = order[start : start + config.batch_size]
                 global_step += 1
                 lr = lr_schedule(global_step, config.warmup_steps, config.learning_rate)
+                targets = build_targets(noised.take(batch))
                 loss, grad = backward(
-                    params,
-                    X_train[batch],
-                    build_targets(noised.take(batch)),
-                    lf_activation_penalty=activation_penalty,
-                    out=grad_rest,
+                    params, X_train[batch], targets, l2_lf=config.l2_lf, l2_lf_target=config.l2_lf_target
                 )
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite training loss at step {global_step}")
-                if config.l2_lf > 0 and config.l2_lf_target == "parameters":
-                    grad.rest[lf_rest] += 2.0 * config.l2_lf * params.theta[lf]
                 adamw_step(params, grad, state, config, lr)
                 losses.append(loss)
             dev_metric = _dev_metric(params, X_dev, dev_gold, config, mapping.c)

@@ -12,7 +12,7 @@ import sepll
 from sepll import native
 from sepll.data import MatchMatrix
 from sepll.model import Gradient
-from sepll.nnet import CSRMatrix, RowSparse
+from sepll.nnet import CSRMatrix
 
 settings.register_profile(
     "sepll",
@@ -50,9 +50,9 @@ def match_to_dense(match: MatchMatrix) -> np.ndarray:
 def densify(params, grad: Gradient) -> np.ndarray:
     """``grad`` as one vector with theta's layout, so that ``param_items(params,
     densify(params, grad))`` names its parts: +0.0 on the first layer's rows
-    outside ``grad.first.rows``."""
+    outside ``grad.rows``."""
     flat = np.zeros(params.theta.size)
-    flat[: params.first_size].reshape(params.dims[0][:2])[grad.first.rows] = grad.first.values
+    flat[: params.first_size].reshape(params.dims[0][:2])[grad.rows] = grad.first
     flat[params.first_size :] = grad.rest
     return flat
 
@@ -64,7 +64,7 @@ def as_gradient(params, flat: np.ndarray, rows=None) -> Gradient:
     W = flat[: params.first_size].reshape(params.dims[0][:2])
     rows = np.arange(W.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
     assert not np.delete(W, rows, axis=0).view(np.int64).any(), "a left-out row is not +0.0"
-    return Gradient(RowSparse(rows, W[rows]), flat[params.first_size :])
+    return Gradient(rows, W[rows], flat[params.first_size :])
 
 
 def traced_peak(fn, *args, **kwargs):

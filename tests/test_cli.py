@@ -308,14 +308,14 @@ def _out_below_a_file(*argv):
     return case
 
 
-def _never_training(build):
-    """``build``, with ``sepll.cli.train`` patched to fail the test if it is called."""
+def _never_calling(name: str, build):
+    """``build``, with ``sepll.cli.<name>`` patched to fail the test if it is called."""
 
     def case(tmp_path, request):
-        def train(*args, **kwargs):
-            pytest.fail("train ran before --out was checked")
+        def fail(*args, **kwargs):
+            pytest.fail(f"{name} ran before --out was checked")
 
-        request.getfixturevalue("monkeypatch").setattr("sepll.cli.train", train)
+        request.getfixturevalue("monkeypatch").setattr(f"sepll.cli.{name}", fail)
         return build(tmp_path, request)
 
     return case
@@ -396,18 +396,36 @@ MALFORMED_INPUTS = {
     "config seed is negative": (_train_with("seed = 0", "seed = -1"), 1, "{tmp}/run.cfg: seed must be non-negative"),
     "train --seed is negative": (_train_with("seed = 0", "seed = 0", "--seed", "-3"), 1, "--seed"),
     "synth --seed is negative": (_command("synth", "--out", "{tmp}/s", "--seed", "-3"), 1, "--seed"),
-    "synth --classes is 1": (_command("synth", "--out", "{tmp}/s", "--classes", "1"), 1, "synth needs at least two classes"),
+    "synth --classes is 1": (
+        _command("synth", "--out", "{tmp}/s", "--classes", "1"),
+        1,
+        "error: Invalid value for '--classes': synth needs at least two classes",
+    ),
     "synth --lfs-per-class is 0": (
         _command("synth", "--out", "{tmp}/s", "--lfs-per-class", "0"),
         1,
-        "synth needs at least one LF per class",
+        "error: Invalid value for '--lfs-per-class': synth needs at least one LF per class",
     ),
     "synth --lf-coverage is 0": (
         _command("synth", "--out", "{tmp}/s", "--lf-coverage", "0"),
         1,
-        "lf_coverage must be in (0, 1]",
+        "error: Invalid value for '--lf-coverage': lf_coverage must be in (0, 1]",
     ),
-    "synth --n-train is -1": (_command("synth", "--out", "{tmp}/s", "--n-train", "-1"), 1, "split sizes must be non-negative"),
+    "synth --n-train is -1": (
+        _command("synth", "--out", "{tmp}/s", "--n-train", "-1"),
+        1,
+        "error: Invalid value for '--n-train': split sizes must be non-negative",
+    ),
+    "config has a line before its first section": (
+        _train_with(SYNTH_CONFIG, "junk\n" + SYNTH_CONFIG),
+        1,
+        "error: {tmp}/run.cfg:1: a line before the first [section]: 'junk\\n'\n",
+    ),
+    "config has a line that is no key = value": (
+        _train_with("n_dev = 30\n", "n_dev = 30\nn_dev\n"),
+        1,
+        "error: {tmp}/run.cfg:5: neither a [section] nor a key = value line: 'n_dev\\n'\n",
+    ),
     "stats --seed is negative": (_command("stats", "--config", "{cfg}", "--seed", "-3", "--out", "{tmp}/d"), 1, "--seed"),
     "checkpoint echo is a number": (_eval_with_echo(5), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint echo section is a number": (_eval_with_echo({"train": 5}), 2, "{tmp}/run/checkpoint.sepll: "),
@@ -440,7 +458,26 @@ MALFORMED_INPUTS = {
         "--out {tmp}/afile/x: cannot make the directory: Not a directory",
     ),
     "train --out below a file": (
-        _never_training(_out_below_a_file("train", "--config", "{cfg}", "--out", "{tmp}/afile/x")),
+        _never_calling("train", _out_below_a_file("train", "--config", "{cfg}", "--out", "{tmp}/afile/x")),
+        1,
+        "--out {tmp}/afile/x: cannot make the directory: Not a directory",
+    ),
+    # the config file stands in for the checkpoint, which is never loaded
+    "eval --out below a file": (
+        _never_calling(
+            "load_checkpoint",
+            _out_below_a_file("eval", "--checkpoint", "{cfg}", "--config", "{cfg}", "--out", "{tmp}/afile/x"),
+        ),
+        1,
+        "--out {tmp}/afile/x: cannot make the directory: Not a directory",
+    ),
+    "analyze --out below a file": (
+        _never_calling(
+            "load_checkpoint",
+            _out_below_a_file(
+                "analyze", "--checkpoint", "{cfg}", "--config", "{cfg}", "--which", "gap", "--out", "{tmp}/afile/x"
+            ),
+        ),
         1,
         "--out {tmp}/afile/x: cannot make the directory: Not a directory",
     ),
@@ -1223,7 +1260,7 @@ KEY_SECTIONS = {  # key -> the section it is set in; "bogus" is unknown everywhe
     **{f.name: section for section, cls in CONFIG_CLASSES.items() for f in dataclasses.fields(cls)},
 }
 CONFIG_VALUES = [
-    "", "x", "-1", "0", "1", "2", "0.5", "1e999", "nan", "true", "2,3", "tanh", "relu", "synth", "jsonl",
+    "", "x", "-1", "0", "1", "2", "0.5", "1e308", "1e999", "nan", "true", "2,3", "tanh", "relu", "synth", "jsonl",
     "macro_f1", "activations", "keyword class_0 topic0word0", "regex class_1 (",
 ]
 # half of the values are small numbers, which most keys take
@@ -1286,6 +1323,8 @@ def test_edited_config_trains_or_exits_with_one_error_line(tmp_path, capsys):
         code = main(argv)
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        if code != 0:  # one line
+            assert err.endswith("\n") and err.count("\n") == 1, err
         if parsed is not None:  # every parse error names the file
             assert code == 1
             assert err == f"error: {parsed}\n"
@@ -1295,6 +1334,18 @@ def test_edited_config_trains_or_exits_with_one_error_line(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\nerror: ") == 0, err
 
     check()
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "l2_lf"])
+def test_numeric_failure_prints_its_error_line_alone(tmp_path, key):
+    # in a child process: pytest would catch the warnings numpy prints in this one
+    cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seed = 0", f"seed = 0\n{key} = 1e308"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepll.cli", "train", "--config", cfg, "--out", str(tmp_path / "t")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: non-finite ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_apply_lfs_without_section_exits_1(tmp_path, capsys):

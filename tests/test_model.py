@@ -246,7 +246,7 @@ def test_backward_loss_matches_forward_ce(rng):
 
 def fd_check(params, X, targets, penalty=0.0, tol=1e-4):
     def objective():
-        loss, _ = backward(params, X, targets, lf_activation_penalty=penalty)
+        loss, _ = backward(params, X, targets, l2_lf=penalty, l2_lf_target="activations")
         return loss if penalty == 0.0 else loss_with_penalty(params, X, targets, penalty)
 
     # backward returns the CE-only loss; with an activation penalty the FD
@@ -256,7 +256,7 @@ def fd_check(params, X, targets, penalty=0.0, tol=1e-4):
         base = ce_loss(trace.q, targets)
         return base + penalty * float(np.mean(np.sum(trace.lf_logits ** 2, axis=1)))
 
-    _, grad = backward(params, X, targets, lf_activation_penalty=penalty)
+    _, grad = backward(params, X, targets, l2_lf=penalty, l2_lf_target="activations")
     grads = dict(param_items(params, densify(params, grad)))
     eps = 1e-6
     worst = 0.0
@@ -336,7 +336,7 @@ def test_backward_accepts_sparse_input(rng, to_csr, native_paths):
     raw = rng.random((5, 3))
     targets = raw / raw.sum(axis=1, keepdims=True)
     loss_d, grad_d = backward(params, X, targets)
-    assert np.array_equal(grad_d.first.rows, np.arange(X.shape[1]))  # a dense batch gives every row
+    assert np.array_equal(grad_d.rows, np.arange(X.shape[1]))  # a dense batch gives every row
     for path in native_paths():
         loss_s, grad_s = backward(params, to_csr(X), targets)
         assert loss_s == pytest.approx(loss_d, abs=1e-12), path
@@ -355,12 +355,15 @@ def test_backward_first_layer_rows_outside_the_batch_are_positive_zero(rng, to_c
     for path in native_paths():
         _, grad = backward(params, X_csr, raw / raw.sum(axis=1, keepdims=True))
         # the gradient holds exactly the used rows, so every other row is +0.0
-        assert np.array_equal(grad.first.rows, np.unique(X_csr.indices)), path
-        assert grad.first.values.shape == (grad.first.rows.size, params.dims[0][1])
+        assert np.array_equal(grad.rows, np.unique(X_csr.indices)), path
+        assert grad.first.shape == (grad.rows.size, params.dims[0][1])
         W = dict(param_items(params, densify(params, grad)))["encoder.0.W"]
-        unused = np.setdiff1d(np.arange(W.shape[0]), grad.first.rows)
+        unused = np.setdiff1d(np.arange(W.shape[0]), grad.rows)
         assert {1, 3} <= set(unused.tolist())
         assert np.array_equal(W[unused].view(np.int64), np.zeros((unused.size, W.shape[1]), dtype=np.int64)), path
+        # a batch that uses no feature holds no row
+        _, grad = backward(params, to_csr(np.zeros_like(X)), raw / raw.sum(axis=1, keepdims=True))
+        assert grad.rows.size == 0 and grad.first.shape == (0, params.dims[0][1]), path
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -380,38 +383,33 @@ def test_backward_non_finite_first_layer_row_names_it(to_csr, native_paths):
             backward(params, to_csr(X), targets)
 
 
-def test_backward_reused_buffer_is_bitwise_fresh_buffers(rng, to_csr, native_paths):
-    # The used columns of successive batches overlap, are disjoint, are none at
-    # all, and are every column (a dense batch): each gradient holds its own
-    # batch's first-layer rows, and the reused buffer is rewritten whole.
-    n_features = 12
-    mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
-    params = init_params(n_features, mapping, EncoderConfig(hidden=(6,), dim=4), rng=np.random.default_rng(5))
-    columns = [[0, 1, 2, 3], [2, 3, 4], [7, 8], [], list(range(n_features)), [5], [0, 11]]
-    for path in native_paths():
-        buffer = np.full(params.theta.size - params.first_size, np.nan)
-        for i, cols in enumerate(columns):
-            X = np.zeros((3, n_features))
-            X[:, cols] = rng.normal(size=(3, len(cols)))
-            X[1, cols[:1]] = 0.0
-            batch = X if i == 4 else to_csr(X)
-            raw = rng.random((3, 3))
-            targets = raw / raw.sum(axis=1, keepdims=True)
-            loss, grad = backward(params, batch, targets, out=buffer)
-            fresh_loss, fresh = backward(params, batch, targets)
-            assert grad.rest is buffer
-            assert loss == fresh_loss
-            assert np.array_equal(grad.first.rows, fresh.first.rows), (path, cols)
-            assert np.array_equal(grad.first.rows, np.arange(n_features) if i == 4 else sorted(cols)), (path, cols)
-            bits, fresh_bits = (densify(params, g).view(np.int64) for g in (grad, fresh))
-            assert np.array_equal(bits, fresh_bits), (path, cols)
+def test_backward_parameters_penalty_is_two_l2_lf_theta_on_the_lf_path(rng, to_csr):
+    # the "parameters" flavour adds 2 * l2_lf * theta to the LF path's gradient,
+    # bit for bit, and leaves the rest of the gradient and the loss as they are
+    params = tiny_params(d=4, hidden=(6,))
+    X = rng.normal(size=(5, 5))
+    X[np.abs(X) < 0.7] = 0.0
+    raw = rng.random((5, 3))
+    targets = raw / raw.sum(axis=1, keepdims=True)
+    l2_lf = 0.3
+    for batch in (X, to_csr(X)):
+        plain_loss, plain = backward(params, batch, targets)
+        loss, grad = backward(params, batch, targets, l2_lf=l2_lf, l2_lf_target="parameters")
+        assert loss == plain_loss
+        lf = params.lf_slice
+        want = plain.rest.copy()
+        want[lf.start - params.first_size :] += 2.0 * l2_lf * params.theta[lf]
+        assert not np.array_equal(want, plain.rest)
+        assert np.array_equal(grad.rest.view(np.int64), want.view(np.int64))
+        assert np.array_equal(grad.rows, plain.rows)
+        assert np.array_equal(grad.first.view(np.int64), plain.first.view(np.int64))
 
 
 def test_backward_on_a_wide_sparse_batch_holds_no_first_layer_sized_array(native_paths):
     # A 16-row batch with 5 features a row uses 80 of 20,000 first-layer rows;
-    # the first layer is over 98 % of theta. The traced peak of backward, given a
-    # buffer for the dense rest, stays below a tenth of theta; a dense first-layer
-    # gradient would put it above one theta.
+    # the first layer is over 98 % of theta. The traced peak of backward stays
+    # below a tenth of theta; a dense first-layer gradient would put it above one
+    # theta.
     V, n, nnz = 20_000, 16, 5
     mapping = MappingMatrix(c=2, class_of=np.array([0, 0, 1, 1]))
     params = init_params(V, mapping, EncoderConfig(hidden=(64,), dim=8), rng=np.random.default_rng(6))
@@ -419,10 +417,9 @@ def test_backward_on_a_wide_sparse_batch_holds_no_first_layer_sized_array(native
     cols = np.sort((np.arange(n)[:, None] * 37 + np.arange(nnz) * 4000) % V, axis=1)
     X = CSRMatrix(np.full(n * nnz, 0.5), cols.ravel(), np.arange(0, n * nnz + 1, nnz), (n, V))
     targets = np.full((n, 4), 0.25)
-    buffer = np.empty(params.theta.size - params.first_size)
     for path in native_paths():
-        (_, grad), peak = traced_peak(backward, params, X, targets, out=buffer)
-        assert grad.first.rows.size == np.unique(cols).size, path
+        (_, grad), peak = traced_peak(backward, params, X, targets)
+        assert grad.rows.size == np.unique(cols).size, path
         assert peak < 0.1 * params.theta.nbytes, (path, f"peak {peak / params.theta.nbytes:.3f} thetas")
 
 

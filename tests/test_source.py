@@ -62,3 +62,17 @@ def unused_imports(source: Path) -> set[str]:
 
 def test_no_module_in_src_imports_a_name_it_does_not_use():
     assert unused_imports(SOURCE) == set()
+
+
+def modules_loading(source: Path, attrs: set[str]) -> dict[str, set[str]]:
+    """Each name in ``attrs`` -> the modules under ``source`` that load it as an attribute."""
+    found: dict[str, set[str]] = {attr: set() for attr in attrs}
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in attrs:
+                found[node.attr].add(path.stem)
+    return found
+
+
+def test_only_the_model_reads_where_the_first_layer_and_the_lf_path_sit_in_theta():
+    assert modules_loading(SOURCE, {"first_size", "lf_slice"}) == {"first_size": {"model"}, "lf_slice": {"model"}}

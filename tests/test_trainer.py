@@ -22,7 +22,7 @@ from sepll.evaluation import task_metrics
 from sepll.lf_engine import majority_vote
 from sepll.model import Gradient, backward, init_params, param_items, predict_batch
 from sepll.native import BLOCK
-from sepll.nnet import CSRMatrix, RowSparse
+from sepll.nnet import CSRMatrix
 from sepll.trainer import (
     VARIANT_ORDER,
     TrainConfig,
@@ -439,17 +439,17 @@ MISSHAPEN_ERRORS = {
 def misshapen(params, grad: Gradient, shape: str) -> Gradient:
     """``grad`` with one part of the wrong shape, or rows that are not ascending
     indices of the first layer."""
-    rows, first, rest = grad.first.rows, grad.first.values, grad.rest
+    rows, first, rest = grad
     return {
-        "short": lambda: Gradient(grad.first, rest[:-1]),
-        "long": lambda: Gradient(grad.first, np.append(rest, 1.0)),
-        "column": lambda: Gradient(grad.first, rest[:, None]),
-        "narrow": lambda: Gradient(RowSparse(rows, first[:, :-1]), rest),
-        "row-count": lambda: Gradient(RowSparse(rows[:-1], first), rest),
-        "unsorted": lambda: Gradient(RowSparse(rows[::-1].copy(), first), rest),
-        "repeated": lambda: Gradient(RowSparse(np.append(rows[:-1], rows[-2]), first), rest),
-        "outside": lambda: Gradient(RowSparse(rows + params.encoder[0].W.shape[0] - rows[0], first), rest),
-        "negative": lambda: Gradient(RowSparse(rows - rows[-1] - 1, first), rest),
+        "short": lambda: Gradient(rows, first, rest[:-1]),
+        "long": lambda: Gradient(rows, first, np.append(rest, 1.0)),
+        "column": lambda: Gradient(rows, first, rest[:, None]),
+        "narrow": lambda: Gradient(rows, first[:, :-1], rest),
+        "row-count": lambda: Gradient(rows[:-1], first, rest),
+        "unsorted": lambda: Gradient(rows[::-1].copy(), first, rest),
+        "repeated": lambda: Gradient(np.append(rows[:-1], rows[-2]), first, rest),
+        "outside": lambda: Gradient(rows + params.encoder[0].W.shape[0] - rows[0], first, rest),
+        "negative": lambda: Gradient(rows - rows[-1] - 1, first, rest),
     }[shape]()
 
 
