@@ -21,33 +21,22 @@ from .trainer import TrainConfig
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
+# value type -> (what an error says was expected, parser of the stripped text)
+_VALUE_TYPES = {
+    bool: ("a boolean", lambda text: _BOOLS[text.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+    tuple: ("comma-separated integers", lambda text: tuple(int(part) for part in text.split(",") if part.strip())),
+    str: ("a string", str),
+}
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+
+def _parse_value(section: str, key: str, raw: str, kind: type):
+    expected, parse = _VALUE_TYPES[kind]
     try:
-        return _BOOLS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected comma-separated integers, got {raw!r}") from None
+        return parse(raw.strip())
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,15 +78,6 @@ class RunConfig:
         return echo
 
 
-_PARSERS = {
-    bool: _parse_bool,
-    int: _parse_int,
-    float: _parse_float,
-    tuple: _parse_int_tuple,
-    str: lambda section, key, raw: raw.strip(),
-}
-
-
 def _schema(cls) -> dict[str, type]:
     """Config key -> value type, read off the exact type of each field's default."""
     return {f.name: type(f.default) for f in dataclasses.fields(cls)}
@@ -108,7 +88,7 @@ def _collect(parser: configparser.ConfigParser, section: str, schema: dict[str, 
     for key, raw in parser.items(section) if parser.has_section(section) else ():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        out[key] = _PARSERS[schema[key]](section, key, raw)
+        out[key] = _parse_value(section, key, raw, schema[key])
     return out
 
 
@@ -128,6 +108,10 @@ def parse_config(path: str | Path) -> RunConfig:
     except configparser.ParsingError as exc:
         lineno, line = exc.errors[0]  # the line comes as its repr
         raise ConfigError(f"{path}:{lineno}: neither a [section] nor a key = value line: {line}") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: section [{exc.section}] appears twice") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: key {exc.option!r} appears twice in [{exc.section}]") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
@@ -147,18 +131,13 @@ def _from_sections(parser: configparser.ConfigParser) -> RunConfig:
         fields = _collect(parser, "data", {"path": str, "format": str, **_schema(SynthSpec)})
         fmt = fields.pop("format", "wrench-json")
         path_value = fields.pop("path", None)
-        if fmt == "synth":
-            try:
-                synth = SynthSpec(**fields)
-            except DataError as exc:
-                raise ConfigError(f"[data] {exc}") from None
-            data_cfg = DataConfig(format=fmt, path=path_value, synth=synth)
-        else:
-            if fields:
-                raise ConfigError(
-                    f"[data] keys {sorted(fields)} are only valid with format = synth"
-                )
-            data_cfg = DataConfig(format=fmt, path=path_value)
+        if fields and fmt != "synth":
+            raise ConfigError(f"[data] keys {sorted(fields)} are only valid with format = synth")
+        try:
+            synth = SynthSpec(**fields) if fmt == "synth" else None
+        except DataError as exc:
+            raise ConfigError(f"[data] {exc}") from None
+        data_cfg = DataConfig(format=fmt, path=path_value, synth=synth)
 
     lf_entries: tuple[tuple[str, str], ...] = ()
     if parser.has_section("lfs"):

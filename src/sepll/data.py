@@ -376,6 +376,9 @@ def _parse_entry(entry, where: str, wrench: bool) -> tuple[str, int | None, list
     holder = entry.get("data") if wrench else entry
     if not isinstance(holder, dict) or "text" not in holder:
         raise DataError(f"{where}: missing {'data.text' if wrench else 'text'} field")
+    text = holder["text"]
+    if type(text) is not str:
+        raise DataError(f"{where}: text must be a string, got {json.dumps(text)}")
     label = entry.get("label")
     # type(...) is int: json gives true/false as bool, which isinstance(..., int) accepts
     if label is not None and type(label) is not int:
@@ -386,7 +389,7 @@ def _parse_entry(entry, where: str, wrench: bool) -> tuple[str, int | None, list
     for value in weak:
         if not (type(value) is int and value in _INT64):
             raise DataError(f"{where}: weak label {json.dumps(value)} is not a 64-bit integer")
-    return str(holder["text"]), label, weak
+    return text, label, weak
 
 
 def _parse_split(entries, wrench: bool) -> tuple[tuple[Sample, ...], np.ndarray]:
@@ -473,6 +476,8 @@ def _read_class_names(path: Path) -> tuple[str, ...]:
     for k, name in enumerate(names):
         if type(name) is not str:
             raise DataError(f"{path}: the name of class {k} must be a string, got {json.dumps(name)}")
+        if name in names[:k]:
+            raise DataError(f"{path}: class name {json.dumps(name)} appears twice")
     return names
 
 
@@ -490,9 +495,11 @@ def load_dataset(path: str | Path, fmt: str = "wrench-json") -> SplitSet:
     for split, f in files.items():
         parts[split], weak[split] = loader(f) if f else ((), np.empty((0, 0), dtype=np.int64))
     widths = {weak[s].shape[1] for s in SPLIT_NAMES if len(parts[s])}
-    width = widths.pop() if len(widths) == 1 else None
-    if width is None:
+    if not widths:
+        raise DataError(f"{root}: no samples in any split file")
+    if len(widths) > 1:
         raise DataError(f"{root}: inconsistent LF count across splits")
+    width = widths.pop()
     for s in SPLIT_NAMES:
         if not len(parts[s]):
             weak[s] = np.empty((0, width), dtype=np.int64)
@@ -542,33 +549,21 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
     names = {str(i): name for i, name in enumerate(splits.class_names)}
     write_text(label_file, json.dumps(names, sort_keys=True) + "\n")
     written = [label_file]
+    wrench = fmt == "wrench-json"
     for split in SPLIT_NAMES:
-        samples = splits.split(split)
-        weak = splits.raw_weak_labels[split]
-        f = root / _SPLIT_FILES[fmt][split][0]
-        if fmt == "wrench-json":
-            obj = {
-                str(s.id): {
-                    "label": s.gold_label,
-                    "weak_labels": [int(v) for v in weak[i]],
-                    "data": {"text": s.text},
-                }
-                for i, s in enumerate(samples)
+        entries = {
+            str(s.id): {
+                "label": s.gold_label,
+                "weak_labels": weak,
+                **({"data": {"text": s.text}} if wrench else {"text": s.text}),
             }
-            write_text(f, json.dumps(obj, sort_keys=True) + "\n")
+            for s, weak in zip(splits.split(split), splits.raw_weak_labels[split].tolist())
+        }
+        f = root / _SPLIT_FILES[fmt][split][0]
+        if wrench:
+            write_text(f, json.dumps(entries, sort_keys=True) + "\n")
         else:
-            lines = [
-                json.dumps(
-                    {
-                        "text": s.text,
-                        "label": s.gold_label,
-                        "weak_labels": [int(v) for v in weak[i]],
-                    },
-                    sort_keys=True,
-                )
-                for i, s in enumerate(samples)
-            ]
-            write_text(f, "\n".join(lines) + ("\n" if lines else ""))
+            write_text(f, "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries.values()))
         written.append(f)
     return written
 

@@ -35,8 +35,11 @@ class LabelingFunction:
         if self.label < 0:
             raise ConfigError(f"LF {self.id}: negative class index")
         if self.kind == "keyword":
-            if not self.terms or any(not t.strip() for t in self.terms):
+            if not self.terms:
                 raise ConfigError(f"LF {self.id}: keyword rule needs non-empty terms")
+            for term in self.terms:
+                if not tokenize(term):
+                    raise ConfigError(f"LF {self.id}: keyword term {term!r} has no letters or digits")
         else:
             if not self.pattern:
                 raise ConfigError(f"LF {self.id}: regex rule needs a pattern")
@@ -90,8 +93,7 @@ def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> Mat
         if lf.kind == "keyword":
             for term in lf.terms:
                 run = tokenize(term)
-                if run:
-                    by_first.setdefault(run[0], []).append((j, run))
+                by_first.setdefault(run[0], []).append((j, run))
 
     pairs = []
     for i, sample in enumerate(samples):

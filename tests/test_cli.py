@@ -15,7 +15,7 @@ import click
 import numpy as np
 import pytest
 from conftest import child_env
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_config_manifest import DiskFull
 
 try:
@@ -426,6 +426,21 @@ MALFORMED_INPUTS = {
         1,
         "error: {tmp}/run.cfg:5: neither a [section] nor a key = value line: 'n_dev\\n'\n",
     ),
+    "config repeats a section": (
+        _train_with(SYNTH_CONFIG, SYNTH_CONFIG + "[data]\n"),
+        1,
+        "error: {tmp}/run.cfg:16: section [data] appears twice\n",
+    ),
+    "config repeats a key": (
+        _train_with("n_dev = 30\n", "n_dev = 30\nn_dev = 31\n"),
+        1,
+        "error: {tmp}/run.cfg:5: key 'n_dev' appears twice in [data]\n",
+    ),
+    "lfs keyword term has no letters or digits": (
+        _train_with("seed = 0\n", "seed = 0\n\n[lfs]\nbang = keyword class_0 !!!\n"),
+        1,
+        "error: {tmp}/run.cfg: [lfs] LF 0: keyword term '!!!' has no letters or digits\n",
+    ),
     "stats --seed is negative": (_command("stats", "--config", "{cfg}", "--seed", "-3", "--out", "{tmp}/d"), 1, "--seed"),
     "checkpoint echo is a number": (_eval_with_echo(5), 2, "{tmp}/run/checkpoint.sepll: "),
     "checkpoint echo section is a number": (_eval_with_echo({"train": 5}), 2, "{tmp}/run/checkpoint.sepll: "),
@@ -519,6 +534,16 @@ MALFORMED_INPUTS = {
         _convert_with_labels('{"0": "a", "01": "b"}'),
         2,
         "{tmp}/data/label.json: ",
+    ),
+    "label.json repeats a class name": (
+        _convert_with_labels('{"0": "spam", "1": "spam"}'),
+        2,
+        '{tmp}/data/label.json: class name "spam" appears twice',
+    ),
+    "dataset has no samples in any split": (
+        _convert_files("wrench-json", {"train.json": "{}", "valid.json": "{}", "test.json": "{}", "label.json": '{"0": "a"}'}),
+        2,
+        "error: {tmp}/data: no samples in any split file\n",
     ),
     "label.json index has a sign": (_convert_with_labels('{"+0": "a", "1": "b"}'), 2, "{tmp}/data/label.json: "),
     "label.json index is a non-ASCII digit": (
@@ -1199,7 +1224,7 @@ LABEL_FILES = st.one_of(
 def label_file_is_valid(raw: bytes, n_used: int) -> bool:
     """Whether ``raw`` names the classes of a dataset whose labels use classes
     0..n_used-1: a UTF-8 JSON object whose keys are the decimal indices 0..c-1,
-    c >= n_used, each naming its class with a string."""
+    c >= n_used, each naming its class with a string no other class uses."""
     try:
         obj = json.loads(raw.decode("utf-8"))
     except ValueError:  # UnicodeDecodeError and JSONDecodeError
@@ -1209,6 +1234,7 @@ def label_file_is_valid(raw: bytes, n_used: int) -> bool:
         and sorted(obj) == sorted(str(k) for k in range(len(obj)))
         and len(obj) >= n_used
         and all(type(name) is str for name in obj.values())
+        and len(set(obj.values())) == len(obj)
     )
 
 
@@ -1312,6 +1338,8 @@ def test_edited_config_trains_or_exits_with_one_error_line(tmp_path, capsys):
 
     @settings(max_examples=150)
     @given(CONFIG_EDITS)
+    @example([("section", 0.5, "data")])  # [data] again, before "hidden = 4"
+    @example([("line", 0.0, "n_train", "1")])  # n_train twice in [data]
     def check(edits):
         cfg.write_bytes(edit_config(raw, edits))
         try:
@@ -1325,10 +1353,10 @@ def test_edited_config_trains_or_exits_with_one_error_line(tmp_path, capsys):
         assert "Traceback" not in err
         if code != 0:  # one line
             assert err.endswith("\n") and err.count("\n") == 1, err
-        if parsed is not None:  # every parse error names the file
+        if parsed is not None:  # every parse error names the file, once, first
             assert code == 1
             assert err == f"error: {parsed}\n"
-            assert str(cfg) in err
+            assert err.startswith(f"error: {cfg}:") and err.count(str(cfg)) == 1, err
         elif code != 0:
             assert code in (1, 2, 3), err
             assert err.startswith("error: ") and err.count("\nerror: ") == 0, err

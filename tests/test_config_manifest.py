@@ -218,7 +218,7 @@ def test_readme_config_reference_matches_the_schema():
         # the values shown are the defaults
         defaults = cls()
         for key, raw in parser[section].items():
-            assert config._PARSERS[schema[key]](section, key, raw) == getattr(defaults, key), (section, key)
+            assert config._parse_value(section, key, raw, schema[key]) == getattr(defaults, key), (section, key)
 
 
 # ---------------------------------------------------------------------------

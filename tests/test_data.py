@@ -186,6 +186,11 @@ def entry_for(fmt, text="x", **fields):
     return {**base, "label": 0, "weak_labels": [0, -1], **fields}
 
 
+def with_text(entry, text):
+    """``entry`` with its text, wherever its format keeps it, set to ``text``."""
+    return {**entry, "data": {"text": text}} if "data" in entry else {**entry, "text": text}
+
+
 def write_train_split(root, fmt, entries):
     """A dataset directory whose only split is ``entries`` as the train split."""
     root.mkdir()
@@ -217,12 +222,15 @@ FORMATS = sorted(ENTRY_WHERE)
         (lambda e: {**e, "label": True}, "label must be an integer or null, got true"),
         (lambda e: {**e, "label": 1.0}, "label must be an integer or null, got 1.0"),
         (lambda e: {**e, "label": "1"}, "label must be an integer or null"),
+        (lambda e: with_text(e, None), "text must be a string, got null"),
+        (lambda e: with_text(e, 5), "text must be a string, got 5"),
+        (lambda e: with_text(e, ["a", "b"]), r'text must be a string, got \["a", "b"\]'),
         (lambda e: 5, "expected a JSON object, got int"),
         (lambda e: [e], "expected a JSON object, got list"),
     ],
     ids=[
         "weak_str", "weak_null", "weak_float", "weak_bool", "weak_huge", "weak_not_array",
-        "label_bool", "label_float", "label_str", "entry_int", "entry_list",
+        "label_bool", "label_float", "label_str", "text_null", "text_int", "text_list", "entry_int", "entry_list",
     ],
 )  # fmt: skip
 def test_malformed_entry_is_data_error_naming_sample(tmp_path, fmt, mutate, message):

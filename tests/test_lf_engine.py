@@ -73,6 +73,12 @@ def test_lf_requires_payload():
         LabelingFunction(id=0, kind="keyword", label=0, terms=(), pattern=None)
 
 
+@pytest.mark.parametrize("term", ["!!!", "--", " ", "_"])
+def test_keyword_term_without_a_token_is_rejected(term):
+    with pytest.raises(ConfigError, match=f"^LF 3: keyword term {re.escape(repr(term))} has no letters or digits$"):
+        LabelingFunction(id=3, kind="keyword", label=0, terms=("win", term))
+
+
 # ---------------------------------------------------------------------------
 # matching semantics
 
@@ -138,7 +144,7 @@ WORDS = st.sampled_from(["a", "A", "b", "B", "ab", "c"])
 SEPARATORS = st.sampled_from([" ", ", ", "-", "! ", "_", " -- "])
 TERMS = st.one_of(
     st.lists(WORDS, min_size=1, max_size=3).map(" ".join),
-    st.sampled_from(["a a", "a b", "b a", "--", "a -- b"]),
+    st.sampled_from(["a a", "a b", "b a", "a -- b"]),
 )
 REGEXES = st.sampled_from([r"\bab\b", r"^a", r"b!", r"[A-Z]{2}", r"-"])
 
@@ -151,7 +157,6 @@ def labeling_functions(draw):
         if draw(st.booleans()):
             lfs.append(LabelingFunction(id=lf_id, kind="regex", label=label, pattern=draw(REGEXES)))
         else:
-            # a term made only of separators ("--") passes validation but tokenizes to []
             terms = tuple(draw(st.lists(TERMS, min_size=1, max_size=3)))
             lfs.append(LabelingFunction(id=lf_id, kind="keyword", label=label, terms=terms))
     return tuple(lfs)
