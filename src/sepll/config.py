@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,12 +22,32 @@ from .trainer import TrainConfig
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
+
+def _int(text: str) -> int:
+    """ASCII digits with an optional sign; Python's ``int`` also takes ``1_0``
+    and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """``float`` of ASCII text without ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 # value type -> (what an error says was expected, parser of the stripped text)
 _VALUE_TYPES = {
     bool: ("a boolean", lambda text: _BOOLS[text.lower()]),
-    int: ("an integer", int),
-    float: ("a number", float),
-    tuple: ("comma-separated integers", lambda text: tuple(int(part) for part in text.split(",") if part.strip())),
+    int: ("an integer", _int),
+    float: ("a number", _float),
+    # no text is (); every item between commas is an integer
+    tuple: (
+        "comma-separated integers",
+        lambda text: tuple(_int(part.strip()) for part in text.split(",")) if text else (),
+    ),
     str: ("a string", str),
 }
 

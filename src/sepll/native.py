@@ -14,6 +14,13 @@ On x86-64 with glibc each kernel is compiled once per instruction set in
 cache key needs no CPU model, and one cached library runs on any x86-64
 machine. Elsewhere the kernels are compiled for the compiler's default target.
 
+The AdamW kernel splits a block of rows into row ranges, one per usable CPU
+but none under :data:`MIN_PART` elements, and steps each range on a POSIX thread
+of its own (the first on the calling thread), joining every thread before it
+returns; a block too small to split runs on the calling thread alone. The
+ranges are disjoint and the step is elementwise, so the split never changes a
+bit, and nothing configures it. The numpy path stays serial.
+
 Callers use :func:`adamw` and :func:`row_sums`, which run the kernel where it
 loaded and numpy otherwise; both paths give every element the same operations
 in the same order, so the same bits. The first call of either in a process
@@ -49,7 +56,10 @@ import numpy as np
 # one chunk's updates lives on the stack. It walks a block of rows in runs that
 # share one gradient source: consecutive given rows read theirs from grad, and
 # the rows between them read +0.0 from a static zero chunk, so no caller needs
-# a gradient the size of the block. Its caller has checked the row list.
+# a gradient the size of the block. Its caller has checked the row list. It
+# hands each row range to step_part with its slice of the sorted rows and grad,
+# so no part copies an index array, and returns the lowest non-finite index over
+# the parts: the one the serial walk stops at.
 # Both paths add the decay term even when weight decay is 0, so that theta
 # streams through the arithmetic loop and an overflowed theta fails the check.
 # For a finite theta, theta * 0.0 is a signed zero that can only turn an update
@@ -70,6 +80,9 @@ CHUNK = 4096  # elements whose updates are checked before any of them is applied
 DISPATCH = '__attribute__((target_clones("avx512f", "avx2", "default")))'
 SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 #include <math.h>
+#include <pthread.h>
+
+#define MAX_PARTS 64 /* row ranges, so threads, of one AdamW step at most */
 
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -80,31 +93,45 @@ SOURCE = f"#define CHUNK {CHUNK}\n" + r"""
 #define SEPLL_DISPATCH
 #endif
 
-/* One AdamW step over the n_rows x width block of theta, m and v (row-major),
-   in place. grad holds, one after another, the gradient rows of the k
-   ascending, distinct row indices in rows; every other row's gradient is +0.0.
-   Returns -1, or the index in the block of the first non-finite update: m and v
-   then hold the step up to the end of its chunk, theta up to the start of it. */
+/* The part of an AdamW step that one thread takes: rows first..last-1 of the
+   n_rows x width block of theta, m and v (row-major), in place. grad holds, one
+   after another, the gradient rows of the k ascending, distinct row indices in
+   rows, all among first..last-1; every other row's gradient is +0.0. bad is set
+   to -1, or to the index in the block of the part's first non-finite update: m
+   and v then hold the part's step up to the end of its chunk, theta up to the
+   start of it. */
+struct part {
+    double *theta, *m, *v;
+    long long first, last, width;
+    const long long *rows;
+    long long k;
+    const double *grad;
+    double beta1, one_minus_beta1, beta2, one_minus_beta2, step_size, eps_hat, decay;
+    long long bad;
+};
+
 SEPLL_DISPATCH
-long long sepll_adamw(double *theta, double *m, double *v, long long n_rows, long long width,
-                      const long long *rows, long long k, const double *grad,
-                      double beta1, double one_minus_beta1, double beta2, double one_minus_beta2,
-                      double step_size, double eps_hat, double decay)
+static void step_part(struct part *p)
 {
     static const double zero[CHUNK];
     double u[CHUNK];
+    const long long width = p->width, *rows = p->rows, k = p->k;
+    const double beta1 = p->beta1, one_minus_beta1 = p->one_minus_beta1, beta2 = p->beta2,
+                 one_minus_beta2 = p->one_minus_beta2, step_size = p->step_size,
+                 eps_hat = p->eps_hat, decay = p->decay;
     long long j = 0;
-    for (long long r = 0; r < n_rows;) {
+    p->bad = -1;
+    for (long long r = p->first; r < p->last;) {
         /* rows r..end share one gradient source: given rows that follow each
            other, stored back to back in grad, or the rows before the next given one */
         long long given = j;
         while (j < k && rows[j] == r + (j - given))
             j++;
-        long long end = j > given ? r + (j - given) : (j < k ? rows[j] : n_rows);
-        const double *run = j > given ? grad + given * width : 0;
+        long long end = j > given ? r + (j - given) : (j < k ? rows[j] : p->last);
+        const double *run = j > given ? p->grad + given * width : 0;
         for (long long lo = r * width; lo < end * width; lo += CHUNK) {
             long long n = end * width - lo < CHUNK ? end * width - lo : CHUNK;
-            double *th = theta + lo, *mm = m + lo, *vv = v + lo;
+            double *th = p->theta + lo, *mm = p->m + lo, *vv = p->v + lo;
             const double *g = run ? run + (lo - r * width) : zero;
             for (long long i = 0; i < n; i++) {
                 mm[i] = mm[i] * beta1 + g[i] * one_minus_beta1;
@@ -117,13 +144,65 @@ long long sepll_adamw(double *theta, double *m, double *v, long long n_rows, lon
                 finite &= isfinite(u[i]) != 0;
             if (!finite)
                 for (long long i = 0;; i++)
-                    if (!isfinite(u[i]))
-                        return lo + i;
+                    if (!isfinite(u[i])) {
+                        p->bad = lo + i;
+                        return;
+                    }
             for (long long i = 0; i < n; i++)
                 th[i] -= u[i];
         }
         r = end;
     }
+}
+
+static void *run_part(void *p)
+{
+    step_part(p);
+    return 0;
+}
+
+/* One AdamW step over the n_rows x width block of theta, m and v, in place:
+   grad and rows as in struct part, over the whole block. The rows go in
+   n_parts ranges of nearly equal size (at most one per row and MAX_PARTS in
+   all); the first runs on the calling thread, each other one on a thread of
+   its own, or on the calling thread where no thread can be started. Every
+   element gets the same operations in any split. Returns -1, or the lowest
+   index in the block of a non-finite update, which is where one part stopped
+   as struct part says; every other part is fully stepped. */
+long long sepll_adamw(double *theta, double *m, double *v, long long n_rows, long long width,
+                      const long long *rows, long long k, const double *grad,
+                      double beta1, double one_minus_beta1, double beta2, double one_minus_beta2,
+                      double step_size, double eps_hat, double decay, long long n_parts)
+{
+    struct part parts[MAX_PARTS];
+    pthread_t threads[MAX_PARTS];
+    int started[MAX_PARTS] = {0};
+    if (n_parts > n_rows)
+        n_parts = n_rows;
+    if (n_parts > MAX_PARTS)
+        n_parts = MAX_PARTS;
+    if (n_parts < 1)
+        n_parts = 1;
+    long long j = 0;
+    for (long long p = 0; p < n_parts; p++) {
+        long long first = n_rows * p / n_parts, last = n_rows * (p + 1) / n_parts, given = j;
+        while (j < k && rows[j] < last)
+            j++;
+        parts[p] = (struct part){theta, m, v, first, last, width, rows + given, j - given,
+                                 grad + given * width, beta1, one_minus_beta1, beta2,
+                                 one_minus_beta2, step_size, eps_hat, decay, -1};
+    }
+    for (long long p = 1; p < n_parts; p++)
+        started[p] = pthread_create(&threads[p], 0, run_part, &parts[p]) == 0;
+    for (long long p = 0; p < n_parts; p++)
+        if (!started[p])
+            step_part(&parts[p]);
+    for (long long p = 1; p < n_parts; p++)
+        if (started[p])
+            pthread_join(threads[p], 0);
+    for (long long p = 0; p < n_parts; p++)
+        if (parts[p].bad >= 0)
+            return parts[p].bad;
     return -1;
 }
 
@@ -147,7 +226,7 @@ void sepll_row_sums(const double *data, const long long *indices,
     }
 }
 """
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 60
 
 
@@ -181,6 +260,21 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 BLOCK = 32768
 # float64 elements in one row block of numpy's sparse product output (512 KiB)
 ROW_BLOCK = 65536
+# Elements that one thread of the AdamW kernel takes at least: a block splits
+# into at most one row range per usable CPU, each of at least this many. Two
+# parts broke even with one at 32768 elements each (a 256-wide block, a given
+# row in eight; on a 2-vCPU 2.1 GHz Xeon, median of 300 calls: 0.98 of the
+# one-part time at 65536 elements, 0.8 at 131072, 0.55 at 1M), so a part needs
+# twice that. A rules-large theta (45k elements) and the wide-vocab rest block
+# (42k) never split; the wide-vocab first layer (1.04M) takes up to 15 CPUs.
+MIN_PART = 65536
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def adamw(
@@ -207,10 +301,12 @@ def adamw(
     arithmetic the textbook ``lr * (m / bc1) / (sqrt(v / bc2) + EPS)``, with one
     division per element in place of three.
 
-    Returns -1, or the index of the first non-finite update; the arrays are
-    then left partly updated. Arrays that disagree in shape, and rows that are
-    not ascending indices of the first part, raise ``ValueError`` before any
-    array is written.
+    Returns -1, or the index of the first non-finite update, the same on either
+    path and in any split. The arrays are then left partly updated; on the
+    kernel path, every row range of the failing block that holds no
+    non-finite update is fully stepped. Arrays that disagree in shape, and
+    rows that are not ascending indices of the first part, raise
+    ``ValueError`` before any array is written.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     width = first.shape[1] if first.ndim == 2 else -1
@@ -254,6 +350,7 @@ def _adamw_block(theta, m, v, rows, grad, step_size, eps_hat, decay) -> int:
         return kernels.adamw(
             theta, m, v, n_rows, width, rows, rows.size, grad,
             BETA1, 1.0 - BETA1, BETA2, 1.0 - BETA2, step_size, eps_hat, decay,
+            min(usable_cpus(), theta.size // MIN_PART),
         )  # fmt: skip
     if theta.size == 0:
         return -1
@@ -340,7 +437,7 @@ def bind(library: ctypes.CDLL) -> Kernels:
     longs = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     adamw, row_sums = library.sepll_adamw, library.sepll_row_sums
     adamw.argtypes = [doubles] * 3 + [ctypes.c_longlong] * 2 + [longs, ctypes.c_longlong, doubles]
-    adamw.argtypes += [ctypes.c_double] * 7
+    adamw.argtypes += [ctypes.c_double] * 7 + [ctypes.c_longlong]
     adamw.restype = ctypes.c_longlong
     row_sums.argtypes = [doubles, longs, longs, ctypes.c_longlong, doubles, ctypes.c_longlong, doubles]
     row_sums.restype = None

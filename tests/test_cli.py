@@ -378,6 +378,31 @@ MALFORMED_INPUTS = {
         1,
         "{tmp}/run.cfg: [train] batch_size: expected an integer, got '1.5'",
     ),
+    "dim has an underscore": (
+        _train_with("dim = 8", "dim = 1_0"),
+        1,
+        "{tmp}/run.cfg: [encoder] dim: expected an integer, got '1_0'",
+    ),
+    "batch_size is a non-ASCII digit": (
+        _train_with("max_epochs", "batch_size = \u0663\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: [train] batch_size: expected an integer, got '\u0663'",
+    ),
+    "hidden has an empty item": (
+        _train_with("hidden = 16", "hidden = 16,,32"),
+        1,
+        "{tmp}/run.cfg: [encoder] hidden: expected comma-separated integers, got '16,,32'",
+    ),
+    "learning_rate has an underscore": (
+        _train_with("max_epochs", "learning_rate = 1_0.0\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: [train] learning_rate: expected a number, got '1_0.0'",
+    ),
+    "learning_rate is a non-ASCII digit": (
+        _train_with("max_epochs", "learning_rate = 0.\u0661\nmax_epochs"),
+        1,
+        "{tmp}/run.cfg: [train] learning_rate: expected a number, got '0.\u0661'",
+    ),
     "encoder nonlinearity is unknown": (
         _train_with("dim = 8", "dim = 8\nnonlinearity = cube"),
         1,

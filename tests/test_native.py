@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -282,3 +283,73 @@ def test_each_clone_target_is_bitwise_numpy(target, tmp_path, monkeypatch):
         W, D = awkward(rng, (f, width)), awkward(rng, (n, width))
         kernel, numpy = on_each_path(kernels, monkeypatch, lambda: (X @ W, *X.transpose_product(D)[1:]))
         assert all(np.array_equal(a, b) for a, b in zip(kernel, numpy)), ("row sums", n, f, width)
+
+
+def thread_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+
+
+@needs_cc
+@needs_proc_tasks
+def test_no_thread_outlives_a_split_step(monkeypatch):
+    # more parts than this machine likely has CPUs, each long enough that a
+    # thread left running at return would still be there to count
+    monkeypatch.setattr(native, "MIN_PART", 1)
+    monkeypatch.setattr(native, "usable_cpus", lambda: 7)
+    assert native.load() is not None
+    theta, m, v = np.ones(700_000), np.zeros(700_000), np.zeros(700_000)
+    before = thread_count()
+    bad = native.adamw(theta, m, v, np.arange(0, 1000, 7), np.ones((143, 700)), np.ones(0), 1, 0.01, 0.001)
+    assert (bad, thread_count()) == (-1, before)
+    assert np.all(theta < 1.0)  # every row of every part stepped
+
+
+@needs_proc_tasks
+def test_importing_the_cli_and_stats_start_no_thread(tmp_path):
+    # numpy's BLAS may start its own threads when numpy is imported, so the
+    # count starts after that import
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + "\n[lfs]\nrule_a = keyword class_0 topic0word0\n", encoding="utf-8")
+    code = (
+        "import os, numpy\n"
+        "count = lambda: len(os.listdir('/proc/self/task'))\n"
+        "before = count()\n"
+        "import sepll.cli\n"
+        "imported = count()\n"
+        f"code = sepll.cli.main(['stats', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'stats')!r}])\n"
+        "print(code, imported - before, count() - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 0 0"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no os.sched_getaffinity")
+def test_the_affinity_of_the_process_does_not_change_the_bytes(tmp_path):
+    # Each child lowers the kernel's minimum part size, so that the unpinned
+    # one splits this small model's first layer over its CPUs; the pinned one
+    # runs one part.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG, encoding="utf-8")
+    cpu = min(os.sched_getaffinity(0))
+    artifacts = {}
+    for name, pin in (("pinned", f"os.sched_setaffinity(0, {{{cpu}}})"), ("unpinned", "")):
+        out = tmp_path / name
+        code = (
+            f"import os\n{pin}\n"
+            "from sepll import cli, native\n"
+            "native.MIN_PART = 1\n"
+            f"code = cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+            "print(code, native.usable_cpus())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120, check=True
+        )
+        code, cpus = proc.stdout.splitlines()[-1].split()
+        assert code == "0" and (cpus == "1") == (name == "pinned" or len(os.sched_getaffinity(0)) == 1)
+        artifacts[name] = {f: (out / f).read_bytes() for f in ("checkpoint.sepll", "history.csv")}
+    assert artifacts["pinned"] == artifacts["unpinned"]

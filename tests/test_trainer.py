@@ -395,6 +395,109 @@ def test_adamw_first_moment_is_never_negative_zero(native_paths):
             assert not np.any((state.m == 0.0) & np.signbit(state.m)), path
 
 
+PART_COUNTS = [1, 2, 3, 7]
+
+
+def split_into(monkeypatch, parts: int) -> None:
+    """Let the AdamW kernel split a block of any size into ``parts`` row ranges."""
+    monkeypatch.setattr(native, "MIN_PART", 1)
+    monkeypatch.setattr(native, "usable_cpus", lambda: parts)
+
+
+def part_starts(n_rows: int, parts: int) -> list[int]:
+    """The first row of each of the kernel's ``parts`` row ranges."""
+    return [n_rows * p // parts for p in range(parts)]
+
+
+# part count, first-layer row count -> the given rows of a step
+SPLIT_ROW_SETS = {
+    "none": lambda parts, n: [],
+    # the first row of every part, and the last row of the part before it
+    "boundaries": lambda parts, n: sorted({r + d for r in part_starts(n, parts)[1:] for d in (-1, 0)} | {0}),
+    "one part": lambda parts, n: list(range(part_starts(n, parts)[-1], n, 3)),
+    "scattered": lambda parts, n: list(range(5, n, 37)),
+}
+
+
+def needs_kernel():
+    if native.load() is None:
+        pytest.skip("the AdamW kernel could not be built here")
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("row_set", sorted(SPLIT_ROW_SETS))
+def test_adamw_bits_do_not_depend_on_the_part_count(row_set, weight_decay, monkeypatch):
+    # every part count steps theta, m and v as the serial numpy step and the
+    # whole-array reference do, bit for bit
+    needs_kernel()
+    cfg = TrainConfig(weight_decay=weight_decay)
+
+    def run(parts):
+        params = multi_block_params()
+        state = init_optimizer(params)
+        ref, m_ref, v_ref = multi_block_params(), np.zeros_like(params.theta), np.zeros_like(params.theta)
+        rng = np.random.default_rng(17)
+        n_rows = params.encoder[0].W.shape[0]
+        for t, lr in enumerate([0.05, 0.01, 0.002, 0.03], start=1):
+            flat, grad = row_sparse_grad(params, rng, SPLIT_ROW_SETS[row_set](parts, n_rows))
+            adamw_step(params, grad, state, cfg, lr)
+            reference_adamw_step(ref, flat, m_ref, v_ref, t, cfg, lr)
+        return [a.view(np.int64) for a in (params.theta, state.m, state.v, ref.theta, m_ref, v_ref)]
+
+    finals = {}
+    for parts in PART_COUNTS:
+        split_into(monkeypatch, parts)
+        finals[parts] = run(parts)
+    monkeypatch.setattr(native, "_kernels", None)
+    for parts, (*stepped, theta_ref, m_ref, v_ref) in finals.items():
+        numpy = run(parts)[:3]
+        for name, a, b, c in zip(("theta", "m", "v"), stepped, numpy, (theta_ref, m_ref, v_ref)):
+            assert np.array_equal(a, b) and np.array_equal(a, c), (parts, name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("parts", PART_COUNTS)
+def test_adamw_non_finite_update_is_found_in_every_part_count(parts, monkeypatch):
+    # The step returns the lowest non-finite index over all parts, which the
+    # serial numpy walk returns too; every other part of the first layer is
+    # fully stepped.
+    needs_kernel()
+    n_rows, width = multi_block_params().encoder[0].W.shape
+    ends = part_starts(n_rows, parts)[1:] + [n_rows]
+    bad_rows = [start + 3 for start in part_starts(n_rows, parts)]  # a row inside each part
+    clean = np.random.default_rng(19).normal(size=multi_block_params().theta.shape)
+
+    def with_inf(params, bad):
+        """The clean gradient with +inf at column 5 of the first-layer rows ``bad``."""
+        flat = clean.copy()
+        flat[: params.first_size].reshape(n_rows, width)[bad, 5] = np.inf
+        return as_gradient(params, flat)
+
+    def step(bad, kernels):
+        """The first layer's theta, m and v after a step on ``kernels`` (None:
+        numpy) of ``with_inf(bad)``, and the index the step returns."""
+        params = multi_block_params()
+        state = init_optimizer(params)
+        monkeypatch.setattr(native, "_kernels", kernels)
+        index = native.adamw(params.theta, state.m, state.v, *with_inf(params, bad), 1, 0.01, 0.0)
+        return [a[: params.first_size].view(np.int64) for a in (params.theta, state.m, state.v)], index
+
+    split_into(monkeypatch, parts)
+    kernels = native.load()
+    assert step(bad_rows, kernels)[1] == step(bad_rows, None)[1] == bad_rows[0] * width + 5
+    stepped = step([], kernels)[0]
+    for bad, lo, hi in zip(bad_rows, part_starts(n_rows, parts), ends):
+        arrays, index = step([bad], kernels)
+        assert index == step([bad], None)[1] == bad * width + 5
+        this_part = np.s_[lo * width : hi * width]
+        for a, b in zip(arrays, stepped):
+            assert np.array_equal(np.delete(a, this_part), np.delete(b, this_part))
+    params = multi_block_params()
+    monkeypatch.setattr(native, "_kernels", kernels)
+    with pytest.raises(NumericalError, match="non-finite optimizer update for encoder.0.W"):
+        adamw_step(params, with_inf(params, bad_rows), init_optimizer(params), TrainConfig(), 0.01)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adamw_rejects_non_finite_update_in_last_block(native_paths):
     for _ in native_paths():
