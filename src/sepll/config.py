@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import DATASET_FORMATS, SynthSpec
+from .data import DATASET_FORMATS, SynthSpec, parse_int
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError
 from .model import ModelConfig
@@ -21,14 +20,6 @@ from .serialize import read_text
 from .trainer import TrainConfig
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
-def _int(text: str) -> int:
-    """ASCII digits with an optional sign; Python's ``int`` also takes ``1_0``
-    and non-ASCII digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ValueError(text)
-    return int(text)
 
 
 def _float(text: str) -> float:
@@ -41,12 +32,12 @@ def _float(text: str) -> float:
 # value type -> (what an error says was expected, parser of the stripped text)
 _VALUE_TYPES = {
     bool: ("a boolean", lambda text: _BOOLS[text.lower()]),
-    int: ("an integer", _int),
+    int: ("an integer", parse_int),
     float: ("a number", _float),
     # no text is (); every item between commas is an integer
     tuple: (
         "comma-separated integers",
-        lambda text: tuple(_int(part.strip()) for part in text.split(",")) if text else (),
+        lambda text: tuple(parse_int(part.strip()) for part in text.split(",")) if text else (),
     ),
     str: ("a string", str),
 }

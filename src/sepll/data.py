@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -575,8 +576,19 @@ def save_dataset(splits: SplitSet, path: str | Path, fmt: str = "wrench-json") -
 def write_triplets(match: MatchMatrix, path: str | Path) -> None:
     """UTF-8, LF line endings: a "n m" header then one "i j" line per match."""
     lines = [f"{match.n} {match.m}"]
-    lines += [f"{i} {j}" for i, j in match.pairs]
+    lines += [f"{i} {j}" for i, j in match.pairs.tolist()]
     write_text(path, "\n".join(lines) + "\n")
+
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """ASCII digits with an optional sign; Python's ``int`` also takes ``1_0``
+    and non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
@@ -588,7 +600,7 @@ def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
         if not parts:
             continue
         try:
-            a, b = map(int, parts)
+            a, b = map(parse_int, parts)
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
         if a not in _INT64 or b not in _INT64:
@@ -611,7 +623,7 @@ def read_triplets(path: str | Path) -> MatchMatrix:
 def write_mapping(mapping: MappingMatrix, path: str | Path) -> None:
     """UTF-8, LF line endings: a "m c" header then one "j class" line per column."""
     lines = [f"{mapping.m} {mapping.c}"]
-    lines += [f"{j} {int(cls)}" for j, cls in enumerate(mapping.class_of)]
+    lines += [f"{j} {cls}" for j, cls in enumerate(mapping.class_of.tolist())]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -18,6 +18,11 @@ from .errors import ConfigError, DataError
 from .seeds import stream
 from .text import tokenize
 
+try:  # the regex parser is re._parser from Python 3.11 on, sre_parse before
+    from re import _parser as _sre_parse
+except ImportError:
+    import sre_parse as _sre_parse
+
 
 @dataclass(frozen=True)
 class LabelingFunction:
@@ -78,44 +83,105 @@ def parse_lf_entries(
     return tuple(lfs)
 
 
-def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> MatchMatrix:
-    """Evaluate every rule against every sample.
+def required_literal(pattern: str) -> str:
+    """The longest run of top-level literal characters in ``pattern``: every match
+    contains it, so a text without it cannot match. "" when the pattern ignores
+    case or has no literal at its top level (a top-level ``|``, say)."""
+    parsed = _sre_parse.parse(pattern)
+    if parsed.state.flags & _sre_parse.SRE_FLAG_IGNORECASE:
+        return ""
+    best = run = ""
+    for op, arg in parsed:
+        run = run + chr(arg) if op == _sre_parse.LITERAL else ""
+        best = max(best, run, key=len)
+    return best
 
-    Keyword terms are tokenized once per call into runs, indexed by their first
-    token. Each sample is tokenized once; every token position looks up the
-    runs starting with that token, and a run of length > 1 must also equal the
-    tokens that follow. Regexes then search the raw text in LF order. A sample's
-    hits are emitted in ascending LF order, so ``pairs`` is sorted by (i, j).
-    """
-    regexes = [(j, re.compile(lf.pattern)) for j, lf in enumerate(lfs) if lf.kind == "regex"]
-    by_first: dict[str, list[tuple[int, list[str]]]] = {}
+
+def _keyword_keys(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> list[np.ndarray]:
+    """The ``i * m + j`` keys of every keyword hit, in whole-split array passes."""
+    m = len(lfs)
+    runs = [(j, tokenize(term)) for j, lf in enumerate(lfs) if lf.kind == "keyword" for term in lf.terms]
+    if not runs:
+        return []
+    vocab: dict[str, int] = {}
+    for _, run in runs:
+        for token in run:
+            vocab.setdefault(token, len(vocab))
+    # every token of the split as its term-vocabulary id (-1: in no term), with its
+    # row; a text's tokens become ids at once, so no token string outlives its text
+    get = vocab.get
+    flat: list[int] = []
+    lengths = []
+    for sample in samples:
+        tokens = tokenize(sample.text)
+        lengths.append(len(tokens))
+        flat += [get(token, -1) for token in tokens]
+    ids = np.array(flat, dtype=np.int64)
+    rows = np.repeat(np.arange(len(samples), dtype=np.int64), lengths)
+    # the positions of each term token, grouped by id: id t is at by_id[bounds[t]:bounds[t + 1]]
+    at = np.flatnonzero(ids >= 0)
+    by_id = at[np.argsort(ids[at])]
+    bounds = np.searchsorted(ids[by_id], np.arange(len(vocab) + 1))
+    keys = []
+    for j, run in runs:
+        first = vocab[run[0]]
+        pos = by_id[bounds[first] : bounds[first + 1]]
+        if len(run) > 1:
+            # the run's last token must exist and sit in the same row as its first
+            pos = pos[pos + len(run) - 1 < ids.size]
+            hit = rows[pos] == rows[pos + len(run) - 1]
+            for shift, token in enumerate(run[1:], start=1):
+                hit &= ids[pos + shift] == vocab[token]
+            pos = pos[hit]
+        keys.append(rows[pos] * m + j)
+    return keys
+
+
+def _regex_keys(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> list[np.ndarray]:
+    """The ``i * m + j`` keys of every regex hit, searching only the texts that
+    hold the pattern's required literal."""
+    m = len(lfs)
+    keys = []
     for j, lf in enumerate(lfs):
-        if lf.kind == "keyword":
-            for term in lf.terms:
-                run = tokenize(term)
-                by_first.setdefault(run[0], []).append((j, run))
-
-    pairs = []
-    for i, sample in enumerate(samples):
-        hits = set()
-        if by_first:
-            tokens = tokenize(sample.text)
-            for pos, token in enumerate(tokens):
-                for j, run in by_first.get(token, ()):
-                    if len(run) == 1 or tokens[pos : pos + len(run)] == run:
-                        hits.add(j)
-        for j, pattern in regexes:
+        if lf.kind != "regex":
+            continue
+        search = re.compile(lf.pattern).search
+        literal = required_literal(lf.pattern)
+        hits = []
+        for i, sample in enumerate(samples):
+            if literal not in sample.text:
+                continue
             try:
-                found = pattern.search(sample.text)
+                found = search(sample.text)
             except Exception as exc:
-                raise DataError(
-                    f"labeling function {lfs[j].id} failed on sample {sample.id}: {exc}"
-                ) from exc
+                raise DataError(f"labeling function {lf.id} failed on sample {sample.id}: {exc}") from exc
             if found:
-                hits.add(j)
-        pairs.extend((i, j) for j in sorted(hits))
-    arr = np.asarray(pairs, dtype=np.int64)
-    return MatchMatrix(n=len(samples), m=len(lfs), pairs=arr)
+                hits.append(i)
+        keys.append(np.asarray(hits, dtype=np.int64) * m + j)
+    return keys
+
+
+def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> MatchMatrix:
+    """Evaluate every rule against every sample, in whole-split passes.
+
+    Keywords: each sample is tokenized once and every token becomes its id in
+    the vocabulary of the LF terms (-1 when it is in no term), in one flat
+    array beside the row of each position. The positions of each id, grouped
+    once, give every term the places its first token occurs; a longer term
+    also needs the ids that follow to equal its run, with its last token in
+    the same row as its first. Regexes: each pattern is searched only in the
+    texts that contain its :func:`required_literal` ("" is in every text),
+    which finds exactly the matches a search of every text finds. All hits
+    become ``i * m + j`` keys; sorted and free of repeats, they give the pairs in
+    the order :class:`MatchMatrix` keeps without sorting.
+    """
+    m = len(lfs)
+    keys = [np.empty(0, dtype=np.int64), *_keyword_keys(lfs, samples), *_regex_keys(lfs, samples)]
+    # sort and drop repeats by hand: np.unique imports numpy.ma on its first call
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first is kept
+    pairs = np.stack(np.divmod(keys, m), axis=1)
+    return MatchMatrix(n=len(samples), m=m, pairs=pairs)
 
 
 def mapping_from_lfs(lfs: Sequence[LabelingFunction], c: int) -> MappingMatrix:

@@ -519,12 +519,17 @@ def test_triplet_bad_line(tmp_path):
         ("3 2\n3 1\n", r"L\.triplets: match row index out of range"),
         ("3 2\n0 1\n0 1\n", r"L\.triplets: duplicate \(sample, LF\) match pair"),
         ("-1 2\n", r"L\.triplets: matrix dimensions must be non-negative"),
+        ("3 2\n1_0 1\n", r"L\.triplets:2: expected two integers, got '1_0 1'$"),
+        ("3 2\n\u0663 1\n", r"L\.triplets:2: expected two integers, got '\u0663 1'$"),
     ],
-    ids=["row-past-int64", "m-past-int64", "row-range", "repeated-pair", "negative-n"],
+    ids=[
+        "row-past-int64", "m-past-int64", "row-range", "repeated-pair", "negative-n",
+        "underscore", "non-ascii-digit",
+    ],
 )
 def test_triplets_bad_file_names_it(tmp_path, content, where):
     f = tmp_path / "L.triplets"
-    f.write_text(content)
+    f.write_text(content, encoding="utf-8")
     with pytest.raises(DataError, match=where):
         read_triplets(f)
 
@@ -551,11 +556,13 @@ def test_mapping_file_round_trip(tmp_path):
         ("2 2\n0 -9223372036854775809\n", r"T\.classof:2: integer outside the 64-bit range"),
         ("1000000000 2\n0 0\n", r"T\.classof:1: header says m=1000000000 columns but only 1 follow"),
         ("3 2\n0 0\n1 1\n", r"T\.classof:1: header says m=3 columns but only 2 follow"),
+        ("2 2\n1_0 1\n", r"T\.classof:2: expected two integers, got '1_0 1'$"),
+        ("2 2\n\u0663 1\n", r"T\.classof:2: expected two integers, got '\u0663 1'$"),
     ],
     ids=[
         "non-integer-header", "non-integer-pair", "duplicate-column", "negative-m",
         "class-range", "blank-line-counted", "not-utf8", "m-past-int64", "class-past-int64",
-        "m-past-rows", "missing-column",
+        "m-past-rows", "missing-column", "underscore", "non-ascii-digit",
     ],
 )
 def test_mapping_bad_file_names_line(tmp_path, content, where):

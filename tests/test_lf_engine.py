@@ -140,13 +140,19 @@ def reference_apply_lfs(lfs, sams):
     )
 
 
-WORDS = st.sampled_from(["a", "A", "b", "B", "ab", "c"])
-SEPARATORS = st.sampled_from([" ", ", ", "-", "! ", "_", " -- "])
+WORDS = st.sampled_from(["a", "A", "b", "B", "ab", "c", "é"])
+SEPARATORS = st.sampled_from([" ", ", ", "-", "! ", "_", " -- ", "\n", ". "])
 TERMS = st.one_of(
     st.lists(WORDS, min_size=1, max_size=3).map(" ".join),
     st.sampled_from(["a a", "a b", "b a", "a -- b"]),
 )
-REGEXES = st.sampled_from([r"\bab\b", r"^a", r"b!", r"[A-Z]{2}", r"-"])
+REGEXES = st.sampled_from(
+    [
+        r"\bab\b", r"^a", r"b!", r"[A-Z]{2}", r"-",
+        r"(?i)AB", r"(?i:a)b", r"a|b!", r"ab?", r"a{2}", r"\.", r"(?<!a)b", r"b$", r"\Aa",
+        r"[ab]b", r"a\nb", r"(?x) a b", r"é\n",
+    ]
+)  # fmt: skip
 
 
 @st.composite
@@ -180,7 +186,7 @@ def test_regex_runtime_failure_names_lf_and_sample(monkeypatch):
 
     class Boom:
         def search(self, text):
-            if text == "bad":
+            if text == "bad ok":
                 raise RuntimeError("boom")
             return None
 
@@ -193,7 +199,71 @@ def test_regex_runtime_failure_names_lf_and_sample(monkeypatch):
 
     monkeypatch.setattr(lf_engine, "re", FakeRe)
     with pytest.raises(DataError, match=r"labeling function 0 failed on sample 1"):
-        apply_lfs(lfs, samples("fine", "bad"))
+        # both texts hold the required literal "ok", so both are searched
+        apply_lfs(lfs, samples("fine ok", "bad ok"))
+
+
+def test_regex_is_searched_only_in_texts_holding_its_literal(monkeypatch):
+    lfs = parse_lf_entries(entries(r"regex spam \bneedle\b"), class_names=("ham", "spam"))
+    searched = []
+
+    class Counting:
+        def __init__(self, pattern):
+            self.compiled = re.compile(pattern)
+
+        def search(self, text):
+            searched.append(text)
+            return self.compiled.search(text)
+
+    class CountingRe:
+        error = re.error
+        compile = Counting
+
+    texts = [f"hay {k}" for k in range(1000)]
+    texts[10], texts[500], texts[999] = "a needle here", "needles", "needle"
+    monkeypatch.setattr(lf_engine, "re", CountingRe)
+    match = apply_lfs(lfs, samples(*texts))
+    assert len(searched) <= 3
+    assert match.pairs.tolist() == [[10, 0], [999, 0]]
+
+
+@pytest.mark.parametrize(
+    "pattern, literal",
+    [
+        (r"\btopic0word1[01]\b", "topic0word1"),
+        (r"ab?", "a"),
+        (r"(?i:a)b", "b"),
+        (r"(?<!a)b", "b"),
+        (r"a\nb", "a\nb"),
+        (r"(?x) a b", "ab"),
+        (r"x[ab]yz", "yz"),
+        ("é!", "é!"),
+        (r"(?i)AB", ""),
+        (r"a|b!", ""),
+        (r"a{2}", ""),
+    ],
+)
+def test_required_literal(pattern, literal):
+    assert lf_engine.required_literal(pattern) == literal
+
+
+@pytest.mark.parametrize(
+    "term, texts, rows",
+    [
+        ("win money", ("x win", "money y"), []),
+        ("win money", ("win", "", "money"), []),
+        ("win money", ("win", "!!", "money"), []),
+        ("win money", ("win!!", "!!money"), []),
+        ("a a", ("b a", "a b", "a", "", "a", "a a"), [5]),
+        ("x y z", ("x y", "z", "a x y z"), [2]),
+        ("x y z", ("a x y", "z"), []),
+        ("x y z", ("x y",), []),
+    ],
+)
+def test_phrase_matches_within_one_row_only(term, texts, rows):
+    """All tokens of a split sit in one flat array; a run must not span two texts."""
+    lfs = parse_lf_entries(entries(f"keyword spam {term}"), class_names=("ham", "spam"))
+    assert apply_lfs(lfs, samples(*texts)).pairs[:, 0].tolist() == rows
 
 
 def test_mapping_from_lfs():
