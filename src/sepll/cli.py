@@ -144,7 +144,7 @@ def _build_matrices(
             lfs = parse_lf_entries(run.cfg.lf_entries, splits.class_names)
         except ConfigError as exc:
             raise ConfigError(f"{run.inputs['config']}: [lfs] {exc}") from None
-        match = {name: apply_lfs(lfs, splits.split(name)) for name in names}
+        match = {name: apply_lfs(lfs, splits.split(name), splits.tokens(name)) for name in names}
         return match, mapping_from_lfs(lfs, splits.n_classes)
     conv = to_one_class_lfs(splits)
     return dict(conv.match), conv.mapping
@@ -333,7 +333,7 @@ def _split_features_gold(splits: SplitSet, vocab, split: str, need_gold: bool = 
     gold = [s.gold_label for s in samples]
     if need_gold and any(g is None for g in gold):
         raise DataError(f"split {split!r} lacks gold labels")
-    return featurize_split([s.text for s in samples], vocab), gold
+    return featurize_split(splits.tokens(split, vocab.lowercase), vocab), gold
 
 
 @cli.command("eval")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError
 from .seeds import stream
 from .serialize import read_json, read_text, write_text
+from .text import Tokens, tokenize_split
 
 SPLIT_NAMES = ("train", "dev", "test")
 ABSTAIN = -1
@@ -50,6 +51,7 @@ class SplitSet:
     test: tuple[Sample, ...]
     class_names: tuple[str, ...]
     raw_weak_labels: Mapping[str, np.ndarray]
+    _tokens: dict[tuple[str, bool], Tokens] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.class_names:
@@ -92,6 +94,12 @@ class SplitSet:
         if name not in SPLIT_NAMES:
             raise DataError(f"unknown split {name!r}")
         return getattr(self, name)
+
+    def tokens(self, name: str, lowercase: bool = True) -> Tokens:
+        """Split ``name`` tokenized, once per case setting for the life of the set."""
+        if (name, lowercase) not in self._tokens:
+            self._tokens[name, lowercase] = tokenize_split([s.text for s in self.split(name)], lowercase)
+        return self._tokens[name, lowercase]
 
     @property
     def n_classes(self) -> int:
@@ -592,11 +600,12 @@ def parse_int(text: str) -> int:
 
 
 def _read_int_pairs(path, kind: str) -> list[tuple[int, int, int]]:
-    """(line number, a, b) for every non-blank line of a two-integer text file;
-    the first row is the header. Every integer fits int64."""
+    """(line number, a, b) for every line of a two-integer text file that is not all
+    ASCII spaces, which alone separate, as the writers write them; the first row is
+    the header. Every integer fits int64."""
     rows = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        parts = line.split()
+        parts = [part for part in line.split(" ") if part]
         if not parts:
             continue
         try:

@@ -8,18 +8,17 @@ encoder's parameters live in :mod:`sepll.model` with the rest of the model's.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .nnet import ACTIVATIONS, CSRMatrix
-# perfbench/test_perfbench.py::test_tracer_wraps_every_by_name_import reads sepll.encoder.mlp_forward
+from .text import Tokens
+# perfbench/test_perfbench.py::test_tracer_wraps_every_by_name_import reads these two names here
 from .nnet import mlp_forward  # noqa: F401
-from .text import tokenize
+from .text import tokenize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,42 +73,34 @@ class Vocabulary:
         )
 
 
-def fit_vocabulary(texts: Sequence[str], config: EncoderConfig | None = None) -> Vocabulary:
+def fit_vocabulary(tokens: Tokens, config: EncoderConfig | None = None) -> Vocabulary:
+    """The vocabulary of a split tokenized with ``config.lowercase``."""
     config = config or EncoderConfig()
-    if not texts:
+    n = tokens.starts.size - 1
+    if n == 0:
         raise DataError("cannot fit a vocabulary on an empty corpus")
-    df: Counter[str] = Counter()
-    for text in texts:
-        df.update(set(tokenize(text, lowercase=config.lowercase)))
-    kept = [(tok, n) for tok, n in df.items() if n >= config.min_df]
+    # df: distinct (row, id) keys per token, by hand (np.unique without counts imports numpy.ma)
+    size = len(tokens.index)
+    keys = np.sort(tokens.rows() * size + tokens.ids)
+    df = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % size, minlength=size)
+    names, counts = list(tokens.index), df.tolist()
+    kept = sorted(np.flatnonzero(df >= config.min_df).tolist(), key=lambda t: (-counts[t], names[t]))
     if not kept:
         raise DataError("vocabulary is empty after min_df filtering")
-    kept.sort(key=lambda item: (-item[1], item[0]))
     kept = kept[: config.max_features]
     return Vocabulary(
-        tokens=tuple(tok for tok, _ in kept),
-        df=np.array([n for _, n in kept], dtype=np.int64),
-        n_docs=len(texts),
-        lowercase=config.lowercase,
+        tokens=tuple(names[t] for t in kept), df=df[kept], n_docs=n, lowercase=config.lowercase
     )
 
 
-def featurize_split(texts: Sequence[str], vocab: Vocabulary) -> CSRMatrix:
-    """CSR feature matrix for a whole split, one row per text; each row's
-    column indices ascend."""
-    n, dim = len(texts), len(vocab)
-    lookup = vocab.index.get
-    ids: list[int] = []
-    lengths: list[int] = []
-    for text in texts:
-        row = [j for j in map(lookup, tokenize(text, lowercase=vocab.lowercase)) if j is not None]
-        ids.extend(row)
-        lengths.append(len(row))
-    # one key per (row, token id); unique sorts by row, then by id, and counts repeats
-    keys, counts = np.unique(
-        np.repeat(np.arange(n, dtype=np.int64), lengths) * dim + np.array(ids, dtype=np.int64),
-        return_counts=True,
-    )
+def featurize_split(tokens: Tokens, vocab: Vocabulary) -> CSRMatrix:
+    """CSR feature matrix of a split tokenized with ``vocab.lowercase``, one row per
+    text; each row's column indices ascend."""
+    n, dim = tokens.starts.size - 1, len(vocab)
+    column = np.array([vocab.index.get(token, -1) for token in tokens.index], dtype=np.int64)[tokens.ids]
+    inside = column >= 0
+    # one key per (row, column); unique sorts by row, then by column, and counts repeats
+    keys, counts = np.unique(tokens.rows()[inside] * dim + column[inside], return_counts=True)
     rows, cols = np.divmod(keys, dim)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

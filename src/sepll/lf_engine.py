@@ -16,7 +16,7 @@ import numpy as np
 from .data import MatchMatrix, MappingMatrix, Sample
 from .errors import ConfigError, DataError
 from .seeds import stream
-from .text import tokenize
+from .text import Tokens, tokenize
 
 try:  # the regex parser is re._parser from Python 3.11 on, sre_parse before
     from re import _parser as _sre_parse
@@ -97,41 +97,28 @@ def required_literal(pattern: str) -> str:
     return best
 
 
-def _keyword_keys(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> list[np.ndarray]:
+def _keyword_keys(lfs: Sequence[LabelingFunction], tokens: Tokens) -> list[np.ndarray]:
     """The ``i * m + j`` keys of every keyword hit, in whole-split array passes."""
     m = len(lfs)
     runs = [(j, tokenize(term)) for j, lf in enumerate(lfs) if lf.kind == "keyword" for term in lf.terms]
     if not runs:
         return []
-    vocab: dict[str, int] = {}
-    for _, run in runs:
-        for token in run:
-            vocab.setdefault(token, len(vocab))
-    # every token of the split as its term-vocabulary id (-1: in no term), with its
-    # row; a text's tokens become ids at once, so no token string outlives its text
-    get = vocab.get
-    flat: list[int] = []
-    lengths = []
-    for sample in samples:
-        tokens = tokenize(sample.text)
-        lengths.append(len(tokens))
-        flat += [get(token, -1) for token in tokens]
-    ids = np.array(flat, dtype=np.int64)
-    rows = np.repeat(np.arange(len(samples), dtype=np.int64), lengths)
-    # the positions of each term token, grouped by id: id t is at by_id[bounds[t]:bounds[t + 1]]
-    at = np.flatnonzero(ids >= 0)
-    by_id = at[np.argsort(ids[at])]
-    bounds = np.searchsorted(ids[by_id], np.arange(len(vocab) + 1))
+    ids, rows, get = tokens.ids, tokens.rows(), tokens.index.get
+    # the positions of each id, grouped: id t is at by_id[bounds[t]:bounds[t + 1]]
+    by_id = np.argsort(ids)
+    bounds = np.searchsorted(ids[by_id], np.arange(len(tokens.index) + 1))
     keys = []
     for j, run in runs:
-        first = vocab[run[0]]
-        pos = by_id[bounds[first] : bounds[first + 1]]
+        run = [get(token, -1) for token in run]
+        if -1 in run:  # a token of the term is nowhere in the split
+            continue
+        pos = by_id[bounds[run[0]] : bounds[run[0] + 1]]
         if len(run) > 1:
             # the run's last token must exist and sit in the same row as its first
             pos = pos[pos + len(run) - 1 < ids.size]
             hit = rows[pos] == rows[pos + len(run) - 1]
             for shift, token in enumerate(run[1:], start=1):
-                hit &= ids[pos + shift] == vocab[token]
+                hit &= ids[pos + shift] == token
             pos = pos[hit]
         keys.append(rows[pos] * m + j)
     return keys
@@ -161,12 +148,12 @@ def _regex_keys(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> l
     return keys
 
 
-def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> MatchMatrix:
+def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample], tokens: Tokens) -> MatchMatrix:
     """Evaluate every rule against every sample, in whole-split passes.
 
-    Keywords: each sample is tokenized once and every token becomes its id in
-    the vocabulary of the LF terms (-1 when it is in no term), in one flat
-    array beside the row of each position. The positions of each id, grouped
+    ``tokens`` is the split of ``samples``, tokenized in lowercase. Keywords:
+    each term token is looked up in the split's own ``index`` (a token that is
+    not there means the term matches nowhere). The positions of each id, grouped
     once, give every term the places its first token occurs; a longer term
     also needs the ids that follow to equal its run, with its last token in
     the same row as its first. Regexes: each pattern is searched only in the
@@ -176,7 +163,7 @@ def apply_lfs(lfs: Sequence[LabelingFunction], samples: Sequence[Sample]) -> Mat
     the order :class:`MatchMatrix` keeps without sorting.
     """
     m = len(lfs)
-    keys = [np.empty(0, dtype=np.int64), *_keyword_keys(lfs, samples), *_regex_keys(lfs, samples)]
+    keys = [np.empty(0, dtype=np.int64), *_keyword_keys(lfs, tokens), *_regex_keys(lfs, samples)]
     # sort and drop repeats by hand: np.unique imports numpy.ma on its first call
     keys = np.sort(np.concatenate(keys))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first is kept

@@ -224,9 +224,9 @@ def _featurize(splits: SplitSet, match_train: MatchMatrix, encoder_config: Encod
         raise DataError(
             f"match matrix has {match_train.n} rows but train split has {len(splits.train)} samples"
         )
-    vocab = fit_vocabulary([s.text for s in splits.train], encoder_config)
-    X_train = featurize_split([s.text for s in splits.train], vocab)
-    X_dev = featurize_split([s.text for s in splits.dev], vocab)
+    vocab = fit_vocabulary(splits.tokens("train", encoder_config.lowercase), encoder_config)
+    X_train = featurize_split(splits.tokens("train", vocab.lowercase), vocab)
+    X_dev = featurize_split(splits.tokens("dev", vocab.lowercase), vocab)
     dev_gold = np.array([s.gold_label for s in splits.dev], dtype=np.int64)
     return vocab, X_train, X_dev, dev_gold
 
@@ -342,7 +342,7 @@ def run_ablation(
         raise DataError("ablation requires a test split with gold labels")
     test_gold = np.array([s.gold_label for s in splits.test], dtype=np.int64)
     vocab, X_train, X_dev, dev_gold = _featurize(splits, match_by_split["train"], encoder_config)
-    X_test = featurize_split([s.text for s in splits.test], vocab)
+    X_test = featurize_split(splits.tokens("test", vocab.lowercase), vocab)
     table: dict[str, dict[str, float]] = {}
     for variant in VARIANT_ORDER:
         cfg = ablation_config(base_config, variant)

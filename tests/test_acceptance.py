@@ -76,12 +76,12 @@ def sweep():
         )
         full_seconds += time.perf_counter() - t0
 
-        X_test = featurize_split([s.text for s in splits.test], vocab)
+        X_test = featurize_split(splits.tokens("test"), vocab)
         from sepll.model import predict_batch
 
         sep_acc = float((predict_batch(params, X_test) == test_gold).mean())
 
-        X_train = featurize_split([s.text for s in splits.train], vocab)
+        X_train = featurize_split(splits.tokens("train"), vocab)
         mem = memorization_report(params, X_train, conv.match["train"])
 
         basic_cfg = ablation_config(TrainConfig(seed=seed), "basic")
@@ -402,7 +402,7 @@ def test_criterion_8_youtube_benchmark():
     params, _, vocab = train(splits, conv.match["train"], conv.mapping, TrainConfig(seed=0))
     from sepll.model import predict_batch
 
-    X_test = featurize_split([s.text for s in splits.test], vocab)
+    X_test = featurize_split(splits.tokens("test"), vocab)
     sep_acc = float((predict_batch(params, X_test) == test_gold).mean())
     ok = abs(coverage - 0.88) <= 0.01 and abs(mv_acc - 0.84) <= 0.02 and sep_acc >= mv_acc
     verdict(

@@ -1129,27 +1129,53 @@ def test_eval_lf_class_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_commands_label_only_the_splits_they_read(tmp_path, monkeypatch):
+    """Each command labels only the splits it reads, and tokenizes each of them
+    once per case setting: the vocabulary, the features and keyword LFs share it."""
     import sepll.cli
+    import sepll.data
 
     cfg = write_config(tmp_path, LF_CONFIG)
     run_dir = tmp_path / "run"
     labeled = []
     apply = sepll.cli.apply_lfs
     monkeypatch.setattr(
-        sepll.cli, "apply_lfs", lambda lfs, samples: labeled.append(len(samples)) or apply(lfs, samples)
+        sepll.cli,
+        "apply_lfs",
+        lambda lfs, samples, tokens: labeled.append(len(samples)) or apply(lfs, samples, tokens),
+    )
+    run_cfg = parse_config(cfg)
+    splits = synth_dataset(run_cfg.data.synth, run_cfg.train.seed)
+    split_of = {tuple(s.text for s in splits.split(name)): name for name in ("train", "dev", "test")}
+    tokenized = []
+    tokenize_split = sepll.data.tokenize_split
+    monkeypatch.setattr(
+        sepll.data,
+        "tokenize_split",
+        lambda texts, lowercase: tokenized.append((split_of[tuple(texts)], lowercase))
+        or tokenize_split(texts, lowercase),
     )
     assert main(["train", "--config", cfg, "--out", str(run_dir)]) == 0
     assert labeled == [120]
+    assert tokenized == [("train", True), ("dev", True)]
     ckpt = ["--checkpoint", str(run_dir / "checkpoint.sepll"), "--config", cfg]
-    for argv, sizes in [
-        (["eval", *ckpt], []),
-        (["analyze", *ckpt, "--which", "memorization", "--split", "dev"], [30]),
-        (["analyze", *ckpt, "--which", "matches", "--split", "train"], [120]),
-        (["analyze", *ckpt, "--which", "gap"], [120, 30]),
+    for argv, sizes, splits_read in [
+        (["eval", *ckpt], [], ["test"]),
+        (["analyze", *ckpt, "--which", "memorization", "--split", "dev"], [30], ["dev"]),
+        (["analyze", *ckpt, "--which", "matches", "--split", "train"], [120], ["train"]),
+        (["analyze", *ckpt, "--which", "gap"], [120, 30], ["train", "test"]),
     ]:
         labeled.clear()
+        tokenized.clear()
         assert main(argv) == 0
         assert labeled == sizes, argv
+        assert tokenized == [(name, True) for name in splits_read], argv
+    # an encoder that keeps case tokenizes apart from the LF engine, which lowercases
+    cased = write_config(tmp_path, LF_CONFIG.replace("dim = 8\n", "dim = 8\nlowercase = false\n"), "cased.cfg")
+    labeled.clear()
+    tokenized.clear()
+    assert main(["train", "--config", cased, "--out", str(tmp_path / "cased")]) == 0
+    assert labeled == [120]
+    assert tokenized == [("train", True), ("train", False), ("dev", False)]
 
 
 def test_apply_lfs_writes_match_matrices(tmp_path):
@@ -1511,10 +1537,18 @@ def test_convert_and_train_leave_numpy_ma_unloaded(tmp_path):
         save_dataset(splits, tmp_path / fmt, fmt=fmt)
     (tmp_path / "jsonl" / "label.json").unlink()  # so that loading infers the classes
     cfg = write_config(tmp_path, SYNTH_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+    # every command on rule LFs, which run the tokenization, df and keyword code
+    lf_cfg = write_config(tmp_path, LF_CONFIG.replace("max_epochs = 3", "max_epochs = 1"), "lf.cfg")
+    ckpt = ["--checkpoint", str(tmp_path / "lt" / "checkpoint.sepll"), "--config", lf_cfg]
     for argv in (
         ["convert", str(tmp_path / "jsonl"), "--format", "jsonl", "--out", str(tmp_path / "c1")],
         ["convert", str(tmp_path / "wrench-json"), "--out", str(tmp_path / "c2")],
         ["train", "--config", cfg, "--out", str(tmp_path / "t")],
+        ["apply-lfs", "--config", lf_cfg, "--out", str(tmp_path / "l")],
+        ["stats", "--config", lf_cfg],
+        ["train", "--config", lf_cfg, "--out", str(tmp_path / "lt")],
+        ["eval", *ckpt],
+        *(["analyze", *ckpt, "--which", which] for which in ("memorization", "gap", "matches")),
     ):
         code = f"import sys; from sepll.cli import main; code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)

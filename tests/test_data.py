@@ -521,10 +521,14 @@ def test_triplet_bad_line(tmp_path):
         ("-1 2\n", r"L\.triplets: matrix dimensions must be non-negative"),
         ("3 2\n1_0 1\n", r"L\.triplets:2: expected two integers, got '1_0 1'$"),
         ("3 2\n\u0663 1\n", r"L\.triplets:2: expected two integers, got '\u0663 1'$"),
+        # only ASCII spaces separate the two integers
+        ("3 2\n2\x1c0\n", r"L\.triplets:2: expected two integers, got '2\\x1c0'$"),
+        ("3 2\n1\u00a01\n", r"L\.triplets:2: expected two integers, got '1\\xa01'$"),
+        ("3 2\n0\t1\n", r"L\.triplets:2: expected two integers, got '0\\t1'$"),
     ],
     ids=[
         "row-past-int64", "m-past-int64", "row-range", "repeated-pair", "negative-n",
-        "underscore", "non-ascii-digit",
+        "underscore", "non-ascii-digit", "file-separator", "no-break-space", "tab",
     ],
 )
 def test_triplets_bad_file_names_it(tmp_path, content, where):
@@ -558,11 +562,16 @@ def test_mapping_file_round_trip(tmp_path):
         ("3 2\n0 0\n1 1\n", r"T\.classof:1: header says m=3 columns but only 2 follow"),
         ("2 2\n1_0 1\n", r"T\.classof:2: expected two integers, got '1_0 1'$"),
         ("2 2\n\u0663 1\n", r"T\.classof:2: expected two integers, got '\u0663 1'$"),
+        # only ASCII spaces separate the two integers
+        ("2 2\n0 0\n1\x1c0\n", r"T\.classof:3: expected two integers, got '1\\x1c0'$"),
+        ("2 2\n0\u00a01\n", r"T\.classof:2: expected two integers, got '0\\xa01'$"),
+        ("2 2\n0\t1\n", r"T\.classof:2: expected two integers, got '0\\t1'$"),
     ],
     ids=[
         "non-integer-header", "non-integer-pair", "duplicate-column", "negative-m",
         "class-range", "blank-line-counted", "not-utf8", "m-past-int64", "class-past-int64",
-        "m-past-rows", "missing-column", "underscore", "non-ascii-digit",
+        "m-past-rows", "missing-column", "underscore", "non-ascii-digit", "file-separator",
+        "no-break-space", "tab",
     ],
 )
 def test_mapping_bad_file_names_line(tmp_path, content, where):

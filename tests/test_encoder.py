@@ -17,7 +17,7 @@ from sepll.encoder import (
 from sepll.errors import ConfigError, DataError
 from sepll.model import forward_batch, init_params, load_checkpoint, save_checkpoint
 from sepll.nnet import init_mlp, mlp_backward, mlp_forward
-from sepll.text import tokenize
+from sepll.text import tokenize, tokenize_split
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -43,7 +43,7 @@ def test_tokenize_no_lowercase():
 
 
 def test_vocabulary_ranked_by_df_then_token():
-    vocab = fit_vocabulary(["b a", "b a", "b c"])
+    vocab = fit_vocabulary(tokenize_split(["b a", "b a", "b c"]))
     # df: b=3, a=2, c=1
     assert vocab.tokens == ("b", "a", "c")
     assert vocab.df.tolist() == [3, 2, 1]
@@ -51,37 +51,37 @@ def test_vocabulary_ranked_by_df_then_token():
 
 
 def test_vocabulary_ties_break_lexicographically():
-    vocab = fit_vocabulary(["z q", "z q"])
+    vocab = fit_vocabulary(tokenize_split(["z q", "z q"]))
     assert vocab.tokens == ("q", "z")
 
 
 def test_vocabulary_min_df_filters():
     cfg = EncoderConfig(min_df=2)
-    vocab = fit_vocabulary(["a b", "a c"], cfg)
+    vocab = fit_vocabulary(tokenize_split(["a b", "a c"]), cfg)
     assert vocab.tokens == ("a",)
 
 
 def test_vocabulary_max_features_truncates():
     cfg = EncoderConfig(max_features=2)
-    vocab = fit_vocabulary(["a b c", "a b", "a"], cfg)
+    vocab = fit_vocabulary(tokenize_split(["a b c", "a b", "a"]), cfg)
     assert vocab.tokens == ("a", "b")
 
 
 def test_vocabulary_df_counts_documents_not_occurrences():
-    vocab = fit_vocabulary(["a a a", "b"])
+    vocab = fit_vocabulary(tokenize_split(["a a a", "b"]))
     assert dict(zip(vocab.tokens, vocab.df.tolist())) == {"a": 1, "b": 1}
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(DataError):
-        fit_vocabulary([])
+        fit_vocabulary(tokenize_split([]))
     with pytest.raises(DataError, match="min_df"):
-        fit_vocabulary(["a", "b"], EncoderConfig(min_df=5))
+        fit_vocabulary(tokenize_split(["a", "b"]), EncoderConfig(min_df=5))
 
 
 def test_idf_frozen_value():
     # two docs, token in one: idf = ln((1+2)/(1+1)) + 1 = ln(3/2) + 1
-    vocab = fit_vocabulary(["common rare", "common"])
+    vocab = fit_vocabulary(tokenize_split(["common rare", "common"]))
     idx = vocab.index["rare"]
     assert vocab.idf[idx] == pytest.approx(math.log(1.5) + 1.0, abs=1e-15)
     idx_c = vocab.index["common"]
@@ -118,21 +118,21 @@ def reference_featurize(text: str, vocab: Vocabulary) -> tuple[np.ndarray, np.nd
 
 
 def featurize_one(text: str, vocab: Vocabulary):
-    """The single row of ``featurize_split([text], vocab)``."""
-    X = featurize_split([text], vocab)
+    """The single row of ``featurize_split(tokenize_split([text], vocab.lowercase), vocab)``."""
+    X = featurize_split(tokenize_split([text], vocab.lowercase), vocab)
     assert X.shape == (1, len(vocab))
     return X.indices, X.data
 
 
 def test_featurize_equal_idf_two_tokens_gives_inv_sqrt2():
-    vocab = fit_vocabulary(["a b", "a b"])  # both idf = 1
+    vocab = fit_vocabulary(tokenize_split(["a b", "a b"]))  # both idf = 1
     _, weights = featurize_one("a b", vocab)
     assert sorted(weights.tolist()) == pytest.approx([INV_SQRT2, INV_SQRT2])
     assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_featurize_counts_scale_with_tf():
-    vocab = fit_vocabulary(["a b", "a b"])
+    vocab = fit_vocabulary(tokenize_split(["a b", "a b"]))
     indices, weights = featurize_one("a a b", vocab)
     w = dict(zip(indices.tolist(), weights.tolist()))
     ia, ib = vocab.index["a"], vocab.index["b"]
@@ -141,7 +141,7 @@ def test_featurize_counts_scale_with_tf():
 
 
 def test_featurize_out_of_vocab_is_zero_vector():
-    vocab = fit_vocabulary(["a b"])
+    vocab = fit_vocabulary(tokenize_split(["a b"]))
     indices, weights = featurize_one("zzz qqq", vocab)
     assert indices.size == 0
     assert weights.size == 0
@@ -149,7 +149,7 @@ def test_featurize_out_of_vocab_is_zero_vector():
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12))
 def test_featurize_order_insensitive(tokens):
-    vocab = fit_vocabulary(["a b c d", "a b", "c"])
+    vocab = fit_vocabulary(tokenize_split(["a b c d", "a b", "c"]))
     forward = featurize_one(" ".join(tokens), vocab)
     backward = featurize_one(" ".join(reversed(tokens)), vocab)
     assert np.array_equal(forward[0], backward[0])
@@ -158,16 +158,16 @@ def test_featurize_order_insensitive(tokens):
 
 @given(st.text(alphabet="abcd efg", min_size=0, max_size=40))
 def test_featurize_unit_norm_or_zero(text):
-    vocab = fit_vocabulary(["ab cd efg a b", "ab b"])
+    vocab = fit_vocabulary(tokenize_split(["ab cd efg a b", "ab b"]))
     _, weights = featurize_one(text, vocab)
     norm = np.linalg.norm(weights)
     assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
 
 def test_feature_matrix_matches_featurize_rows():
-    vocab = fit_vocabulary(["a b c", "b c", "c"])
+    vocab = fit_vocabulary(tokenize_split(["a b c", "b c", "c"]))
     texts = ["a c", "zzz", "b b c"]
-    X = featurize_split(texts, vocab)
+    X = featurize_split(tokenize_split(texts), vocab)
     assert X.shape == (3, len(vocab))
     assert X.indptr.tolist() == [0, 2, 2, 4]
     for i, t in enumerate(texts):
@@ -199,10 +199,10 @@ def _texts(words):
 )
 def test_featurize_split_equals_per_text_reference_bitwise(corpus, texts, lowercase, min_df):
     try:
-        vocab = fit_vocabulary(corpus, EncoderConfig(lowercase=lowercase, min_df=min_df))
+        vocab = fit_vocabulary(tokenize_split(corpus, lowercase), EncoderConfig(lowercase=lowercase, min_df=min_df))
     except DataError:  # every corpus token filtered out
         return
-    X = featurize_split(texts, vocab)
+    X = featurize_split(tokenize_split(texts, lowercase), vocab)
     assert X.shape == (len(texts), len(vocab))
     assert X.indptr.dtype == X.indices.dtype == np.int64 and X.data.dtype == np.float64
     assert X.indptr[0] == 0 and X.indptr.size == len(texts) + 1
@@ -215,11 +215,65 @@ def test_featurize_split_equals_per_text_reference_bitwise(corpus, texts, lowerc
 
 
 def test_featurize_split_of_no_texts_is_empty():
-    vocab = fit_vocabulary(["a b"])
-    X = featurize_split([], vocab)
+    vocab = fit_vocabulary(tokenize_split(["a b"]))
+    X = featurize_split(tokenize_split([]), vocab)
     assert X.shape == (0, 2)
     assert X.indptr.tolist() == [0]
     assert X.indices.size == X.data.size == 0
+
+
+def reference_fit_vocabulary(texts, config: EncoderConfig) -> Vocabulary:
+    """One Counter of each text's token set: the per-text fit_vocabulary that
+    the id-based one replaced, kept as its oracle."""
+    if not texts:
+        raise DataError("cannot fit a vocabulary on an empty corpus")
+    df: Counter[str] = Counter()
+    for text in texts:
+        df.update(set(tokenize(text, lowercase=config.lowercase)))
+    kept = [(tok, n) for tok, n in df.items() if n >= config.min_df]
+    if not kept:
+        raise DataError("vocabulary is empty after min_df filtering")
+    kept.sort(key=lambda item: (-item[1], item[0]))
+    kept = kept[: config.max_features]
+    return Vocabulary(
+        tokens=tuple(tok for tok, _ in kept),
+        df=np.array([n for _, n in kept], dtype=np.int64),
+        n_docs=len(texts),
+        lowercase=config.lowercase,
+    )
+
+
+@given(
+    texts=st.lists(_texts(_WORDS) | st.just(""), max_size=8),
+    lowercase=st.booleans(),
+    min_df=st.integers(1, 2),
+    max_features=st.integers(1, 12),
+)
+def test_fit_vocabulary_equals_per_text_reference(texts, lowercase, min_df, max_features):
+    config = EncoderConfig(max_features=max_features, min_df=min_df, lowercase=lowercase)
+    try:
+        expected = reference_fit_vocabulary(texts, config)
+    except DataError as exc:  # no texts, or every token filtered out
+        with pytest.raises(DataError, match=f"^{exc}$"):
+            fit_vocabulary(tokenize_split(texts, lowercase), config)
+        return
+    vocab = fit_vocabulary(tokenize_split(texts, lowercase), config)
+    assert vocab.tokens == expected.tokens
+    assert vocab.df.tolist() == expected.df.tolist()
+    assert vocab.n_docs == expected.n_docs
+    assert vocab.lowercase == lowercase
+
+
+@given(texts=st.lists(_texts(_WORDS) | st.just(""), max_size=8), lowercase=st.booleans())
+def test_tokenize_split_decodes_to_tokenize(texts, lowercase):
+    tokens = tokenize_split(texts, lowercase)
+    names = list(tokens.index)
+    assert tokens.ids.dtype == tokens.starts.dtype == np.int64
+    assert tokens.starts.size == len(texts) + 1 and tokens.starts[-1] == tokens.ids.size
+    assert list(tokens.index.values()) == list(range(len(names)))  # numbered in order
+    for i, text in enumerate(texts):
+        row = tokens.ids[tokens.starts[i] : tokens.starts[i + 1]]
+        assert [names[t] for t in row.tolist()] == tokenize(text, lowercase)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +299,7 @@ def test_encode_zero_vector_uses_biases_only():
     params.encoder[0].b[:] = 0.3
     params.encoder[1].b[:] = -0.2
     vocab = Vocabulary(tokens=("a", "b", "c", "d"), df=np.ones(4, dtype=np.int64), n_docs=2, lowercase=True)
-    z = forward_batch(params, featurize_split(["zzz"], vocab)).z[0]
+    z = forward_batch(params, featurize_split(tokenize_split(["zzz"]), vocab)).z[0]
     h = np.tanh(params.encoder[0].b)
     expected = h @ params.encoder[1].W + params.encoder[1].b
     assert np.allclose(z, expected, atol=1e-15)

@@ -20,11 +20,16 @@ from sepll.lf_engine import (
     parse_lf_entries,
 )
 from sepll.serialize import to_json
-from sepll.text import tokenize
+from sepll.text import tokenize, tokenize_split
 
 
 def samples(*texts):
     return tuple(Sample(id=i, text=t) for i, t in enumerate(texts))
+
+
+def label(lfs, sams):
+    """``apply_lfs`` on ``sams`` with their lowercase tokens."""
+    return apply_lfs(lfs, sams, tokenize_split([s.text for s in sams]))
 
 
 def entries(*values):
@@ -85,19 +90,19 @@ def test_keyword_term_without_a_token_is_rejected(term):
 
 def test_keyword_matches_whole_tokens_only():
     lfs = parse_lf_entries(entries("keyword spam free"), class_names=("ham", "spam"))
-    match = apply_lfs(lfs, samples("get it free now", "freedom of speech", "FREE stuff"))
+    match = label(lfs, samples("get it free now", "freedom of speech", "FREE stuff"))
     assert match_to_dense(match)[:, 0].tolist() == [1, 0, 1]
 
 
 def test_keyword_multiword_term_requires_contiguous_run():
     lfs = parse_lf_entries(entries("keyword spam win money"), class_names=("ham", "spam"))
-    match = apply_lfs(lfs, samples("you win money now", "win lots of money", "money win"))
+    match = label(lfs, samples("you win money now", "win lots of money", "money win"))
     assert match_to_dense(match)[:, 0].tolist() == [1, 0, 0]
 
 
 def test_regex_runs_on_raw_text():
     lfs = parse_lf_entries(entries("regex ham \\b(subscribe|sub)\\b"), class_names=("ham", "spam"))
-    match = apply_lfs(lfs, samples("please subscribe", "my sub count", "subscriber"))
+    match = label(lfs, samples("please subscribe", "my sub count", "subscriber"))
     assert match_to_dense(match)[:, 0].tolist() == [1, 1, 0]
 
 
@@ -107,7 +112,7 @@ def test_lfs_sharing_a_first_token_both_fire_and_pairs_are_sorted():
         class_names=("ham", "spam"),
     )
     # "win" starts a term of LF 0 and of LF 2; in row 3 LF 2 is found first, at "cash"
-    match = apply_lfs(
+    match = label(
         lfs, samples("win money now", "win big money", "nothing", "cash, win big", "win big win money")
     )
     assert match.pairs.tolist() == [
@@ -178,7 +183,7 @@ def texts(draw):
 @given(labeling_functions(), st.lists(texts(), max_size=6))
 def test_apply_lfs_matches_per_lf_reference(lfs, text_list):
     sams = samples(*text_list)
-    assert apply_lfs(lfs, sams) == reference_apply_lfs(lfs, sams)
+    assert label(lfs, sams) == reference_apply_lfs(lfs, sams)
 
 
 def test_regex_runtime_failure_names_lf_and_sample(monkeypatch):
@@ -200,7 +205,7 @@ def test_regex_runtime_failure_names_lf_and_sample(monkeypatch):
     monkeypatch.setattr(lf_engine, "re", FakeRe)
     with pytest.raises(DataError, match=r"labeling function 0 failed on sample 1"):
         # both texts hold the required literal "ok", so both are searched
-        apply_lfs(lfs, samples("fine ok", "bad ok"))
+        label(lfs, samples("fine ok", "bad ok"))
 
 
 def test_regex_is_searched_only_in_texts_holding_its_literal(monkeypatch):
@@ -222,7 +227,7 @@ def test_regex_is_searched_only_in_texts_holding_its_literal(monkeypatch):
     texts = [f"hay {k}" for k in range(1000)]
     texts[10], texts[500], texts[999] = "a needle here", "needles", "needle"
     monkeypatch.setattr(lf_engine, "re", CountingRe)
-    match = apply_lfs(lfs, samples(*texts))
+    match = label(lfs, samples(*texts))
     assert len(searched) <= 3
     assert match.pairs.tolist() == [[10, 0], [999, 0]]
 
@@ -263,7 +268,7 @@ def test_required_literal(pattern, literal):
 def test_phrase_matches_within_one_row_only(term, texts, rows):
     """All tokens of a split sit in one flat array; a run must not span two texts."""
     lfs = parse_lf_entries(entries(f"keyword spam {term}"), class_names=("ham", "spam"))
-    assert apply_lfs(lfs, samples(*texts)).pairs[:, 0].tolist() == rows
+    assert label(lfs, samples(*texts)).pairs[:, 0].tolist() == rows
 
 
 def test_mapping_from_lfs():

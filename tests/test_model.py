@@ -107,12 +107,13 @@ def test_forward_single_matches_batch(rng):
 
 def test_forward_accepts_feature_vector():
     from sepll.encoder import featurize_split, fit_vocabulary
+    from sepll.text import tokenize_split
 
-    vocab = fit_vocabulary(["a b c d e", "a b"])
+    vocab = fit_vocabulary(tokenize_split(["a b c d e", "a b"]))
     mapping = MappingMatrix(c=2, class_of=np.array([0, 1, 1]))
     enc_cfg = EncoderConfig(max_features=50, hidden=(), dim=4)
     params = init_params(len(vocab), mapping, enc_cfg, rng=np.random.default_rng(0))
-    X = featurize_split(["a b"], vocab)
+    X = featurize_split(tokenize_split(["a b"]), vocab)
     trace = forward_batch(params, X)
     dense = np.zeros((1, len(vocab)))
     dense[0, X.indices] = X.data

@@ -65,14 +65,24 @@ def test_no_module_in_src_imports_a_name_it_does_not_use():
 
 
 def modules_loading(source: Path, attrs: set[str]) -> dict[str, set[str]]:
-    """Each name in ``attrs`` -> the modules under ``source`` that load it as an attribute."""
+    """Each name in ``attrs`` -> the modules under ``source`` that load it, bare or as an attribute."""
     found: dict[str, set[str]] = {attr: set() for attr in attrs}
     for path in sorted(source.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in attrs:
-                found[node.attr].add(path.stem)
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(getattr(node, "ctx", None), ast.Load) and name in attrs:
+                found[name].add(path.stem)
     return found
 
 
 def test_only_the_model_reads_where_the_first_layer_and_the_lf_path_sit_in_theta():
     assert modules_loading(SOURCE, {"first_size", "lf_slice"}) == {"first_size": {"model"}, "lf_slice": {"model"}}
+
+
+def test_only_text_tokenizes_texts_and_the_lf_engine_only_its_terms():
+    # a split is tokenized once, by text.tokenize_split through SplitSet.tokens;
+    # lf_engine tokenizes LF terms, and encoder only re-exports the name
+    assert modules_loading(SOURCE, {"tokenize", "tokenize_split"}) == {
+        "tokenize": {"text", "lf_engine"},
+        "tokenize_split": {"data"},
+    }

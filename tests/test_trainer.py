@@ -716,7 +716,7 @@ def test_train_returns_parameters_of_best_epoch():
     params, history, vocab = train(
         splits, conv.match["train"], conv.mapping, fast_config(seed=1), SMALL_ENC
     )
-    X_dev = featurize_split([s.text for s in splits.dev], vocab)
+    X_dev = featurize_split(splits.tokens("dev"), vocab)
     preds = predict_batch(params, X_dev)
     gold = np.array([s.gold_label for s in splits.dev])
     report = task_metrics(preds, gold, n_classes=conv.mapping.c)
